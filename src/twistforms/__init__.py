@@ -8,7 +8,6 @@ from .display import build_display, verify_display
 from .exactalg import ExactMatrix, SnakeLedger, snake_check
 from .forms import (
     DEFAULT_PRIME,
-    PForm,
     SectionSpace,
     claim_i_kernel_test,
     conormal_wedge,
@@ -25,7 +24,6 @@ from .maxrank import (
     RankCertificate,
     betti_ledger,
     eval_matrix,
-    fiber_eval,
     maxrank_test,
     random_points,
     verify_certificate,

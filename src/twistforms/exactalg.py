@@ -1,7 +1,8 @@
 """Exact dense linear algebra over prime fields GF(q) and the rationals.
 
 Matrices are immutable after construction.  Prime-field matrices are stored
-as reduced numpy int64 arrays; rational matrices as tuples of Fractions.
+as reduced numpy arrays, int64 up to ``WORD_MODULUS_MAX`` and Python integers
+(object dtype) above it; rational matrices as tuples of Fractions.
 Pivoting is always first-nonzero, top-to-bottom / left-to-right, so every
 elimination result is deterministic across platforms and thread schedules.
 """
@@ -10,16 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
 __all__ = [
+    "WORD_MODULUS_MAX",
     "ExactMatrix",
     "SnakeLedger",
     "is_prime",
+    "residue_dtype",
     "snake_check",
 ]
+
+#: Largest modulus whose residues multiply without overflow in int64: for
+#: q <= WORD_MODULUS_MAX every product of two residues is below 2^63.
+WORD_MODULUS_MAX = isqrt(2**63 - 1)
 
 
 def is_prime(q: int) -> bool:
@@ -46,6 +53,11 @@ def is_prime(q: int) -> bool:
     return True
 
 
+def residue_dtype(q: int):
+    """numpy dtype that holds residues mod q and their pairwise products exactly."""
+    return np.int64 if q <= WORD_MODULUS_MAX else object
+
+
 def _canon_rational(x) -> Fraction | int:
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f
@@ -64,7 +76,11 @@ class ExactMatrix:
         if q is not None:
             if not is_prime(q):
                 raise ValueError("modulus %r is not prime" % (q,))
-            a = np.array(data, dtype=np.int64).reshape(self.rows, self.cols) % q
+            if residue_dtype(q) is object:
+                a = np.array(data, dtype=object).reshape(self.rows, self.cols)
+                a = np.frompyfunc(lambda x: int(x) % q, 1, 1)(a)
+            else:
+                a = np.asarray(data, dtype=np.int64).reshape(self.rows, self.cols) % q
             a.setflags(write=False)
             self._a = a
         else:
@@ -310,7 +326,7 @@ class ExactMatrix:
         free = [c for c in range(self.cols) if c not in set(pivots)]
         if self.q is not None:
             q = self.q
-            ker = np.zeros((self.cols, len(free)), dtype=np.int64)
+            ker = np.zeros((self.cols, len(free)), dtype=residue_dtype(q))
             for k, f in enumerate(free):
                 ker[f, k] = 1
                 for j, pc in enumerate(pivots):
@@ -348,7 +364,7 @@ class ExactMatrix:
         if any(p >= self.cols for p in pivots):
             return None
         if self.q is not None:
-            x = np.zeros((self.cols, rhs.cols), dtype=np.int64)
+            x = np.zeros((self.cols, rhs.cols), dtype=residue_dtype(self.q))
             for j, pc in enumerate(pivots):
                 x[pc] = rr[j, self.cols :]
             return ExactMatrix(self.cols, rhs.cols, x, q=self.q)

@@ -98,29 +98,6 @@ class SectionSpace:
         return len(self.key)
 
 
-@dataclass(frozen=True)
-class PForm:
-    """A single polynomial p-form of twist d on P^n.
-
-    ``coefficients`` maps (index set, exponent tuple) pairs to scalars;
-    index sets have size p, monomials degree d - p.
-    """
-
-    n: int
-    p: int
-    d: int
-    coefficients: tuple  # tuple of ((I, m), scalar) pairs, or a dict-like
-
-    def __post_init__(self):
-        coeffs = dict(self.coefficients)
-        for (I, m) in coeffs:
-            if len(I) != self.p:
-                raise ValueError("index set %r has size != %d" % (I, self.p))
-            if sum(m) != self.d - self.p:
-                raise ValueError("monomial %r has degree != %d" % (m, self.d - self.p))
-        object.__setattr__(self, "coefficients", coeffs)
-
-
 @lru_cache(maxsize=None)
 def monomials(nvars: int, degree: int) -> tuple:
     """Exponent tuples of the given total degree, lex-descending."""

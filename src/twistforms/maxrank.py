@@ -1,10 +1,12 @@
 """Point sets, fiber evaluation of twisted forms, and maximal-rank certificates.
 
 The evaluation map sends a section of Omega^{p+1}(d+p+1) to its values in
-the fibers over s points.  A witness point set achieving full rank
-certifies maximal rank for general points over the field's closure (the
-maximal-rank locus is open); failure of every trial is reported as
-"not witnessed", never as a disproof.
+the fibers over s points; ``eval_matrix`` builds it as exact products of a
+table of monomial values at the points and each chart's slice of the
+section basis, over Q on points scaled to integer coordinates.  A witness
+point set achieving full rank certifies maximal rank for general points
+over the field's closure (the maximal-rank locus is open); failure of every
+trial is reported as "not witnessed", never as a disproof.
 """
 
 from __future__ import annotations
@@ -13,20 +15,22 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
-from .exactalg import ExactMatrix
-from .forms import DEFAULT_PRIME, PForm, h0_basis
+import numpy as np
+
+from .exactalg import ExactMatrix, is_prime, residue_dtype
+from .forms import DEFAULT_PRIME, h0_basis, index_sets, monomials
 
 __all__ = [
     "BettiLedger",
+    "CertificateError",
     "FieldTooSmallError",
     "PointSet",
     "ProjPoint",
     "RankCertificate",
     "betti_ledger",
     "eval_matrix",
-    "fiber_eval",
     "maxrank_test",
     "random_points",
     "verify_certificate",
@@ -38,6 +42,10 @@ _RATIONAL_COORD_RANGE = 1000
 
 class FieldTooSmallError(RuntimeError):
     pass
+
+
+class CertificateError(ValueError):
+    """A certificate file that does not follow the certificate schema."""
 
 
 @dataclass(frozen=True)
@@ -141,72 +149,67 @@ def _no_small_hyperplane(pts, n, q):
     return True
 
 
-def _monomial_value(m, coords, q):
-    v = 1
-    for e, c in zip(m, coords):
-        if e:
-            v *= c ** e if q is None else pow(c, e, q)
-            if q is not None:
-                v %= q
-    return v
-
-
-def fiber_eval_ambient(key, vector, pt: ProjPoint, p: int, n: int, pivot=None):
-    """Evaluate an ambient p-form coordinate vector in the fiber at pt.
-
-    The fiber of Omega^p at the point is cut out of the coordinate space
-    by the Euler relation; for sections the evaluated tensor satisfies it
-    already, so the chart coordinates are the components whose index set
-    avoids the pivot.  Returns a list of length binom(n, p) ordered by
-    index set.
-    """
-    from itertools import combinations
-
-    if pivot is None:
-        pivot = pt.pivot
-    if pt.coords[pivot] == 0:
-        raise ValueError("pivot coordinate vanishes at the point")
-    q = pt.q
-    acc = {}
-    for (I, m), coeff in zip(key, vector):
-        if coeff == 0 or pivot in I:
-            continue
-        val = coeff * _monomial_value(m, pt.coords, q)
-        acc[I] = acc.get(I, 0) + val
-    chart = [I for I in combinations(range(n + 1), p) if pivot not in I]
-    out = [acc.get(I, 0) for I in chart]
-    if q is not None:
-        out = [v % q for v in out]
-    return out
-
-
-def fiber_eval(form: PForm, pt: ProjPoint, pivot=None):
-    """Fiber evaluation of a single polynomial form; see fiber_eval_ambient."""
-    key = tuple(form.coefficients)
-    vector = [form.coefficients[pair] for pair in key]
-    return fiber_eval_ambient(key, vector, pt, form.p, form.n, pivot)
+def _monomial_table(coords, exps, q):
+    """Values of the monomials with exponent rows ``exps`` at each coordinate row."""
+    powers = [np.ones_like(coords)]
+    for _ in range(exps.max()):
+        powers.append(powers[-1] * coords if q is None else powers[-1] * coords % q)
+    powers = np.stack(powers, axis=2)  # point x variable x exponent
+    table = powers[:, 0, exps[:, 0]]
+    for k in range(1, exps.shape[1]):
+        table = table * powers[:, k, exps[:, k]]
+        if q is not None:
+            table %= q
+    return table
 
 
 def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatrix:
     """Stacked fiber evaluations of H^0(Omega^{p+1}(d+p+1)) at every point.
 
-    Rows: s * binom(n, p+1); columns: h^0.  ``pivots`` overrides the
-    canonical chart choice per point (used by the chart-invariance tests).
+    Rows: s * binom(n, p+1), point by point, each block ordered by the index
+    sets that avoid the point's chart pivot (its last nonzero coordinate, or
+    the entry of ``pivots``); columns: h^0.  Each group of points with one
+    pivot is one product: the table of degree-d monomials at the points times
+    the chart's slice of the basis, viewed as (monomial, index set, section).
+    Over Q the points are scaled to integer coordinates, and the product's
+    rows are divided back by scale^d.
     """
     q = pts.q
     space = h0_basis(n, p + 1, d + p + 1, q)
-    cols = space.basis.row_list()
-    sections = [[cols[i][j] for i in range(space.ambient_dim)] for j in range(space.dim)]
+    s, h = len(pts.points), space.dim
     fiber = comb(n, p + 1)
-    rows = []
-    for k, pt in enumerate(pts.points):
-        pivot = pivots[k] if pivots is not None else None
-        blocks = [
-            fiber_eval_ambient(space.key, sec, pt, p + 1, n, pivot) for sec in sections
-        ]
-        for i in range(fiber):
-            rows.append([b[i] for b in blocks])
-    return ExactMatrix(len(pts.points) * fiber, space.dim, rows, q=q)
+    piv = [pt.pivot if pivots is None else pivots[k] for k, pt in enumerate(pts.points)]
+    if any(pt.coords[v] == 0 for pt, v in zip(pts.points, piv)):
+        raise ValueError("pivot coordinate vanishes at the point")
+    if not s or not h:
+        return ExactMatrix.zeros(s * fiber, h, q=q)
+    if q is None:
+        scales = [lcm(*(Fraction(c).denominator for c in pt.coords)) for pt in pts.points]
+        rows = [[int(c * k) for c in pt.coords] for pt, k in zip(pts.points, scales)]
+        coords = np.array(rows, dtype=object)
+        basis = np.array(space.basis._a, dtype=object)
+    else:
+        coords = np.array([pt.coords for pt in pts.points], dtype=residue_dtype(q))
+        basis = space.basis._a
+    exps = np.array(monomials(n + 1, d), dtype=np.int64)
+    sets = index_sets(n + 1, p + 1)
+    basis = basis.reshape(len(sets), len(exps), h).transpose(1, 0, 2)
+    out = np.zeros((s, fiber, h), dtype=basis.dtype)
+    for v in sorted(set(piv)):
+        group = [k for k, w in enumerate(piv) if w == v]
+        chart = [j for j, I in enumerate(sets) if v not in I]
+        sections = basis[:, chart].reshape(len(exps), fiber * h)
+        table = _monomial_table(coords[group], exps, q)
+        if q is None:
+            prod = table @ sections
+        else:
+            table = ExactMatrix(len(group), len(exps), table, q=q)
+            prod = (table @ ExactMatrix(len(exps), fiber * h, sections, q=q))._a
+        out[group] = prod.reshape(len(group), fiber, h)
+    if q is not None:
+        return ExactMatrix(s * fiber, h, out.reshape(s * fiber, h), q=q)
+    rows = [[Fraction(x, k**d) for x in row] for block, k in zip(out, scales) for row in block]
+    return ExactMatrix(s * fiber, h, rows, q=None)
 
 
 @dataclass(frozen=True)
@@ -240,30 +243,49 @@ class RankCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "RankCertificate":
-        doc = json.loads(text)
-        prob = doc["problem"]
-        q = doc["field"].get("modulus") if doc["field"]["kind"] == "prime" else None
-        pts = None
-        if "points" in doc:
-            pts = tuple(tuple(_parse_scalar(c) for c in pt) for pt in doc["points"])
-        return cls(
-            prob["n"],
-            prob["p"],
-            prob["d"],
-            prob["s"],
-            q,
-            doc["seed"],
-            doc["trials"],
-            (doc["shape"][0], doc["shape"][1]),
-            doc["rank"],
-            doc["maximal"],
-            pts,
-        )
+        """Parse a certificate; any departure from the schema raises CertificateError."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise CertificateError("certificate is not JSON: %s" % exc) from exc
+        prob, field = _entry(doc, "problem", dict), _entry(doc, "field", dict)
+        n, p, d, s = (_entry(prob, key, int) for key in ("n", "p", "d", "s"))
+        if n < 1 or p < 0 or s < 0:
+            raise CertificateError("problem needs n >= 1, p >= 0 and s >= 0")
+        kind = _entry(field, "kind", str)
+        q = _entry(field, "modulus", int) if kind == "prime" else None
+        if kind not in ("prime", "rational") or (q is not None and not is_prime(q)):
+            raise CertificateError("field must be rational or have a prime modulus")
+        shape = _entry(doc, "shape", list)
+        if len(shape) != 2 or not all(type(x) is int for x in shape):
+            raise CertificateError("certificate entry 'shape' must be two integers")
+        seed, trials, rank = (_entry(doc, key, int) for key in ("seed", "trials", "rank"))
+        maximal = _entry(doc, "maximal", bool)
+        pts = tuple(_parse_point(pt, n, q) for pt in _entry(doc, "points", list))
+        return cls(n, p, d, s, q, seed, trials, tuple(shape), rank, maximal, pts)
 
 
-def _parse_scalar(text):
-    f = Fraction(text)
-    return int(f) if f.denominator == 1 else f
+def _entry(doc, key: str, kind: type):
+    """doc[key], which must be a JSON value of exactly the given type (no bool for int)."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise CertificateError("certificate lacks %r" % key)
+    val = doc[key]
+    if type(val) is not kind:
+        raise CertificateError("certificate entry %r must be %s" % (key, kind.__name__))
+    return val
+
+
+def _parse_point(pt, n: int, q) -> tuple:
+    """One replay point: n+1 coordinate strings, integers over GF(q)."""
+    if not isinstance(pt, list) or len(pt) != n + 1 or not all(isinstance(c, str) for c in pt):
+        raise CertificateError("each point must be a list of %d coordinate strings" % (n + 1))
+    try:
+        coords = [Fraction(c) for c in pt]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CertificateError("bad point coordinate: %s" % exc) from exc
+    if q is not None and any(c.denominator != 1 for c in coords):
+        raise CertificateError("point coordinates over GF(%d) must be integers" % q)
+    return tuple(int(c) if c.denominator == 1 else c for c in coords)
 
 
 def _trial_seed(seed: int, trial: int) -> int:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from twistforms.cli import main, parse_range, UsageError
+from twistforms.maxrank import CertificateError, RankCertificate
 
 
 def run(capsys, *argv):
@@ -85,6 +86,47 @@ def test_maxrank_witnessed_and_not(capsys, tmp_path):
     code, out, _ = run(capsys, "maxrank", "--verify", str(cert_file))
     assert code == 0
     assert "verified" in out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.pop("field"),
+        lambda doc: doc.pop("problem"),
+        lambda doc: doc.pop("points"),
+        lambda doc: doc.update(rank="8"),
+        lambda doc: doc.update(maximal=1),
+        lambda doc: doc["problem"].update(n=2.0),
+        lambda doc: doc.update(field={"kind": "prime", "modulus": 100}),
+        lambda doc: doc.update(points=[["1", "x", "1"]] * 4),
+        lambda doc: doc.update(points=[["1", "1"]] * 4),
+        lambda doc: doc.update(shape=[8]),
+    ],
+)
+def test_maxrank_verify_rejects_malformed_certificate(capsys, tmp_path, edit):
+    cert_file = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys,
+        "maxrank", "--n", "2", "--p", "0", "--d", "2", "--s", "4",
+        "--out", str(cert_file),
+    )
+    assert code == 0
+    doc = json.loads(cert_file.read_text())
+    edit(doc)
+    with pytest.raises(CertificateError):
+        RankCertificate.from_json(json.dumps(doc))
+    cert_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "maxrank", "--verify", str(cert_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_maxrank_verify_rejects_non_json(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text("[1, 2")
+    code, out, err = run(capsys, "maxrank", "--verify", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: certificate is not JSON")
 
 
 def test_maxrank_certificate_is_byte_stable(capsys, tmp_path):

@@ -1,9 +1,10 @@
 """Rank/kernel arithmetic and the snake-lemma checker."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistforms.exactalg import ExactMatrix, snake_check
+from twistforms.exactalg import WORD_MODULUS_MAX, ExactMatrix, residue_dtype, snake_check
 from twistforms.forms import contraction_matrix
 
 
@@ -121,6 +122,32 @@ def test_rational_rank_bounds_modular_rank(m):
     for q in (101, 1009, 65537):
         mq = ExactMatrix.from_rows(m.row_list(), q=q)
         assert mq.rank() <= r
+
+
+# One prime just above the int64-safe bound, one below 2^63, one above it.
+# Minors of a 5x5 matrix with entries in [-9, 9] are below (9*sqrt(5))^5 < 4e6
+# in size, far under each prime, so the rank mod q must equal the rank over Q.
+LARGE_PRIMES = (4294967311, 2**61 - 1, 2**89 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(q=None))
+def test_large_prime_ranks_equal_rational_ranks(m):
+    r = m.rank()
+    for q in LARGE_PRIMES:
+        mq = ExactMatrix.from_rows(m.row_list(), q=q)
+        assert mq.rank() == r
+        k = mq.kernel_basis()
+        assert k.cols == m.cols - r
+        assert (mq @ k).is_zero()
+
+
+def test_large_prime_storage_and_singular_matrix():
+    assert residue_dtype(2**31 - 1) is np.int64
+    assert residue_dtype(WORD_MODULUS_MAX) is np.int64
+    assert residue_dtype(WORD_MODULUS_MAX + 1) is object
+    # Residue products overflowed int64 here and this matrix got rank 2.
+    assert gf([[-1, -2], [-2, -4]], q=2**61 - 1).rank() == 1
 
 
 def test_bareiss_updates_rows_with_zero_pivot_entry():

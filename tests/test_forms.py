@@ -6,7 +6,6 @@ from twistforms.bott import binom, h_O, h_omega
 from twistforms.exactalg import ExactMatrix
 from twistforms.forms import (
     ConsistencyError,
-    PForm,
     claim_i_kernel_test,
     conormal_wedge,
     contraction_matrix,
@@ -159,10 +158,3 @@ def test_conormal_wedge_degenerate_hyperplane_is_a_point():
     w = conormal_wedge(1, 0, 2)
     assert w.shape == (1, 1)
     assert w.rank() == 1
-
-
-def test_pform_validates_shape():
-    with pytest.raises(ValueError):
-        PForm(1, 1, 2, [(((0, 1), (0, 0)), 1)])
-    with pytest.raises(ValueError):
-        PForm(1, 1, 2, [(((0,), (2, 0)), 1)])

@@ -1,9 +1,13 @@
 """Point sampling, fiber evaluation, and maximal-rank certificates."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistforms.bott import binom, h_omega
-from twistforms.forms import PForm, h0_basis
+from twistforms.exactalg import ExactMatrix
+from twistforms.forms import h0_basis
 from twistforms.maxrank import (
     FieldTooSmallError,
     PointSet,
@@ -11,7 +15,6 @@ from twistforms.maxrank import (
     RankCertificate,
     betti_ledger,
     eval_matrix,
-    fiber_eval,
     maxrank_test,
     random_points,
     verify_certificate,
@@ -58,11 +61,83 @@ def test_small_sets_avoid_degenerate_hyperplanes():
         assert m.rank() == 3
 
 
-def test_fiber_eval_invariant_one_form():
-    # x1 dx0 - x0 dx1 at (1:1): chart drops the pivot component, leaving 1.
-    form = PForm(1, 1, 2, {((0,), (0, 1)): 1, ((1,), (1, 0)): -1})
-    pt = ProjPoint.make([1, 1], q=None)
-    assert fiber_eval(form, pt) == [1]
+def naive_eval_matrix(n, p, d, pts, pivots=None):
+    """Reference: evaluate every section at every point, one term at a time."""
+    q = pts.q
+    space = h0_basis(n, p + 1, d + p + 1, q)
+    cols = space.basis.row_list()
+    sections = [[cols[i][j] for i in range(space.ambient_dim)] for j in range(space.dim)]
+    rows = []
+    for k, pt in enumerate(pts.points):
+        pivot = pt.pivot if pivots is None else pivots[k]
+        chart = [I for I in combinations(range(n + 1), p + 1) if pivot not in I]
+        blocks = []
+        for sec in sections:
+            acc = {}
+            for (I, m), coeff in zip(space.key, sec):
+                if coeff == 0 or pivot in I:
+                    continue
+                val = coeff
+                for e, c in zip(m, pt.coords):
+                    val *= c**e if q is None else pow(c, e, q)
+                acc[I] = acc.get(I, 0) + val
+            block = [acc.get(I, 0) for I in chart]
+            blocks.append(block if q is None else [v % q for v in block])
+        rows.extend([b[i] for b in blocks] for i in range(len(chart)))
+    return ExactMatrix(len(rows), space.dim, rows, q=q)
+
+
+@st.composite
+def evaluation_problems(draw):
+    q = draw(st.sampled_from([101, 2**31 - 1, None]))
+    n = draw(st.integers(min_value=1, max_value=3))
+    p = draw(st.integers(min_value=0, max_value=n - 1))
+    d = draw(st.integers(min_value=0, max_value=3))
+    s = draw(st.integers(min_value=0, max_value=4))
+    pts = random_points(n, s, q, seed=draw(st.integers(min_value=0, max_value=10**6)))
+    pivots = None
+    if draw(st.booleans()):
+        pivots = [
+            draw(st.sampled_from([i for i, c in enumerate(pt.coords) if c != 0]))
+            for pt in pts.points
+        ]
+    return n, p, d, pts, pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(evaluation_problems())
+def test_eval_matrix_matches_naive_evaluation(problem):
+    n, p, d, pts, pivots = problem
+    assert eval_matrix(n, p, d, pts, pivots) == naive_eval_matrix(n, p, d, pts, pivots)
+
+
+def test_eval_matrix_matches_naive_evaluation_at_top_degree():
+    # p+1 = n: one fiber coordinate per point, charts over every pivot.
+    for q in (101, 2**31 - 1, None):
+        pts = random_points(3, 5, q, seed=2)
+        alt = [min(i for i, c in enumerate(pt.coords) if c != 0) for pt in pts.points]
+        for pivots in (None, alt):
+            assert eval_matrix(3, 2, 2, pts, pivots) == naive_eval_matrix(3, 2, 2, pts, pivots)
+
+
+def test_eval_matrix_rejects_vanishing_pivot():
+    pts = PointSet(2, (ProjPoint.make([1, 0, 1], q=101),), 101, 0)
+    with pytest.raises(ValueError):
+        eval_matrix(2, 0, 2, pts, pivots=[1])
+
+
+def test_eval_matrix_invariant_one_form():
+    # H^0(Omega^1(2)) on P^1 is spanned by x1 dx0 - x0 dx1; at (1:1) the
+    # chart drops the pivot component dx1, leaving x1 = 1.
+    space = h0_basis(1, 1, 2, None)
+    assert dict(zip(space.key, space.basis.transpose().row_list()[0])) == {
+        ((0,), (1, 0)): 0,
+        ((0,), (0, 1)): 1,
+        ((1,), (1, 0)): -1,
+        ((1,), (0, 1)): 0,
+    }
+    pts = PointSet(1, (ProjPoint.make([1, 1], q=None),), None, 0)
+    assert eval_matrix(1, 0, 1, pts) == ExactMatrix.from_rows([[1]], q=None)
 
 
 def test_fiber_eval_chart_choice_preserves_rank():
@@ -149,6 +224,18 @@ def test_verify_rejects_tampered_rank():
         doc.shape, doc.rank - 1, doc.maximal, doc.points,
     )
     assert not verify_certificate(tampered)
+
+
+def test_repeated_point_certificate_rejected_over_large_prime():
+    # Four copies of one point impose only 2 conditions.  Residue products
+    # once overflowed int64 at this prime, so the 8x8 matrix came out of
+    # rank 8 and this certificate replayed as verified.
+    q = 2**61 - 1
+    pt = ProjPoint.make([3, 5, 1], q=q)
+    pts = PointSet(2, (pt,) * 4, q, 0)
+    assert eval_matrix(2, 0, 2, pts).rank() == 2
+    forged = RankCertificate(2, 0, 2, 4, q, 0, 1, (8, 8), 8, True, (pt.coords,) * 4)
+    assert not verify_certificate(RankCertificate.from_json(forged.to_json()))
 
 
 def test_betti_ledger_cases():
