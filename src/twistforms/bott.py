@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["binom", "h_omega", "h_O", "duality_consistency", "cohom_dims", "CohomDims"]
+__all__ = ["binom", "h_omega", "h_O", "duality_consistency"]
 
 
 def binom(a: int, b: int) -> int:
@@ -65,22 +65,3 @@ def duality_consistency(n: int, p: int, d: int) -> bool:
     if not 0 <= p <= n:
         raise ValueError("form degree p=%d out of range for P^%d" % (p, n))
     return h_omega(n, p, d, n) == h_omega(n, n - p, -d, 0)
-
-
-class CohomDims:
-    """All cohomology dimensions of Omega^p(d) on P^n, entry i = h^i."""
-
-    __slots__ = ("n", "p", "d", "dims")
-
-    def __init__(self, n: int, p: int, d: int):
-        self.n = n
-        self.p = p
-        self.d = d
-        self.dims = tuple(h_omega(n, p, d, i) for i in range(n + 1))
-
-    def __repr__(self):
-        return "CohomDims(n=%d, p=%d, d=%d, dims=%r)" % (self.n, self.p, self.d, self.dims)
-
-
-def cohom_dims(n: int, p: int, d: int) -> CohomDims:
-    return CohomDims(n, p, d)

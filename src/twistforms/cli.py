@@ -145,8 +145,6 @@ def cmd_verify_display(args) -> int:
             if not 0 <= p <= n - 1:
                 raise UsageError("p=%d out of range for a display on P^%d" % (p, n))
             ledgers = display.verify_display(n, p, min(ts), max(ts), args.q)
-            if args.inject_fault:
-                ledgers = [_faulted_ledger(n, p, min(ts), args.q)] + ledgers[1:]
             for led in ledgers:
                 ok = led.passed
                 all_ok = all_ok and ok
@@ -196,26 +194,6 @@ def _failure_names(led) -> str:
     if not led.snake_ok:
         bad.append("snake")
     return ", ".join(bad) or "unknown"
-
-
-def _faulted_ledger(n, p, t, q):
-    """Test hook: flip one sign in one display matrix and re-audit."""
-    from .exactalg import ExactMatrix
-
-    inst = display.build_display(n, p, t, q)
-    m = inst.maps["free_incl"]
-    rows = m.row_list()
-    done = False
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v != 0:
-                rows[i][j] = (-v) % q if q is not None else -v
-                done = True
-                break
-        if done:
-            break
-    inst.maps["free_incl"] = ExactMatrix(m.rows, m.cols, rows, q=q)
-    return display.ledger_for(inst)
 
 
 def cmd_maxrank(args) -> int:
@@ -320,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vd.add_argument("--t", default="0..3")
     p_vd.add_argument("--format", choices=("table", "json"), default="table")
     p_vd.add_argument("--out")
-    p_vd.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     _field_arg(p_vd)
     p_vd.set_defaults(func=cmd_verify_display)
 

@@ -293,4 +293,4 @@ def ledger_for(inst: DisplayInstance) -> ExactnessLedger:
 def _h1_safe(n: int, p: int, d: int) -> int:
     if n < 1 or p > n:
         return 0
-    return h_omega(n, p, d, 1) if n >= 1 else 0
+    return h_omega(n, p, d, 1)

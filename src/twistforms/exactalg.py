@@ -5,6 +5,17 @@ as reduced numpy arrays, int64 up to ``WORD_MODULUS_MAX`` and Python integers
 (object dtype) above it; rational matrices as tuples of Fractions.
 Pivoting is always first-nonzero, top-to-bottom / left-to-right, so every
 elimination result is deterministic across platforms and thread schedules.
+
+Products over GF(q) of an m x k by a k x n matrix take one of three tiers,
+each exact:
+
+* float64 BLAS, when (q - 1)^2 * k <= 2^53 - 1: every partial sum is then
+  an integer that float64 holds exactly (Dumas, Giorgi and Pernet, "Dense
+  linear algebra over word-size prime fields: the FFLAS and FFPACK
+  packages", ACM TOMS 2008), and one ``fmod`` reduces the product.  At
+  q = 101 this holds up to k = 9.0e11.
+* int64, when q^2 * k < 2^63.
+* Python integers (object dtype) otherwise.
 """
 
 from __future__ import annotations
@@ -58,21 +69,44 @@ def residue_dtype(q: int):
     return np.int64 if q <= WORD_MODULUS_MAX else object
 
 
+#: Every integer up to this bound is exact in float64.
+_FLOAT_EXACT = 2**53 - 1
+
+
 def _canon_rational(x) -> Fraction | int:
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
+    if type(x) is int:
+        return x
+    f = x if type(x) is Fraction else Fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
+def _mulmod(a, b, q: int):
+    """(a @ b) mod q of two reduced residue arrays, as a reduced array of
+    dtype ``residue_dtype(q)``; the tier is chosen as in the module docstring."""
+    (m, k), n = a.shape, b.shape[1]
+    if k == 0:
+        return np.zeros((m, n), dtype=residue_dtype(q))
+    if (q - 1) ** 2 * k <= _FLOAT_EXACT:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        np.fmod(prod, q, out=prod)
+        return prod.astype(np.int64)
+    if q * q * k < 2**63:
+        return (a @ b) % q
+    prod = (a.astype(object) @ b.astype(object)) % q
+    return prod.astype(residue_dtype(q))
 
 
 class ExactMatrix:
     """Dense matrix over GF(q) (``q`` a prime) or the rationals (``q=None``)."""
 
-    __slots__ = ("rows", "cols", "q", "_a", "_rr")
+    __slots__ = ("rows", "cols", "q", "_a", "_rr", "_rank")
 
     def __init__(self, rows, cols, data, q=None):
         self.rows = int(rows)
         self.cols = int(cols)
         self.q = q
         self._rr = None  # cached (rref, pivot columns)
+        self._rank = None  # cached rank
         if q is not None:
             if not is_prime(q):
                 raise ValueError("modulus %r is not prime" % (q,))
@@ -94,6 +128,19 @@ class ExactMatrix:
             self._a = tuple(mat)
 
     # -- construction helpers ------------------------------------------------
+
+    @classmethod
+    def _reduced(cls, a, q):
+        """Wrap an array of residues mod the prime q that is already reduced
+        and of dtype ``residue_dtype(q)``: no primality test, no copy."""
+        m = cls.__new__(cls)
+        m.rows, m.cols = a.shape
+        m.q = q
+        m._rr = None
+        m._rank = None
+        a.setflags(write=False)
+        m._a = a
+        return m
 
     @classmethod
     def from_rows(cls, data, q=None):
@@ -152,7 +199,7 @@ class ExactMatrix:
 
     def transpose(self):
         if self.q is not None:
-            return ExactMatrix(self.cols, self.rows, self._a.T, q=self.q)
+            return ExactMatrix._reduced(self._a.T, self.q)
         data = [[self._a[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return ExactMatrix(self.cols, self.rows, data, q=None)
 
@@ -162,13 +209,7 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         if self.q is not None:
-            q = self.q
-            if self.cols and q * q * self.cols >= 2**63:
-                a = self._a.astype(object)
-                prod = (a @ other._a.astype(object)) % q
-            else:
-                prod = (self._a @ other._a) % q
-            return ExactMatrix(self.rows, other.cols, prod, q=q)
+            return ExactMatrix._reduced(_mulmod(self._a, other._a, self.q), self.q)
         b = other._a
         data = []
         for row in self._a:
@@ -181,7 +222,7 @@ class ExactMatrix:
         if self.q != other.q or self.shape != other.shape:
             raise ValueError("shape/field mismatch in subtraction")
         if self.q is not None:
-            return ExactMatrix(self.rows, self.cols, (self._a - other._a) % self.q, q=self.q)
+            return ExactMatrix._reduced((self._a - other._a) % self.q, self.q)
         data = [
             [self._a[i][j] - other._a[i][j] for j in range(self.cols)]
             for i in range(self.rows)
@@ -193,16 +234,14 @@ class ExactMatrix:
         if self.q != other.q or self.rows != other.rows:
             raise ValueError("shape/field mismatch in augment")
         if self.q is not None:
-            return ExactMatrix(
-                self.rows, self.cols + other.cols, np.hstack([self._a, other._a]), q=self.q
-            )
+            return ExactMatrix._reduced(np.hstack([self._a, other._a]), self.q)
         data = [list(self._a[i]) + list(other._a[i]) for i in range(self.rows)]
         return ExactMatrix(self.rows, self.cols + other.cols, data, q=None)
 
     def columns(self, idx):
         """Submatrix of the selected columns, in the given order."""
         if self.q is not None:
-            return ExactMatrix(self.rows, len(idx), self._a[:, list(idx)], q=self.q)
+            return ExactMatrix._reduced(self._a[:, list(idx)], self.q)
         data = [[self._a[i][j] for j in idx] for i in range(self.rows)]
         return ExactMatrix(self.rows, len(idx), data, q=None)
 
@@ -235,11 +274,12 @@ class ExactMatrix:
             if i != r:
                 a[[r, i]] = a[[i, r]]
             inv = pow(int(a[r, c]), q - 2, q)
-            a[r] = a[r] * inv % q
+            # Row r is zero left of column c, so only columns c: change.
+            a[r, c:] = a[r, c:] * inv % q
             others = np.nonzero(a[:, c])[0]
             others = others[others != r]
             if others.size:
-                a[others] = (a[others] - np.outer(a[others, c], a[r])) % q
+                a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % q
             pivots.append(c)
             r += 1
         return a, pivots
@@ -279,11 +319,14 @@ class ExactMatrix:
         denominators and runs fraction-free (Bareiss) elimination so all
         intermediate values stay integral.
         """
-        if self.q is not None:
+        if self._rank is None:
             if self._rr is not None:
-                return len(self._rr[1])
-            return len(self._rref_mod()[1])
-        return self._rank_bareiss()
+                self._rank = len(self._rr[1])
+            elif self.q is not None:
+                self._rank = len(self._rref_mod()[1])
+            else:
+                self._rank = self._rank_bareiss()
+        return self._rank
 
     def _rank_bareiss(self) -> int:
         rows = []
@@ -323,15 +366,14 @@ class ExactMatrix:
         is canonical for either field.
         """
         rr, pivots = self._rref()
-        free = [c for c in range(self.cols) if c not in set(pivots)]
+        pivot_set = set(pivots)
+        free = [c for c in range(self.cols) if c not in pivot_set]
         if self.q is not None:
             q = self.q
             ker = np.zeros((self.cols, len(free)), dtype=residue_dtype(q))
-            for k, f in enumerate(free):
-                ker[f, k] = 1
-                for j, pc in enumerate(pivots):
-                    ker[pc, k] = (-int(rr[j, f])) % q
-            return ExactMatrix(self.cols, len(free), ker, q=q)
+            ker[free, range(len(free))] = 1
+            ker[pivots] = (-rr[: len(pivots), free]) % q
+            return ExactMatrix._reduced(ker, q)
         cols = []
         for f in free:
             v = [Fraction(0)] * self.cols
@@ -365,9 +407,8 @@ class ExactMatrix:
             return None
         if self.q is not None:
             x = np.zeros((self.cols, rhs.cols), dtype=residue_dtype(self.q))
-            for j, pc in enumerate(pivots):
-                x[pc] = rr[j, self.cols :]
-            return ExactMatrix(self.cols, rhs.cols, x, q=self.q)
+            x[pivots] = rr[: len(pivots), self.cols :]
+            return ExactMatrix._reduced(x, self.q)
         x = [[Fraction(0)] * rhs.cols for _ in range(self.cols)]
         for j, pc in enumerate(pivots):
             x[pc] = [Fraction(v) for v in rr[j][self.cols :]]

@@ -17,6 +17,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .bott import binom, h_O
 from .exactalg import ExactMatrix
 
@@ -141,18 +143,37 @@ def _mult_var(m: tuple, j: int) -> tuple:
 
 
 def _contraction(p: int, d: int, ndiff: int, nvar: int, neuler: int, q) -> ExactMatrix:
-    """Matrix of contraction with sum_{i < neuler} x_i d/dx_i."""
+    """Matrix of contraction with sum_{i < neuler} x_i d/dx_i.
+
+    Deleting different positions of an index set gives different index
+    sets, so each (row, column) is set at most once.
+    """
     dom = _key(ndiff, nvar, p, d)
     cod = _key(ndiff, nvar, p - 1, d)
     cod_index = {pair: i for i, pair in enumerate(cod)}
-    rows = [[0] * len(dom) for _ in range(len(cod))]
+    rows, cols, vals = [], [], []
     for col, (I, m) in enumerate(dom):
         for pos, j in enumerate(I):
             if j >= neuler:
                 continue
-            target = (I[:pos] + I[pos + 1 :], _mult_var(m, j))
-            rows[cod_index[target]][col] = -1 if pos % 2 else 1
-    return ExactMatrix(len(cod), len(dom), rows, q=q)
+            rows.append(cod_index[(I[:pos] + I[pos + 1 :], _mult_var(m, j))])
+            cols.append(col)
+            vals.append(-1 if pos % 2 else 1)
+    return _assemble(len(cod), len(dom), rows, cols, vals, q)
+
+
+def _assemble(nrows: int, ncols: int, rows, cols, vals, q) -> ExactMatrix:
+    """Matrix with vals[k] at (rows[k], cols[k]), each position given at
+    most once; over GF(q) it is filled as one int64 array, over Q as
+    Python-int row lists."""
+    if q is None:
+        data = [[0] * ncols for _ in range(nrows)]
+        for i, j, v in zip(rows, cols, vals):
+            data[i][j] = v
+        return ExactMatrix(nrows, ncols, data, q=None)
+    a = np.zeros((nrows, ncols), dtype=np.int64)
+    a[rows, cols] = vals
+    return ExactMatrix(nrows, ncols, a, q=q)
 
 
 def contraction_matrix(n: int, p: int, d: int, q=None) -> ExactMatrix:
@@ -231,14 +252,16 @@ def _ambient_map(src_key, tgt_key, entries, q) -> ExactMatrix:
     """Sparse-by-construction matrix between two ambient coordinate spaces.
 
     ``entries(pair)`` yields (target pair, coefficient) terms for one
-    source coordinate.
+    source coordinate, with distinct target pairs.
     """
     tgt_index = {pair: i for i, pair in enumerate(tgt_key)}
-    rows = [[0] * len(src_key) for _ in range(len(tgt_key))]
+    rows, cols, vals = [], [], []
     for col, pair in enumerate(src_key):
         for tgt, val in entries(pair):
-            rows[tgt_index[tgt]][col] += val
-    return ExactMatrix(len(tgt_key), len(src_key), rows, q=q)
+            rows.append(tgt_index[tgt])
+            cols.append(col)
+            vals.append(val)
+    return _assemble(len(tgt_key), len(src_key), rows, cols, vals, q)
 
 
 def restriction_of_forms(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix:

@@ -19,7 +19,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .exactalg import ExactMatrix, is_prime, residue_dtype
+from .exactalg import ExactMatrix, _mulmod, is_prime, residue_dtype
 from .forms import DEFAULT_PRIME, h0_basis, index_sets, monomials
 
 __all__ = [
@@ -200,14 +200,10 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
         chart = [j for j, I in enumerate(sets) if v not in I]
         sections = basis[:, chart].reshape(len(exps), fiber * h)
         table = _monomial_table(coords[group], exps, q)
-        if q is None:
-            prod = table @ sections
-        else:
-            table = ExactMatrix(len(group), len(exps), table, q=q)
-            prod = (table @ ExactMatrix(len(exps), fiber * h, sections, q=q))._a
+        prod = table @ sections if q is None else _mulmod(table, sections, q)
         out[group] = prod.reshape(len(group), fiber, h)
     if q is not None:
-        return ExactMatrix(s * fiber, h, out.reshape(s * fiber, h), q=q)
+        return ExactMatrix._reduced(out.reshape(s * fiber, h), q)
     rows = [[Fraction(x, k**d) for x in row] for block, k in zip(out, scales) for row in block]
     return ExactMatrix(s * fiber, h, rows, q=None)
 

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from twistforms import display
 from twistforms.cli import main, parse_range, UsageError
+from twistforms.exactalg import ExactMatrix
 from twistforms.maxrank import CertificateError, RankCertificate
 
 
@@ -60,10 +62,20 @@ def test_verify_display_pass(capsys):
     assert "n=2 p=0 t=0" in out
 
 
-def test_verify_display_fault_injection(capsys):
-    code, out, _ = run(
-        capsys, "verify-display", "--n", "2", "--p", "0", "--t", "0", "--inject-fault"
-    )
+def test_verify_display_fault_injection(capsys, monkeypatch):
+    # Flip the sign of the first nonzero entry of one display matrix and
+    # re-audit: the CLI must report the failure and exit 1.
+    def faulted(n, p, t_min, t_max, q):
+        inst = display.build_display(n, p, t_min, q)
+        m = inst.maps["free_incl"]
+        rows = m.row_list()
+        i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+        rows[i][j] = -rows[i][j] % q
+        inst.maps["free_incl"] = ExactMatrix(m.rows, m.cols, rows, q=q)
+        return [display.ledger_for(inst)]
+
+    monkeypatch.setattr(display, "verify_display", faulted)
+    code, out, _ = run(capsys, "verify-display", "--n", "2", "--p", "0", "--t", "0")
     assert code == 1
     assert "FAILED" in out
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistforms import exactalg
 from twistforms.exactalg import WORD_MODULUS_MAX, ExactMatrix, residue_dtype, snake_check
 from twistforms.forms import contraction_matrix
 
@@ -148,6 +149,119 @@ def test_large_prime_storage_and_singular_matrix():
     assert residue_dtype(WORD_MODULUS_MAX + 1) is object
     # Residue products overflowed int64 here and this matrix got rank 2.
     assert gf([[-1, -2], [-2, -4]], q=2**61 - 1).rank() == 1
+
+
+# -- the word-size product engine and its eliminations -------------------------
+
+# 94906249 is the largest prime with (q-1)^2 <= 2^53-1, so only inner
+# dimension 1 takes float64 there and larger ones take int64; 94906297 is
+# the first prime never on float64; 4294967311 and 2^61-1 take Python integers.
+PRODUCT_PRIMES = (2, 101, 94906249, 94906297, 2**31 - 1, 4294967311, 2**61 - 1)
+
+
+def test_product_prime_tiers():
+    assert (94906249 - 1) ** 2 <= exactalg._FLOAT_EXACT < 2 * (94906249 - 1) ** 2
+    assert (94906297 - 1) ** 2 > exactalg._FLOAT_EXACT
+    # 2^31-1 is stored in int64, but products with inner dimension >= 3
+    # take the object tier and are cast back.
+    assert (2**31 - 1) ** 2 * 3 >= 2**63 and residue_dtype(2**31 - 1) is np.int64
+
+
+@st.composite
+def product_pairs(draw):
+    q = draw(st.sampled_from(PRODUCT_PRIMES))
+    m, k, n = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    # Residues near q-1 make the largest products and partial sums.
+    entry = st.one_of(st.integers(0, q - 1), st.integers(max(0, q - 3), q - 1))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return q, (m, k, a), (k, n, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_product_equals_object_oracle(case):
+    q, (m, k, a), (_, n, b) = case
+    prod = ExactMatrix(m, k, a, q=q) @ ExactMatrix(k, n, b, q=q)
+    oracle = (np.array(a, dtype=object).reshape(m, k) @ np.array(b, dtype=object).reshape(k, n)) % q
+    assert prod.shape == (m, n)
+    assert prod._a.dtype == residue_dtype(q)
+    assert prod.row_list() == [[int(x) for x in row] for row in oracle]
+
+
+def test_product_past_the_float_bound():
+    # 7 * (q-2)^2 is odd and above 2^53, where float64 rounds the sum
+    # (to a residue of 29).
+    q = 94906249
+    a = ExactMatrix.from_rows([[q - 2] * 7], q=q)
+    b = ExactMatrix.from_rows([[q - 2]] * 7, q=q)
+    assert (a @ b).entry(0, 0) == 7 * (q - 2) ** 2 % q == 28
+
+
+def test_product_with_empty_inner_dimension():
+    for q in PRODUCT_PRIMES:
+        prod = ExactMatrix.zeros(3, 0, q=q) @ ExactMatrix.zeros(0, 2, q=q)
+        assert prod.shape == (3, 2) and prod.is_zero()
+        assert prod._a.dtype == residue_dtype(q)
+
+
+def _whole_row_rref(m):
+    """Row reduction that updates whole rows: the reference for the column-range update."""
+    q, a = m.q, m._a.copy()
+    pivots, r = [], 0
+    for c in range(a.shape[1]):
+        if r == a.shape[0]:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = a[r] * pow(int(a[r, c]), q - 2, q) % q
+        others = np.nonzero(a[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            a[others] = (a[others] - np.outer(a[others, c], a[r])) % q
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _loop_kernel(m):
+    """Kernel basis built by the per-column, per-pivot loop."""
+    rr, pivots = _whole_row_rref(m)
+    free = [c for c in range(m.cols) if c not in set(pivots)]
+    ker = np.zeros((m.cols, len(free)), dtype=residue_dtype(m.q))
+    for k, f in enumerate(free):
+        ker[f, k] = 1
+        for j, pc in enumerate(pivots):
+            ker[pc, k] = (-int(rr[j, f])) % m.q
+    return ker
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(q=None), st.sampled_from((2, 101, 2**61 - 1)))
+def test_rref_and_kernel_match_reference_loops(m, q):
+    mq = ExactMatrix.from_rows(m.row_list(), q=q)
+    rr, pivots = mq._rref()
+    ref_rr, ref_pivots = _whole_row_rref(mq)
+    assert pivots == ref_pivots
+    assert np.array_equal(rr, ref_rr)
+    ker = mq.kernel_basis()
+    assert ker._a.dtype == residue_dtype(q)
+    assert np.array_equal(ker._a, _loop_kernel(mq))
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(q=None), st.sampled_from((101, 2**61 - 1, None)))
+def test_rank_same_before_and_after_rref_cache(m, q):
+    fresh = ExactMatrix.from_rows(m.row_list(), q=q)
+    cached = ExactMatrix.from_rows(m.row_list(), q=q)
+    cached._rref()
+    r = fresh.rank()
+    assert cached.rank() == r == fresh.rank()
+    assert fresh._rref() is not None and fresh.rank() == r
 
 
 def test_bareiss_updates_rows_with_zero_pivot_entry():

@@ -6,6 +6,10 @@ from twistforms.bott import binom, h_O, h_omega
 from twistforms.exactalg import ExactMatrix
 from twistforms.forms import (
     ConsistencyError,
+    _ambient_map,
+    _contraction,
+    _key,
+    _mult_var,
     claim_i_kernel_test,
     conormal_wedge,
     contraction_matrix,
@@ -158,3 +162,77 @@ def test_conormal_wedge_degenerate_hyperplane_is_a_point():
     w = conormal_wedge(1, 0, 2)
     assert w.shape == (1, 1)
     assert w.rank() == 1
+
+
+# -- array-built assembly against list-built references ----------------------
+
+
+def _list_contraction(p, d, ndiff, nvar, neuler, q):
+    dom, cod = _key(ndiff, nvar, p, d), _key(ndiff, nvar, p - 1, d)
+    cod_index = {pair: i for i, pair in enumerate(cod)}
+    rows = [[0] * len(dom) for _ in range(len(cod))]
+    for col, (I, m) in enumerate(dom):
+        for pos, j in enumerate(I):
+            if j < neuler:
+                rows[cod_index[(I[:pos] + I[pos + 1 :], _mult_var(m, j))]][col] = (
+                    -1 if pos % 2 else 1
+                )
+    return ExactMatrix(len(cod), len(dom), rows, q=q)
+
+
+def _list_ambient_map(src_key, tgt_key, entries, q):
+    tgt_index = {pair: i for i, pair in enumerate(tgt_key)}
+    rows = [[0] * len(src_key) for _ in range(len(tgt_key))]
+    for col, pair in enumerate(src_key):
+        for tgt, val in entries(pair):
+            rows[tgt_index[tgt]][col] += val
+    return ExactMatrix(len(tgt_key), len(src_key), rows, q=q)
+
+
+@pytest.mark.parametrize("q", [2, 101, 2**61 - 1, None])
+def test_contraction_matches_list_built(q):
+    for n in range(1, 4):
+        for p in range(1, n + 2):
+            for d in range(p, p + 3):
+                for nvar, neuler in ((n + 1, n + 1), (n, n)):
+                    args = (p, d, n + 1, nvar, neuler, q)
+                    assert _contraction(*args) == _list_contraction(*args), args
+
+
+@pytest.mark.parametrize("q", [2, 101, 2**61 - 1, None])
+def test_ambient_map_matches_list_built(q):
+    # Up to two distinct targets per source pair, with coefficients that
+    # are negative, zero or larger than q.
+    src, tgt = _key(3, 3, 1, 3), _key(3, 3, 0, 2)
+
+    def entries(pair):
+        I, m = pair
+        out = [(((), m), 1 - 3 * I[0])]
+        if m[0] and m[1]:
+            out.append((((), (m[0] - 1, m[1] + 1, m[2])), 7 * m[0] - 4))
+        return out
+
+    amb = _ambient_map(src, tgt, entries, q)
+    assert amb == _list_ambient_map(src, tgt, entries, q)
+    assert not amb.is_zero()
+
+
+def test_ambient_maps_give_each_target_once(monkeypatch):
+    # _ambient_map sets each (row, column) once; every map the display and
+    # the restriction checks build must keep to that.
+    from twistforms import display, forms
+
+    calls = []
+
+    def checked(src_key, tgt_key, entries, q):
+        for pair in src_key:
+            targets = [tgt for tgt, _ in entries(pair)]
+            assert len(set(targets)) == len(targets), pair
+        calls.append(len(src_key))
+        return _ambient_map(src_key, tgt_key, entries, q)
+
+    monkeypatch.setattr(forms, "_ambient_map", checked)
+    monkeypatch.setattr(display, "_ambient_map", checked)
+    for n, p, t in ((1, 0, 0), (2, 0, 1), (2, 1, 0), (3, 1, 1), (3, 2, 0)):
+        display.build_display(n, p, t)
+    assert len(calls) == 5 * 6
