@@ -2,7 +2,8 @@
 
 Matrices are immutable after construction.  Prime-field matrices are stored
 as reduced numpy arrays, int64 up to ``WORD_MODULUS_MAX`` and Python integers
-(object dtype) above it; rational matrices as tuples of Fractions.
+(object dtype) above it; rational matrices as tuples of canonical entries
+(ints, and Fractions whose denominator is not 1).
 Pivoting is always first-nonzero, top-to-bottom / left-to-right, so every
 elimination result is deterministic across platforms and thread schedules.
 
@@ -14,15 +15,25 @@ each exact:
   linear algebra over word-size prime fields: the FFLAS and FFPACK
   packages", ACM TOMS 2008), and one ``fmod`` reduces the product.  At
   q = 101 this holds up to k = 9.0e11.
-* int64, when q^2 * k < 2^63.
+* float64 BLAS on 16-bit limbs, when q <= ``WORD_MODULUS_MAX`` and
+  k <= 2^20: each residue is split as hi * 2^16 + lo, so hi < 46341 and
+  lo < 2^16, and the hi*hi, hi*lo + lo*hi and lo*lo products keep every
+  partial sum below 2^53; the three are reduced and recombined in int64.
 * Python integers (object dtype) otherwise.
+
+Rational products are one object-dtype numpy product.  The rank of a
+rational matrix is certified modulo the word prime ``_CERT_PRIME``: clearing
+the denominators of each row gives an integer matrix of the same rank, and
+a minor that is nonzero modulo a prime is nonzero over Z, so a rank modulo
+that prime equal to min(rows, cols) is the rank over Q.  Only when it
+falls short does fraction-free (Bareiss 1968) elimination decide the rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -39,19 +50,29 @@ __all__ = [
 #: q <= WORD_MODULUS_MAX every product of two residues is below 2^63.
 WORD_MODULUS_MAX = isqrt(2**63 - 1)
 
+#: The prime that certifies rational ranks: the largest prime up to
+#: ``WORD_MODULUS_MAX``, so its eliminations run in int64.
+_CERT_PRIME = 3037000493
+
+#: The first 13 primes: as Miller-Rabin bases they decide primality of
+#: every q < 3317044064679887385961981 (OEIS A014233).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 def is_prime(q: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all q < 3.3e24."""
+    """Miller-Rabin to the bases 2..41: deterministic for every
+    q < 3317044064679887385961981 (about 3.3e24), a probable-prime test
+    above it."""
     if q < 2:
         return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for sp in _MR_BASES:
         if q % sp == 0:
             return q == sp
     d, s = q - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, q)
         if x in (1, q - 1):
             continue
@@ -72,6 +93,10 @@ def residue_dtype(q: int):
 #: Every integer up to this bound is exact in float64.
 _FLOAT_EXACT = 2**53 - 1
 
+#: Largest inner dimension of the limb tier: k * 2 * 46340 * (2^16 - 1),
+#: the largest partial sum of the hi*lo + lo*hi product, stays below 2^53.
+_LIMB_INNER_MAX = 2**20
+
 
 def _canon_rational(x) -> Fraction | int:
     if type(x) is int:
@@ -90,8 +115,17 @@ def _mulmod(a, b, q: int):
         prod = a.astype(np.float64) @ b.astype(np.float64)
         np.fmod(prod, q, out=prod)
         return prod.astype(np.int64)
-    if q * q * k < 2**63:
-        return (a @ b) % q
+    if q <= WORD_MODULUS_MAX and k <= _LIMB_INNER_MAX:
+        ahi, alo = (a >> 16).astype(np.float64), (a & 0xFFFF).astype(np.float64)
+        bhi, blo = (b >> 16).astype(np.float64), (b & 0xFFFF).astype(np.float64)
+        mid = ahi @ blo
+        mid += alo @ bhi
+        # (q - 1) * (2^32 mod q) <= 2^62 for every word-size q, and the
+        # other two terms are below 2^48 and 2^32, so the sum fits int64.
+        out = np.fmod(ahi @ bhi, q).astype(np.int64) * ((1 << 32) % q)
+        out += np.fmod(mid, q, out=mid).astype(np.int64) << 16
+        out += np.fmod(alo @ blo, q).astype(np.int64)
+        return out % q
     prod = (a.astype(object) @ b.astype(object)) % q
     return prod.astype(residue_dtype(q))
 
@@ -210,13 +244,11 @@ class ExactMatrix:
             raise ValueError("shape mismatch in matrix product")
         if self.q is not None:
             return ExactMatrix._reduced(_mulmod(self._a, other._a, self.q), self.q)
-        b = other._a
-        data = []
-        for row in self._a:
-            data.append(
-                [sum(row[k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            )
-        return ExactMatrix(self.rows, other.cols, data, q=None)
+        if self.cols == 0:
+            return ExactMatrix.zeros(self.rows, other.cols)
+        a = np.array(self._a, dtype=object).reshape(self.shape)
+        b = np.array(other._a, dtype=object).reshape(other.shape)
+        return ExactMatrix(self.rows, other.cols, (a @ b).tolist(), q=None)
 
     def __sub__(self, other):
         if self.q != other.q or self.shape != other.shape:
@@ -299,15 +331,20 @@ class ExactMatrix:
                 continue
             if i != r:
                 a[r], a[i] = a[i], a[r]
-            piv = a[r][c]
+            prow = a[r]
+            # Row r is zero left of column c, so only its nonzero entries
+            # from column c on take part in the normalisation and updates.
+            nz = [j for j in range(c, n) if prow[j] != 0]
+            piv = prow[c]
             if piv != 1:
-                a[r] = [_canon_rational(Fraction(x) / piv) for x in a[r]]
+                for j in nz:
+                    prow[j] = _canon_rational(Fraction(prow[j]) / piv)
             for i in range(m):
-                if i != r and a[i][c] != 0:
-                    f = a[i][c]
-                    a[i] = [
-                        _canon_rational(a[i][j] - f * a[r][j]) for j in range(n)
-                    ]
+                row = a[i]
+                f = row[c]
+                if f != 0 and i != r:
+                    for j in nz:
+                        row[j] = _canon_rational(row[j] - f * prow[j])
             pivots.append(c)
             r += 1
         return a, pivots
@@ -315,9 +352,10 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank over the matrix's field.
 
-        GF(q) uses ordinary row reduction; the rational path clears
-        denominators and runs fraction-free (Bareiss) elimination so all
-        intermediate values stay integral.
+        GF(q) uses ordinary row reduction.  Over Q the rank modulo
+        ``_CERT_PRIME`` of the row-wise integer matrix is taken first; when it
+        is min(rows, cols) it is the rational rank, and otherwise
+        fraction-free (Bareiss) elimination computes the rank exactly.
         """
         if self._rank is None:
             if self._rr is not None:
@@ -325,14 +363,24 @@ class ExactMatrix:
             elif self.q is not None:
                 self._rank = len(self._rref_mod()[1])
             else:
-                self._rank = self._rank_bareiss()
+                rows = self._integer_rows()
+                a = np.array([[x % _CERT_PRIME for x in row] for row in rows], dtype=np.int64)
+                mod_p = ExactMatrix._reduced(a.reshape(self.shape), _CERT_PRIME)
+                r = len(mod_p._rref_mod()[1])
+                self._rank = r if r == min(self.shape) else self._rank_bareiss(rows)
         return self._rank
 
-    def _rank_bareiss(self) -> int:
+    def _integer_rows(self):
+        """Each rational row times the lcm of its denominators: integer rows
+        spanning a matrix of the same rank."""
         rows = []
         for row in self._a:
-            den = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-            rows.append([int(x * den) for x in row])
+            den = lcm(*(x.denominator for x in row if type(x) is Fraction))
+            rows.append(list(row) if den == 1 else [int(x * den) for x in row])
+        return rows
+
+    def _rank_bareiss(self, rows) -> int:
+        """Rank of the integer rows (from ``_integer_rows``), which it overwrites."""
         m, n = self.rows, self.cols
         prev = 1
         r = 0
@@ -376,22 +424,21 @@ class ExactMatrix:
             return ExactMatrix._reduced(ker, q)
         cols = []
         for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
+            w = [0] * self.cols
+            w[f] = 1
             for j, pc in enumerate(pivots):
-                v[pc] = -Fraction(rr[j][f])
-            den = lcm(*(x.denominator for x in v))
-            w = [int(x * den) for x in v]
-            g = 0
-            for x in w:
-                g = gcd(g, x)
-            if g > 1:
-                w = [x // g for x in w]
+                w[pc] = -rr[j][f]
+            # Scaled by the lcm of its denominators the column is already
+            # primitive: every prime power of the lcm divides one denominator
+            # fully, and that entry's numerator is prime to it.
+            den = lcm(*(x.denominator for x in w if type(x) is Fraction))
+            if den != 1:
+                w = [int(x * den) for x in w]
             lead = next((x for x in w if x != 0), 1)
             if lead < 0:
                 w = [-x for x in w]
             cols.append(w)
-        data = [[cols[k][i] for k in range(len(free))] for i in range(self.cols)]
+        data = list(zip(*cols)) if cols else [()] * self.cols
         return ExactMatrix(self.cols, len(free), data, q=None)
 
     def solve(self, rhs: "ExactMatrix"):

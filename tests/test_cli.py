@@ -113,6 +113,8 @@ def test_maxrank_witnessed_and_not(capsys, tmp_path):
         lambda doc: doc.update(points=[["1", "x", "1"]] * 4),
         lambda doc: doc.update(points=[["1", "1"]] * 4),
         lambda doc: doc.update(shape=[8]),
+        # A strong pseudoprime to the bases 2..37.
+        lambda doc: doc.update(field={"kind": "prime", "modulus": 318665857834031151167461}),
     ],
 )
 def test_maxrank_verify_rejects_malformed_certificate(capsys, tmp_path, edit):
@@ -174,6 +176,16 @@ def test_maxrank_field_too_small(capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+def test_maxrank_rejects_strong_pseudoprime_modulus(capsys):
+    code, out, err = run(
+        capsys, "maxrank", "--n", "2", "--p", "0", "--d", "2", "--s", "3",
+        "--q", "318665857834031151167461",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not prime" in err
 
 
 def test_horace_run(capsys):

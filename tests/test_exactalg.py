@@ -1,11 +1,21 @@
 """Rank/kernel arithmetic and the snake-lemma checker."""
 
+from fractions import Fraction
+from math import gcd, lcm
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistforms import exactalg
-from twistforms.exactalg import WORD_MODULUS_MAX, ExactMatrix, residue_dtype, snake_check
+from twistforms.exactalg import (
+    _CERT_PRIME as CERT_PRIME,
+    WORD_MODULUS_MAX,
+    ExactMatrix,
+    is_prime,
+    residue_dtype,
+    snake_check,
+)
 from twistforms.forms import contraction_matrix
 
 
@@ -78,6 +88,22 @@ def test_nonprime_modulus_rejected():
         ExactMatrix.from_rows([[1]], q=100)
 
 
+# The least strong pseudoprime to the bases 2..37 (OEIS A014233).
+PSEUDOPRIME_2_TO_37 = 318665857834031151167461
+
+
+def test_is_prime_rejects_strong_pseudoprime_to_bases_2_to_37():
+    assert PSEUDOPRIME_2_TO_37 == 399165290221 * 798330580441
+    assert not is_prime(PSEUDOPRIME_2_TO_37)
+    with pytest.raises(ValueError, match="not prime"):
+        ExactMatrix.from_rows([[1]], q=PSEUDOPRIME_2_TO_37)
+    assert [x for x in range(50) if is_prime(x)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47
+    ]
+    assert all(is_prime(q) for q in (CERT_PRIME, 2**61 - 1, 2**89 - 1))
+    assert not any(is_prime(q) for q in (41 * 43, WORD_MODULUS_MAX, 2**67 - 1))
+
+
 small_int = st.integers(min_value=-9, max_value=9)
 
 
@@ -125,6 +151,166 @@ def test_rational_rank_bounds_modular_rank(m):
         assert mq.rank() <= r
 
 
+# -- the rational engine --------------------------------------------------------
+
+rational_entry = st.one_of(
+    small_int,
+    st.builds(Fraction, small_int, st.integers(min_value=1, max_value=6)),
+    # Multiples of the certifying prime vanish modulo it.
+    st.sampled_from((CERT_PRIME, -2 * CERT_PRIME, Fraction(CERT_PRIME, 3))),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    rows = draw(st.integers(min_value=0, max_value=5))
+    cols = draw(st.integers(min_value=0, max_value=5))
+    data = draw(
+        st.lists(
+            st.lists(rational_entry, min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    return ExactMatrix(rows, cols, data, q=None)
+
+
+def _bareiss_rank(m):
+    """Rank by fraction-free elimination of the row-wise integer matrix:
+    the reference for the certified rank."""
+    rows = []
+    for row in m.row_list():
+        den = lcm(*(Fraction(x).denominator for x in row)) if row else 1
+        rows.append([int(x * den) for x in row])
+    prev, r = 1, 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        for i in range(r, m.rows):
+            if rows[i][c] != 0:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, m.rows):
+            fi = rows[i][c]
+            rows[i] = [(piv * rows[i][j] - fi * rows[r][j]) // prev for j in range(m.cols)]
+        prev = piv
+        r += 1
+    return r
+
+
+def _dense_rref(m):
+    """Fraction RREF that normalises and updates whole rows: the reference
+    for the sparse update."""
+    canon = exactalg._canon_rational
+    a = m.row_list()
+    pivots, r = [], 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        for i in range(r, m.rows):
+            if a[i][c] != 0:
+                break
+        else:
+            continue
+        a[r], a[i] = a[i], a[r]
+        piv = a[r][c]
+        if piv != 1:
+            a[r] = [canon(Fraction(x) / piv) for x in a[r]]
+        for i in range(m.rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [canon(a[i][j] - f * a[r][j]) for j in range(m.cols)]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _fraction_kernel(m):
+    """Kernel rows built column by column through Fractions from the dense RREF."""
+    rr, pivots = _dense_rref(m)
+    cols = []
+    for f in [c for c in range(m.cols) if c not in pivots]:
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for j, pc in enumerate(pivots):
+            v[pc] = -Fraction(rr[j][f])
+        den = lcm(*(x.denominator for x in v))
+        w = [int(x * den) for x in v]
+        g = 0
+        for x in w:
+            g = gcd(g, x)
+        w = [x // g for x in w]
+        if next(x for x in w if x != 0) < 0:
+            w = [-x for x in w]
+        cols.append(w)
+    return [[col[i] for col in cols] for i in range(m.cols)]
+
+
+def _typed(rows):
+    """Entries with their types, so that 2 and Fraction(2) differ."""
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_certified_rank_equals_bareiss_rank(m):
+    assert m.rank() == _bareiss_rank(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_rational_rref_and_kernel_match_dense_reference(m):
+    rr, pivots = ExactMatrix(m.rows, m.cols, m.row_list())._rref()
+    ref_rr, ref_pivots = _dense_rref(m)
+    assert pivots == ref_pivots
+    assert _typed(rr) == _typed(ref_rr)
+    assert _typed(m.kernel_basis().row_list()) == _typed(_fraction_kernel(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_matrices())
+def test_rational_product_matches_entry_sums(m):
+    for a, b in ((m, m.transpose()), (m.transpose(), m)):
+        ra, rb = a.row_list(), b.row_list()
+        ref = [
+            [exactalg._canon_rational(sum(ra[i][k] * rb[k][j] for k in range(a.cols)))
+             for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+        assert _typed((a @ b).row_list()) == _typed(ref)
+
+
+def test_rational_rank_examples():
+    P = CERT_PRIME
+    h = Fraction(1, 2)
+    for rows, r in [
+        ([[h, Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]], 2),
+        ([[h, Fraction(1, 3)], [3 * h, 1]], 1),
+        # Full rank over Q but singular modulo the certifying prime.
+        ([[P, 0], [0, 1]], 2),
+        ([[Fraction(P, 3), 1], [0, 1]], 2),
+        ([[1, 1], [1, 1 + P]], 2),
+        ([[P, 2 * P, 0]], 1),
+        ([[1, 2], [P + 1, 2 * P + 2]], 1),
+    ]:
+        m = qq(rows)
+        assert m.rank() == r == m.transpose().rank()
+
+
+def test_full_rank_mod_cert_prime_skips_bareiss(monkeypatch):
+    def fail(self, rows):
+        raise AssertionError("Bareiss ran on a certified rank")
+
+    monkeypatch.setattr(ExactMatrix, "_rank_bareiss", fail)
+    assert qq([[1, Fraction(1, 2), 3], [4, 5, Fraction(-6, 7)]]).rank() == 2
+    assert qq([[1, 2], [3, 4], [5, 6]]).rank() == 2
+    with pytest.raises(AssertionError, match="Bareiss"):
+        qq([[1, 2], [2, 4]]).rank()
+
+
 # One prime just above the int64-safe bound, one below 2^63, one above it.
 # Minors of a 5x5 matrix with entries in [-9, 9] are below (9*sqrt(5))^5 < 4e6
 # in size, far under each prime, so the rank mod q must equal the rank over Q.
@@ -154,17 +340,41 @@ def test_large_prime_storage_and_singular_matrix():
 # -- the word-size product engine and its eliminations -------------------------
 
 # 94906249 is the largest prime with (q-1)^2 <= 2^53-1, so only inner
-# dimension 1 takes float64 there and larger ones take int64; 94906297 is
-# the first prime never on float64; 4294967311 and 2^61-1 take Python integers.
-PRODUCT_PRIMES = (2, 101, 94906249, 94906297, 2**31 - 1, 4294967311, 2**61 - 1)
+# dimension 1 takes float64 there and larger ones take 16-bit limbs; 94906297
+# is the first prime never on direct float64; 2^31-1 and CERT_PRIME, the
+# largest word-size prime, take limbs; 4294967311 and 2^61-1 take Python
+# integers.
+PRODUCT_PRIMES = (
+    2, 101, 94906249, 94906297, 2**31 - 1, CERT_PRIME, 4294967311, 2**61 - 1
+)
 
 
 def test_product_prime_tiers():
     assert (94906249 - 1) ** 2 <= exactalg._FLOAT_EXACT < 2 * (94906249 - 1) ** 2
     assert (94906297 - 1) ** 2 > exactalg._FLOAT_EXACT
-    # 2^31-1 is stored in int64, but products with inner dimension >= 3
-    # take the object tier and are cast back.
-    assert (2**31 - 1) ** 2 * 3 >= 2**63 and residue_dtype(2**31 - 1) is np.int64
+    # Limbs of a word-size residue are hi <= 46340 and lo <= 2^16-1; at the
+    # largest inner dimension the hi*lo + lo*hi sum stays exact in float64.
+    assert (WORD_MODULUS_MAX - 1) >> 16 == 46340
+    assert exactalg._LIMB_INNER_MAX * 2 * 46340 * 0xFFFF <= exactalg._FLOAT_EXACT
+    assert is_prime(CERT_PRIME) and not any(
+        is_prime(q) for q in range(CERT_PRIME + 1, WORD_MODULUS_MAX + 1)
+    )
+    assert residue_dtype(2**31 - 1) is residue_dtype(CERT_PRIME) is np.int64
+
+
+def test_limb_tier_at_its_inner_dimension_bound(monkeypatch):
+    # Only the float64 tiers reduce with fmod: k = 2^20 is the last limb
+    # product, and one more takes the object tier.
+    fmods = []
+    fmod = np.fmod
+    monkeypatch.setattr(np, "fmod", lambda *args, **kw: fmods.append(1) or fmod(*args, **kw))
+    q = CERT_PRIME
+    for k, limbs in ((exactalg._LIMB_INNER_MAX, True), (exactalg._LIMB_INNER_MAX + 1, False)):
+        fmods.clear()
+        a = ExactMatrix._reduced(np.full((1, k), q - 1, dtype=np.int64), q)
+        b = ExactMatrix._reduced(np.full((k, 1), q - 1, dtype=np.int64), q)
+        assert (a @ b).row_list() == [[k * (q - 1) ** 2 % q]]
+        assert bool(fmods) is limbs
 
 
 @st.composite
@@ -203,6 +413,8 @@ def test_product_with_empty_inner_dimension():
         prod = ExactMatrix.zeros(3, 0, q=q) @ ExactMatrix.zeros(0, 2, q=q)
         assert prod.shape == (3, 2) and prod.is_zero()
         assert prod._a.dtype == residue_dtype(q)
+    prod = ExactMatrix.zeros(3, 0) @ ExactMatrix.zeros(0, 2)
+    assert prod.row_list() == [[0, 0]] * 3
 
 
 def _whole_row_rref(m):
@@ -269,6 +481,7 @@ def test_bareiss_updates_rows_with_zero_pivot_entry():
     # desynchronizes the exact division and once underreported this rank.
     m = qq([[3, 3, -2], [0, -2, -1], [-2, 0, 2]])
     assert m.rank() == 3
+    assert m._rank_bareiss(m._integer_rows()) == 3
     assert m.kernel_basis().shape == (3, 0)
 
 
