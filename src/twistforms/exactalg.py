@@ -3,9 +3,9 @@
 Matrices are immutable after construction.  Prime-field matrices are stored
 as reduced numpy arrays, int64 up to ``WORD_MODULUS_MAX`` and Python integers
 (object dtype) above it; rational matrices as tuples of canonical entries
-(ints, and Fractions whose denominator is not 1).
-Pivoting is always first-nonzero, top-to-bottom / left-to-right, so every
-elimination result is deterministic across platforms and thread schedules.
+(ints, and Fractions whose denominator is not 1).  Pivot columns are always
+taken left to right and every elimination result is deterministic across
+platforms and thread schedules.
 
 Products over GF(q) of an m x k by a k x n matrix take one of three tiers,
 each exact:
@@ -13,13 +13,30 @@ each exact:
 * float64 BLAS, when (q - 1)^2 * k <= 2^53 - 1: every partial sum is then
   an integer that float64 holds exactly (Dumas, Giorgi and Pernet, "Dense
   linear algebra over word-size prime fields: the FFLAS and FFPACK
-  packages", ACM TOMS 2008), and one ``fmod`` reduces the product.  At
-  q = 101 this holds up to k = 9.0e11.
+  packages", ACM TOMS 2008), so the product is cast to int64 exactly and
+  one integer remainder reduces it.  At q = 101 this holds up to k = 9.0e11.
 * float64 BLAS on 16-bit limbs, when q <= ``WORD_MODULUS_MAX`` and
   k <= 2^20: each residue is split as hi * 2^16 + lo, so hi < 46341 and
   lo < 2^16, and the hi*hi, hi*lo + lo*hi and lo*lo products keep every
   partial sum below 2^53; the three are reduced and recombined in int64.
 * Python integers (object dtype) otherwise.
+
+Eliminations over GF(q) all go through ``ExactMatrix._rref_mod``, on one of
+two paths with the same result:
+
+* Sparse matrices, with at most ``_SPARSE_DENSITY`` (10%) nonzero entries,
+  such as the display's contraction and ambient maps, are eliminated on
+  Python dict rows: Gauss-Jordan with a column -> rows index and the
+  sparsest candidate row as pivot (sparse elimination over finite fields as
+  in LaMacchia and Odlyzko, CRYPTO 1990).  The attempt counts its entry
+  updates; past ``_SPARSE_WORK`` times the input's nonzero count it is
+  filling in, and gives way to the dense path on the original matrix.
+* Dense matrices, such as point evaluations, are eliminated as numpy
+  arrays, one pivot (the first nonzero of its column) at a time.
+
+The RREF and its pivot columns are unique, so both paths give the same
+kernels and solutions.  A rank needs only the pivot columns: it eliminates
+below each pivot and never above it, and it does not fill the cached RREF.
 
 Rational products are one object-dtype numpy product.  The rank of a
 rational matrix is certified modulo the word prime ``_CERT_PRIME``: clearing
@@ -105,6 +122,14 @@ def _canon_rational(x) -> Fraction | int:
     return f.numerator if f.denominator == 1 else f
 
 
+def _float_mod(x, q: int):
+    """x mod q, as int64, of a float64 array of nonnegative integers below
+    2^53: the cast is exact, and integer remainder is much cheaper than fmod."""
+    out = x.astype(np.int64)
+    out %= q
+    return out
+
+
 def _mulmod(a, b, q: int):
     """(a @ b) mod q of two reduced residue arrays, as a reduced array of
     dtype ``residue_dtype(q)``; the tier is chosen as in the module docstring."""
@@ -112,9 +137,7 @@ def _mulmod(a, b, q: int):
     if k == 0:
         return np.zeros((m, n), dtype=residue_dtype(q))
     if (q - 1) ** 2 * k <= _FLOAT_EXACT:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        np.fmod(prod, q, out=prod)
-        return prod.astype(np.int64)
+        return _float_mod(a.astype(np.float64) @ b.astype(np.float64), q)
     if q <= WORD_MODULUS_MAX and k <= _LIMB_INNER_MAX:
         ahi, alo = (a >> 16).astype(np.float64), (a & 0xFFFF).astype(np.float64)
         bhi, blo = (b >> 16).astype(np.float64), (b & 0xFFFF).astype(np.float64)
@@ -122,12 +145,122 @@ def _mulmod(a, b, q: int):
         mid += alo @ bhi
         # (q - 1) * (2^32 mod q) <= 2^62 for every word-size q, and the
         # other two terms are below 2^48 and 2^32, so the sum fits int64.
-        out = np.fmod(ahi @ bhi, q).astype(np.int64) * ((1 << 32) % q)
-        out += np.fmod(mid, q, out=mid).astype(np.int64) << 16
-        out += np.fmod(alo @ blo, q).astype(np.int64)
+        out = _float_mod(ahi @ bhi, q) * ((1 << 32) % q)
+        out += _float_mod(mid, q) << 16
+        out += _float_mod(alo @ blo, q)
         return out % q
     prod = (a.astype(object) @ b.astype(object)) % q
     return prod.astype(residue_dtype(q))
+
+
+#: GF(q) matrices with at most this share of nonzero entries are eliminated
+#: on sparse rows, denser ones as numpy arrays.
+_SPARSE_DENSITY = 0.1
+
+#: A sparse elimination that makes more than this many entry updates per
+#: nonzero entry of its input is filling in: it stops, and the dense
+#: elimination runs instead.
+_SPARSE_WORK = 4
+
+
+def _echelon_dense(a, q: int, full: bool):
+    """Row reduction of a copy of the reduced residue array ``a``, one pivot
+    at a time: the first nonzero entry of each column, top to bottom, is the
+    pivot.  Returns (rows, pivot columns): the RREF when ``full``, otherwise
+    a row echelon form with the same pivots, eliminated below them only."""
+    a = a.copy()
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), q - 2, q)
+        # Row r is zero left of column c, so only columns c: change.
+        a[r, c:] = a[r, c:] * inv % q
+        if full:
+            others = np.nonzero(a[:, c])[0]
+            others = others[others != r]
+        else:
+            # The swap moved a zero of column c to row i: the nonzeros
+            # below the pivot are the rest of nz.
+            others = r + nz[1:]
+        if others.size:
+            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % q
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _echelon_sparse(a, q: int, full: bool, budget: int):
+    """``_echelon_dense`` on dict rows, for a sparse ``a``; None once more
+    than ``budget`` entry updates have been made.
+
+    Pivot columns go left to right, and each pivot is the candidate row
+    with the fewest nonzeros, the lowest index breaking ties; a column ->
+    rows index finds the rows to eliminate.  The RREF and the
+    pivot columns do not depend on which rows are pivots, so with ``full``
+    the result equals ``_echelon_dense``'s entry for entry.
+    """
+    m, n = a.shape
+    rows = [{} for _ in range(m)]
+    where = [set() for _ in range(n)]  # column -> rows nonzero in it
+    flat = np.flatnonzero(a != 0)
+    ii, jj = np.divmod(flat, n)
+    for i, j, v in zip(ii.tolist(), jj.tolist(), a.ravel()[flat].tolist()):
+        rows[i][j] = v
+        where[j].add(i)
+    used = [False] * m
+    order, pivots = [], []
+    for c in range(n):
+        if len(order) == m:
+            break
+        cands = [i for i in where[c] if not used[i]]
+        if not cands:
+            continue
+        p = min(cands, key=lambda i: (len(rows[i]), i))
+        used[p] = True
+        prow = rows[p]
+        inv = pow(prow[c], q - 2, q)
+        if inv != 1:
+            for j in prow:
+                prow[j] = prow[j] * inv % q
+        for i in list(where[c]) if full else cands:
+            if i == p:
+                continue
+            row = rows[i]
+            f = row[c]
+            for j, v in prow.items():
+                old = row.get(j)
+                if old is None:
+                    row[j] = -f * v % q
+                    where[j].add(i)
+                else:
+                    x = (old - f * v) % q
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+            budget -= len(prow)
+            if budget < 0:
+                return None
+        order.append(p)
+        pivots.append(c)
+    out = np.zeros((m, n), dtype=a.dtype)
+    ri, ci, vals = [], [], []
+    for k, p in enumerate(order):
+        ri += [k] * len(rows[p])
+        ci += rows[p].keys()
+        vals += rows[p].values()
+    out[ri, ci] = vals
+    return out, pivots
 
 
 class ExactMatrix:
@@ -174,6 +307,19 @@ class ExactMatrix:
         m._rank = None
         a.setflags(write=False)
         m._a = a
+        return m
+
+    @classmethod
+    def _canonical(cls, rows, cols, data):
+        """Wrap rational rows whose entries are already canonical (ints, and
+        Fractions whose denominator is not 1): ``_reduced``'s rational twin,
+        with no checks and no per-entry canonicalisation."""
+        m = cls.__new__(cls)
+        m.rows, m.cols = rows, cols
+        m.q = None
+        m._rr = None
+        m._rank = None
+        m._a = tuple(map(tuple, data))
         return m
 
     @classmethod
@@ -234,8 +380,8 @@ class ExactMatrix:
     def transpose(self):
         if self.q is not None:
             return ExactMatrix._reduced(self._a.T, self.q)
-        data = [[self._a[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return ExactMatrix(self.cols, self.rows, data, q=None)
+        data = list(zip(*self._a)) if self.rows else [()] * self.cols
+        return ExactMatrix._canonical(self.cols, self.rows, data)
 
     def __matmul__(self, other):
         if self.q != other.q:
@@ -267,15 +413,15 @@ class ExactMatrix:
             raise ValueError("shape/field mismatch in augment")
         if self.q is not None:
             return ExactMatrix._reduced(np.hstack([self._a, other._a]), self.q)
-        data = [list(self._a[i]) + list(other._a[i]) for i in range(self.rows)]
-        return ExactMatrix(self.rows, self.cols + other.cols, data, q=None)
+        data = [x + y for x, y in zip(self._a, other._a)]
+        return ExactMatrix._canonical(self.rows, self.cols + other.cols, data)
 
     def columns(self, idx):
         """Submatrix of the selected columns, in the given order."""
         if self.q is not None:
             return ExactMatrix._reduced(self._a[:, list(idx)], self.q)
-        data = [[self._a[i][j] for j in idx] for i in range(self.rows)]
-        return ExactMatrix(self.rows, len(idx), data, q=None)
+        data = [[row[j] for j in idx] for row in self._a]
+        return ExactMatrix._canonical(self.rows, len(idx), data)
 
     # -- elimination ---------------------------------------------------------
 
@@ -290,31 +436,21 @@ class ExactMatrix:
         self._rr = r
         return r
 
-    def _rref_mod(self):
-        q = self.q
-        a = self._a.copy()
-        m, n = a.shape
-        pivots = []
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-            inv = pow(int(a[r, c]), q - 2, q)
-            # Row r is zero left of column c, so only columns c: change.
-            a[r, c:] = a[r, c:] * inv % q
-            others = np.nonzero(a[:, c])[0]
-            others = others[others != r]
-            if others.size:
-                a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % q
-            pivots.append(c)
-            r += 1
-        return a, pivots
+    def _rref_mod(self, full=True):
+        """The one GF(q) elimination: (RREF, pivot columns), or with
+        ``full=False`` (for ranks) a row echelon form with the same pivots.
+
+        Matrices with at most ``_SPARSE_DENSITY`` nonzeros are eliminated on
+        sparse rows within a work budget; denser ones, and sparse ones that
+        exceed it, on the dense path.
+        """
+        a, q = self._a, self.q
+        nnz = np.count_nonzero(a)
+        if nnz <= _SPARSE_DENSITY * a.size:
+            r = _echelon_sparse(a, q, full, _SPARSE_WORK * nnz)
+            if r is not None:
+                return r
+        return _echelon_dense(a, q, full)
 
     def _rref_rational(self):
         a = [list(row) for row in self._a]
@@ -352,21 +488,22 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank over the matrix's field.
 
-        GF(q) uses ordinary row reduction.  Over Q the rank modulo
-        ``_CERT_PRIME`` of the row-wise integer matrix is taken first; when it
-        is min(rows, cols) it is the rational rank, and otherwise
-        fraction-free (Bareiss) elimination computes the rank exactly.
+        GF(q) uses forward elimination (below the pivots only).  Over Q the
+        rank modulo ``_CERT_PRIME`` of the row-wise integer matrix is taken
+        first, the same way; when it is min(rows, cols) it is the rational
+        rank, and otherwise fraction-free (Bareiss) elimination computes the
+        rank exactly.
         """
         if self._rank is None:
             if self._rr is not None:
                 self._rank = len(self._rr[1])
             elif self.q is not None:
-                self._rank = len(self._rref_mod()[1])
+                self._rank = len(self._rref_mod(full=False)[1])
             else:
                 rows = self._integer_rows()
                 a = np.array([[x % _CERT_PRIME for x in row] for row in rows], dtype=np.int64)
                 mod_p = ExactMatrix._reduced(a.reshape(self.shape), _CERT_PRIME)
-                r = len(mod_p._rref_mod()[1])
+                r = len(mod_p._rref_mod(full=False)[1])
                 self._rank = r if r == min(self.shape) else self._rank_bareiss(rows)
         return self._rank
 
@@ -439,7 +576,7 @@ class ExactMatrix:
                 w = [-x for x in w]
             cols.append(w)
         data = list(zip(*cols)) if cols else [()] * self.cols
-        return ExactMatrix(self.cols, len(free), data, q=None)
+        return ExactMatrix._canonical(self.cols, len(free), data)
 
     def solve(self, rhs: "ExactMatrix"):
         """One solution X of self @ X = rhs, or None if inconsistent.

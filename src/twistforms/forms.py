@@ -163,14 +163,14 @@ def _contraction(p: int, d: int, ndiff: int, nvar: int, neuler: int, q) -> Exact
 
 
 def _assemble(nrows: int, ncols: int, rows, cols, vals, q) -> ExactMatrix:
-    """Matrix with vals[k] at (rows[k], cols[k]), each position given at
-    most once; over GF(q) it is filled as one int64 array, over Q as
-    Python-int row lists."""
+    """Matrix with the Python int vals[k] at (rows[k], cols[k]), each
+    position given at most once; over GF(q) it is filled as one int64
+    array, over Q as row lists that are already canonical."""
     if q is None:
         data = [[0] * ncols for _ in range(nrows)]
         for i, j, v in zip(rows, cols, vals):
             data[i][j] = v
-        return ExactMatrix(nrows, ncols, data, q=None)
+        return ExactMatrix._canonical(nrows, ncols, data)
     a = np.zeros((nrows, ncols), dtype=np.int64)
     a[rows, cols] = vals
     return ExactMatrix(nrows, ncols, a, q=q)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -363,11 +364,11 @@ def test_product_prime_tiers():
 
 
 def test_limb_tier_at_its_inner_dimension_bound(monkeypatch):
-    # Only the float64 tiers reduce with fmod: k = 2^20 is the last limb
-    # product, and one more takes the object tier.
+    # Only the float64 tiers reduce with _float_mod: k = 2^20 is the last
+    # limb product, and one more takes the object tier.
     fmods = []
-    fmod = np.fmod
-    monkeypatch.setattr(np, "fmod", lambda *args, **kw: fmods.append(1) or fmod(*args, **kw))
+    fmod = exactalg._float_mod
+    monkeypatch.setattr(exactalg, "_float_mod", lambda *args: fmods.append(1) or fmod(*args))
     q = CERT_PRIME
     for k, limbs in ((exactalg._LIMB_INNER_MAX, True), (exactalg._LIMB_INNER_MAX + 1, False)):
         fmods.clear()
@@ -483,6 +484,135 @@ def test_bareiss_updates_rows_with_zero_pivot_entry():
     assert m.rank() == 3
     assert m._rank_bareiss(m._integer_rows()) == 3
     assert m.kernel_basis().shape == (3, 0)
+
+
+# -- sparse and dense elimination paths ----------------------------------------
+
+# 2 and 101; 2^31-1 and the largest word-size prime, whose residues
+# multiply to near 2^63 in int64; and 2^61-1, in object dtype.
+ELIM_PRIMES = (2, 101, 2**31 - 1, CERT_PRIME, 2**61 - 1)
+
+
+@st.composite
+def residue_arrays(draw):
+    """A reduced residue array of 0..12 x 0..12, from all-zero to full, with
+    entries near q-1 among them."""
+    q = draw(st.sampled_from(ELIM_PRIMES))
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    a = np.zeros((m, n), dtype=residue_dtype(q))
+    if m and n:
+        entry = st.one_of(st.integers(1, q - 1), st.integers(max(1, q - 3), q - 1))
+        cell = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+        for i, j in draw(st.lists(cell, max_size=m * n)):
+            a[i, j] = draw(entry)
+    return q, a
+
+
+def _same_array(x, ref):
+    return x.dtype == ref.dtype and x.shape == ref.shape and x.tolist() == ref.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_arrays())
+def test_elimination_paths_match_per_pivot_reference(case):
+    q, a = case
+    m = ExactMatrix._reduced(a, q)
+    ref_rr, ref_pivots = _whole_row_rref(m)
+    unbounded = 1 << 30
+    # The routed entry point, each path on its own, and the budget fallback.
+    with mock.patch.object(exactalg, "_SPARSE_WORK", 0):
+        fallback = ExactMatrix._reduced(a, q)._rref_mod()
+    for rr, pivots in (
+        m._rref_mod(),
+        exactalg._echelon_sparse(a, q, True, unbounded),
+        exactalg._echelon_dense(a, q, True),
+        fallback,
+    ):
+        assert pivots == ref_pivots
+        assert _same_array(rr, ref_rr)
+    # Forward-only elimination keeps the pivots, and its rows span the same
+    # space: their RREF is the full one.
+    for ech, pivots in (
+        m._rref_mod(full=False),
+        exactalg._echelon_sparse(a, q, False, unbounded),
+        exactalg._echelon_dense(a, q, False),
+    ):
+        assert pivots == ref_pivots
+        assert ech.dtype == ref_rr.dtype
+        assert _same_array(_whole_row_rref(ExactMatrix._reduced(ech, q))[0], ref_rr)
+    assert ExactMatrix._reduced(a, q).rank() == len(ref_pivots)
+
+
+def test_rank_takes_forward_elimination_and_leaves_rref_uncached(monkeypatch):
+    calls = []
+    rref_mod = ExactMatrix._rref_mod
+    monkeypatch.setattr(
+        ExactMatrix, "_rref_mod", lambda self, **kw: calls.append(kw) or rref_mod(self, **kw)
+    )
+    m = gf([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert m.rank() == 2 and m._rr is None
+    assert qq([[1, Fraction(1, 2)], [3, 4]]).rank() == 2
+    assert calls == [{"full": False}, {"full": False}]
+
+
+def test_fill_heavy_matrix_exhausts_budget_and_matches_reference():
+    # A random 60x60 matrix at exactly 10% density over GF(101).
+    q, rng = 101, np.random.default_rng(0)
+    a = np.zeros(3600, dtype=np.int64)
+    a[rng.choice(3600, size=360, replace=False)] = rng.integers(1, q, size=360)
+    a = a.reshape(60, 60)
+    nnz = np.count_nonzero(a)
+    assert nnz <= exactalg._SPARSE_DENSITY * a.size
+    assert exactalg._echelon_sparse(a, q, True, exactalg._SPARSE_WORK * nnz) is None
+    assert exactalg._echelon_sparse(a, q, False, exactalg._SPARSE_WORK * nnz) is None
+    m = ExactMatrix._reduced(a, q)
+    rr, pivots = m._rref_mod()
+    ref_rr, ref_pivots = _whole_row_rref(m)
+    assert pivots == ref_pivots and _same_array(rr, ref_rr)
+    assert m.rank() == len(ref_pivots)
+
+
+def test_display_maps_take_the_sparse_path_and_evaluations_the_dense(monkeypatch):
+    from twistforms.maxrank import eval_matrix, random_points
+
+    taken = []
+    sparse, dense = exactalg._echelon_sparse, exactalg._echelon_dense
+
+    def count_sparse(*args):
+        r = sparse(*args)
+        taken.append("sparse" if r is not None else "sparse-exhausted")
+        return r
+
+    monkeypatch.setattr(exactalg, "_echelon_sparse", count_sparse)
+    monkeypatch.setattr(exactalg, "_echelon_dense", lambda *a: taken.append("dense") or dense(*a))
+    contraction = contraction_matrix(4, 2, 5, q=101)
+    ev = eval_matrix(3, 0, 4, random_points(3, 35, q=101, seed=1))
+    taken.clear()
+    contraction.kernel_basis()
+    assert taken == ["sparse"]
+    taken.clear()
+    assert ev.rank() == ev.cols
+    assert taken == ["dense"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_canonical_wraps_equal_constructed_matrices(m, data):
+    rows = m.row_list()
+    idx = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=6)) if m.cols else []
+    ker = m.kernel_basis()
+    for x, ref in (
+        (m.transpose(), ExactMatrix(m.cols, m.rows, [[r[j] for r in rows] for j in range(m.cols)])),
+        (m.augment(m), ExactMatrix(m.rows, 2 * m.cols, [r + r for r in rows])),
+        (m.columns(idx), ExactMatrix(m.rows, len(idx), [[r[j] for j in idx] for r in rows])),
+        (ker, ExactMatrix(ker.rows, ker.cols, ker.row_list())),
+    ):
+        assert x == ref and x.shape == ref.shape
+        assert _typed(x.row_list()) == _typed(ref.row_list())
+    for n, p, d in ((1, 1, 2), (2, 1, 3), (3, 2, 2), (2, 3, 3)):
+        c = contraction_matrix(n, p, d, q=None)
+        ref = ExactMatrix(c.rows, c.cols, c.row_list())
+        assert c == ref and c.shape == ref.shape
 
 
 def test_elimination_deterministic():
