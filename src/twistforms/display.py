@@ -78,14 +78,6 @@ class ExactnessLedger:
     snake_ok: bool
 
     @property
-    def all_exact(self) -> bool:
-        return (
-            all(ok for _, ok in self.squares)
-            and all(s.verdict == "exact-at-sections" for s in self.sequences)
-            and self.snake_ok
-        )
-
-    @property
     def passed(self) -> bool:
         return all(ok for _, ok in self.squares) and all(s.ok for s in self.sequences) and self.snake_ok
 

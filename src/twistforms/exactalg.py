@@ -22,7 +22,7 @@ each exact:
 * Python integers (object dtype) otherwise.
 
 Eliminations over GF(q) all go through ``ExactMatrix._rref_mod``, on one of
-two paths with the same result:
+three paths with the same pivots:
 
 * Sparse matrices, with at most ``_SPARSE_DENSITY`` (10%) nonzero entries,
   such as the display's contraction and ambient maps, are eliminated on
@@ -33,8 +33,22 @@ two paths with the same result:
   filling in, and gives way to the dense path on the original matrix.
 * Dense matrices, such as point evaluations, are eliminated as numpy
   arrays, one pivot (the first nonzero of its column) at a time.
+* Ranks of dense matrices whose smaller side is at least ``_BLOCKED_MIN``
+  (128), when q is on the float64 product tier for an inner dimension of
+  ``_PANEL`` (32), take right-looking blocked elimination (as in FFLAS-FFPACK,
+  Dumas, Giorgi and Pernet 2008; Jeannerod, Pernet and Storjohann,
+  J. Symbolic Comput. 2013): each panel of 32 columns is eliminated one
+  pivot at a time on its own columns, and the rows below are updated by one
+  float64 product per panel, the Schur complement, instead of one numpy
+  rank-1 update per pivot.  On a 2-core x86_64 VM (Python 3.11, numpy 2.4,
+  OpenBLAS), on random half-dense square matrices over GF(101), the two
+  dense paths tie at 64 and the blocked one is faster from about 96 on
+  (128: 3.7-5.4 ms against 6.6-9.2 ms); on a 315 x 315 point evaluation it
+  takes 16-25 ms against 51-57 ms.  On the 16-bit-limb tier (q = 2^31-1)
+  it ties at 128 and wins only from about 160 on; no workload has such a
+  rank, so those primes keep the per-pivot loop.
 
-The RREF and its pivot columns are unique, so both paths give the same
+The RREF and its pivot columns are unique, so every path gives the same
 kernels and solutions.  A rank needs only the pivot columns: it eliminates
 below each pivot and never above it, and it does not fill the cached RREF.
 
@@ -122,6 +136,15 @@ def _canon_rational(x) -> Fraction | int:
     return f.numerator if f.denominator == 1 else f
 
 
+def _reduce(x, q: int):
+    """x %= q, in place, for an integer array: numpy's floor division by a
+    scalar divides by a precomputed reciprocal, and is several times faster
+    than its remainder."""
+    t = x // q
+    t *= q
+    x -= t
+
+
 def _float_mod(x, q: int):
     """x mod q, as int64, of a float64 array of nonnegative integers below
     2^53: the cast is exact, and integer remainder is much cheaper than fmod."""
@@ -162,6 +185,13 @@ _SPARSE_DENSITY = 0.1
 #: elimination runs instead.
 _SPARSE_WORK = 4
 
+#: Panel width of the blocked rank elimination, and the smaller side from
+#: which a dense rank takes it (when q is on ``_mulmod``'s float64 tier for
+#: an inner dimension of ``_PANEL``): below about 96 it gains nothing, and
+#: below 128 little.
+_PANEL = 32
+_BLOCKED_MIN = 128
+
 
 def _echelon_dense(a, q: int, full: bool):
     """Row reduction of a copy of the reduced residue array ``a``, one pivot
@@ -195,6 +225,81 @@ def _echelon_dense(a, q: int, full: bool):
             a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % q
         pivots.append(c)
         r += 1
+    return a, pivots
+
+
+def _echelon_blocked(a, q: int, b: int):
+    """``_echelon_dense(a, q, full=False)`` by panels of ``b`` columns: the
+    same pivots, and a row echelon form of the same rows.
+
+    Each panel is eliminated one pivot at a time on its own columns, and
+    every eliminated entry keeps its multiplier (the rows are P A = L U
+    restricted to the panel).  The k pivot rows' trailing part is then
+    forward-substituted through L11, giving U12, and the other rows'
+    trailing part becomes the Schur complement A22 - L21 U12: one product,
+    in place of k rank-1 updates.
+    """
+    a = a.copy()
+    m, n = a.shape
+    # Reduction is delayed: an entry takes up to ``lag`` updates, each
+    # subtracting less than q^2, before it must be reduced to stay in int64.
+    lag = max(1, 2**62 // q**2)
+    pivots = []
+    r = 0
+    for c0 in range(0, n, b):
+        if r == m:
+            break
+        c1 = min(c0 + b, n)
+        rows = a[r:]
+        panel = rows[:, c0:c1]
+        piv, invs = [], []
+        k = 0
+        for c in range(c1 - c0):
+            if k == len(rows):
+                break
+            col = panel[k:, c]
+            col %= q
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
+                continue
+            i = k + int(nz[0])
+            if i != k:
+                rows[[k, i]] = rows[[i, k]]
+            inv = pow(int(panel[k, c]), q - 2, q)
+            u = panel[k, c + 1 :]
+            u %= q
+            u *= inv
+            u %= q
+            # Column c keeps the multipliers of the rows below: L21 and L11.
+            below = panel[k + 1 :, c + 1 :]
+            below -= panel[k + 1 :, c, None] * u
+            piv.append(c)
+            invs.append(inv)
+            k += 1
+            if k % lag == 0:
+                _reduce(below, q)
+        if k:
+            low = panel[:, piv]  # [L11; L21], with the pivots on L11's diagonal
+            u12 = rows[:k, c1:]
+            for t in range(k):
+                u = u12[t]
+                u %= q
+                u *= invs[t]
+                u %= q
+                rest = u12[t + 1 :]
+                rest -= low[t + 1 : k, t, None] * u
+                if (t + 1) % lag == 0:
+                    _reduce(rest, q)
+            schur = rows[k:, c1:]
+            schur -= _mulmod(low[k:], u12, q)
+            _reduce(schur, q)
+            # Clear L: below the pivots the panel is zero, and each pivot is 1.
+            li, lj = np.tril_indices(k)
+            panel[li, np.asarray(piv)[lj]] = 0
+            panel[range(k), piv] = 1
+            panel[k:] = 0
+        pivots += [c0 + c for c in piv]
+        r += k
     return a, pivots
 
 
@@ -343,11 +448,6 @@ class ExactMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def entry(self, i, j):
-        if self.q is not None:
-            return int(self._a[i, j])
-        return self._a[i][j]
-
     def row_list(self):
         """Entries as a list of row lists (ints for GF(q), Fraction/int else)."""
         if self.q is not None:
@@ -442,7 +542,8 @@ class ExactMatrix:
 
         Matrices with at most ``_SPARSE_DENSITY`` nonzeros are eliminated on
         sparse rows within a work budget; denser ones, and sparse ones that
-        exceed it, on the dense path.
+        exceed it, on the dense path, except that large dense ranks at a
+        small enough q take the blocked path.
         """
         a, q = self._a, self.q
         nnz = np.count_nonzero(a)
@@ -450,6 +551,8 @@ class ExactMatrix:
             r = _echelon_sparse(a, q, full, _SPARSE_WORK * nnz)
             if r is not None:
                 return r
+        elif not full and min(a.shape) >= _BLOCKED_MIN and (q - 1) ** 2 * _PANEL <= _FLOAT_EXACT:
+            return _echelon_blocked(a, q, _PANEL)
         return _echelon_dense(a, q, full)
 
     def _rref_rational(self):
@@ -488,7 +591,10 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank over the matrix's field.
 
-        GF(q) uses forward elimination (below the pivots only).  Over Q the
+        GF(q) uses forward elimination (below the pivots only); dense
+        matrices of at least 128 rows and columns over a prime with
+        (q - 1)^2 * 32 <= 2^53 - 1 are eliminated by 32-column panels, each
+        updating the rows below with one float64 product.  Over Q the
         rank modulo ``_CERT_PRIME`` of the row-wise integer matrix is taken
         first, the same way; when it is min(rows, cols) it is the rational
         rank, and otherwise fraction-free (Bareiss) elimination computes the
@@ -614,9 +720,6 @@ class SnakeLedger:
     coker2: int
     coker3: int
     exact: bool
-
-    def alternating_sum(self) -> int:
-        return self.ker1 - self.ker2 + self.ker3 - self.coker1 + self.coker2 - self.coker3
 
 
 def _require(cond: bool, message: str) -> None:

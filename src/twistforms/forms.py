@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bott import binom, h_O
-from .exactalg import ExactMatrix
+from .exactalg import ExactMatrix, is_prime, residue_dtype
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -95,10 +95,6 @@ class SectionSpace:
     def dim(self) -> int:
         return self.basis.cols
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.key)
-
 
 @lru_cache(maxsize=None)
 def monomials(nvars: int, degree: int) -> tuple:
@@ -164,16 +160,19 @@ def _contraction(p: int, d: int, ndiff: int, nvar: int, neuler: int, q) -> Exact
 
 def _assemble(nrows: int, ncols: int, rows, cols, vals, q) -> ExactMatrix:
     """Matrix with the Python int vals[k] at (rows[k], cols[k]), each
-    position given at most once; over GF(q) it is filled as one int64
-    array, over Q as row lists that are already canonical."""
+    position given at most once; over GF(q) it is filled as one array of
+    ``residue_dtype(q)`` in which only the given values need reducing, over
+    Q as row lists that are already canonical."""
     if q is None:
         data = [[0] * ncols for _ in range(nrows)]
         for i, j, v in zip(rows, cols, vals):
             data[i][j] = v
         return ExactMatrix._canonical(nrows, ncols, data)
-    a = np.zeros((nrows, ncols), dtype=np.int64)
-    a[rows, cols] = vals
-    return ExactMatrix(nrows, ncols, a, q=q)
+    if not is_prime(q):
+        raise ValueError("modulus %r is not prime" % (q,))
+    a = np.zeros((nrows, ncols), dtype=residue_dtype(q))
+    a[rows, cols] = [v % q for v in vals]
+    return ExactMatrix._reduced(a, q)
 
 
 def contraction_matrix(n: int, p: int, d: int, q=None) -> ExactMatrix:

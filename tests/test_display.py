@@ -41,7 +41,11 @@ def test_verify_display_small_grid():
     for n in (2, 3):
         for p in range(n):
             for ledger in verify_display(n, p, 0, 3):
-                assert ledger.all_exact, (n, p, ledger.t)
+                assert all(ok for _, ok in ledger.squares), (n, p, ledger.t)
+                assert all(
+                    s.verdict == "exact-at-sections" for s in ledger.sequences
+                ), (n, p, ledger.t)
+                assert ledger.snake_ok, (n, p, ledger.t)
 
 
 def test_left_column_composition_vanishes():

@@ -7,6 +7,7 @@ from twistforms.exactalg import ExactMatrix
 from twistforms.forms import (
     ConsistencyError,
     _ambient_map,
+    _assemble,
     _contraction,
     _key,
     _mult_var,
@@ -42,7 +43,7 @@ def test_contraction_222_sign_rule():
     m = contraction_matrix(2, 2, 2, q=None)
     src = h0_basis(2, 2, 2, q=None)
     assert len(src.key) == 3
-    col0 = [m.entry(i, 0) for i in range(m.rows)]
+    col0 = [row[0] for row in m.row_list()]
     # Codomain key: (dx0, x0), (dx0, x1), (dx0, x2), (dx1, x0), ...
     assert col0[1] == -1  # -x1 dx0
     assert col0[3] == 1  # +x0 dx1
@@ -215,6 +216,28 @@ def test_ambient_map_matches_list_built(q):
     amb = _ambient_map(src, tgt, entries, q)
     assert amb == _list_ambient_map(src, tgt, entries, q)
     assert not amb.is_zero()
+
+
+@pytest.mark.parametrize("q", [2, 101, 2**31 - 1, 2**61 - 1])
+def test_assemble_equals_constructed_matrix(q):
+    # Values negative, zero, in range and past q; two empty shapes.
+    some = [(0, 0, -1), (0, 3, 5), (1, 1, 0), (2, 0, q + 3), (2, 2, -q - 7), (3, 4, q - 1)]
+    for nrows, ncols, cells in ((4, 5, some), (4, 5, []), (0, 3, []), (3, 0, [])):
+        rows = [[0] * ncols for _ in range(nrows)]
+        for i, j, v in cells:
+            rows[i][j] = v
+        want = ExactMatrix(nrows, ncols, rows, q=q)
+        ii, jj, vals = [c[0] for c in cells], [c[1] for c in cells], [c[2] for c in cells]
+        got = _assemble(nrows, ncols, ii, jj, vals, q)
+        assert got == want and got.shape == want.shape
+        assert got._a.dtype == want._a.dtype
+        assert [type(x) for x in got._a.ravel()] == [type(x) for x in want._a.ravel()]
+        assert got._a.tolist() == want._a.tolist()
+
+
+def test_assemble_rejects_a_composite_modulus():
+    with pytest.raises(ValueError, match="not prime"):
+        _assemble(2, 2, [0], [1], [1], 100)
 
 
 def test_ambient_maps_give_each_target_once(monkeypatch):

@@ -66,7 +66,7 @@ def naive_eval_matrix(n, p, d, pts, pivots=None):
     q = pts.q
     space = h0_basis(n, p + 1, d + p + 1, q)
     cols = space.basis.row_list()
-    sections = [[cols[i][j] for i in range(space.ambient_dim)] for j in range(space.dim)]
+    sections = [[cols[i][j] for i in range(len(space.key))] for j in range(space.dim)]
     rows = []
     for k, pt in enumerate(pts.points):
         pivot = pt.pivot if pivots is None else pivots[k]
