@@ -194,23 +194,26 @@ def build_display(n: int, p: int, t: int, q=DEFAULT_PRIME) -> DisplayInstance:
     return inst
 
 
-def _check_sequence(name, f, g, h1) -> SequenceCheck:
-    """Exactness of 0 -> K -f-> M -g-> Q at the section level."""
+def _check_sequence(name, f, g, h1, h1_mid=None) -> SequenceCheck:
+    """Exactness of 0 -> K -f-> M -g-> Q at the section level.
+
+    ``h1`` is h^1(K), which bounds the cokernel on sections.  When h^1(M)
+    (``h1_mid``, None where it is not known) is 0 the cohomology sequence
+    makes H^0(Q) -> H^1(K) onto, so the cokernel must equal h^1(K).
+    """
     dims = (f.cols, f.rows, g.rows)
     rf, rg = f.rank(), g.rank()
     coker = g.rows - rg
     injective = rf == f.cols
     composite_zero = (g @ f).is_zero()
     middle_exact = (f.rows - rg) == rf
-    if injective and composite_zero and middle_exact:
-        if coker == 0:
-            verdict = "exact-at-sections"
-        elif coker <= h1:
-            verdict = "exact-with-known-h1-obstruction"
-        else:
-            verdict = "failed"
-    else:
+    coker_ok = coker == h1 if h1_mid == 0 else coker <= h1
+    if not (injective and composite_zero and middle_exact and coker_ok):
         verdict = "failed"
+    elif coker == 0:
+        verdict = "exact-at-sections"
+    else:
+        verdict = "exact-with-known-h1-obstruction"
     return SequenceCheck(name, dims, rf, rg, coker, h1, verdict)
 
 
@@ -269,11 +272,13 @@ def ledger_for(inst: DisplayInstance) -> ExactnessLedger:
     h1_free = binom(n, p + 1) * _h1_safe(n, 0, t)
     h1_row3 = _h1_safe(n - 1, p, p + 1 + t)
     h1_col = _h1_safe(n, p + 1, p + 1 + t)
+    h1_middle = _h1_safe(n, p + 1, p + 2 + t)
+    # Row 3's middle term is a restricted bundle, whose h^1 bott does not give.
     sequences = (
-        _check_sequence("row 2", m["free_incl"], m["restrict"], h1_free),
+        _check_sequence("row 2", m["free_incl"], m["restrict"], h1_free, h1_middle),
         _check_sequence("row 3", m["wedge"], m["drop"], h1_row3),
-        _check_sequence("left column", m["left_top"], m["left_bottom"], h1_col),
-        _check_sequence("middle column", m["twist"], m["to_hyperplane"], h1_col),
+        _check_sequence("left column", m["left_top"], m["left_bottom"], h1_col, h1_free),
+        _check_sequence("middle column", m["twist"], m["to_hyperplane"], h1_col, h1_middle),
     )
     # The snake pass needs both lower rows short exact at sections; when a
     # twist leaves an h^1 obstruction the check is vacuous.

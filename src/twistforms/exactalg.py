@@ -22,7 +22,7 @@ each exact:
 * Python integers (object dtype) otherwise.
 
 Eliminations over GF(q) all go through ``ExactMatrix._rref_mod``, on one of
-three paths with the same pivots:
+two paths with the same pivots:
 
 * Sparse matrices, with at most ``_SPARSE_DENSITY`` (10%) nonzero entries,
   such as the display's contraction and ambient maps, are eliminated on
@@ -31,22 +31,21 @@ three paths with the same pivots:
   in LaMacchia and Odlyzko, CRYPTO 1990).  The attempt counts its entry
   updates; past ``_SPARSE_WORK`` times the input's nonzero count it is
   filling in, and gives way to the dense path on the original matrix.
-* Dense matrices, such as point evaluations, are eliminated as numpy
-  arrays, one pivot (the first nonzero of its column) at a time.
-* Ranks of dense matrices whose smaller side is at least ``_BLOCKED_MIN``
-  (128), when q is on the float64 product tier for an inner dimension of
-  ``_PANEL`` (32), take right-looking blocked elimination (as in FFLAS-FFPACK,
-  Dumas, Giorgi and Pernet 2008; Jeannerod, Pernet and Storjohann,
-  J. Symbolic Comput. 2013): each panel of 32 columns is eliminated one
-  pivot at a time on its own columns, and the rows below are updated by one
-  float64 product per panel, the Schur complement, instead of one numpy
-  rank-1 update per pivot.  On a 2-core x86_64 VM (Python 3.11, numpy 2.4,
-  OpenBLAS), on random half-dense square matrices over GF(101), the two
-  dense paths tie at 64 and the blocked one is faster from about 96 on
-  (128: 3.7-5.4 ms against 6.6-9.2 ms); on a 315 x 315 point evaluation it
-  takes 16-25 ms against 51-57 ms.  On the 16-bit-limb tier (q = 2^31-1)
-  it ties at 128 and wins only from about 160 on; no workload has such a
-  rank, so those primes keep the per-pivot loop.
+* Dense matrices, such as point evaluations, are eliminated as numpy arrays
+  by right-looking blocked elimination (as in FFLAS-FFPACK, Dumas, Giorgi
+  and Pernet 2008; Jeannerod, Pernet and Storjohann, J. Symbolic Comput.
+  2013): each panel of columns is eliminated one pivot at a time on its own
+  columns, and the rows below are updated by one product per panel, the
+  Schur complement; an RREF then takes one upward pass.  Panels are
+  ``_PANEL`` (32) columns wide when the smaller side is at least
+  ``_BLOCKED_MIN`` (128) and q is on the float64 product tier for an inner
+  dimension of 32; otherwise one panel spans the matrix, which is the
+  per-pivot loop.  On a 2-core x86_64 VM (Python 3.11, numpy 2.4,
+  OpenBLAS, one BLAS thread) the two widths tie on random half-dense square
+  matrices over GF(101) up to about 128; on a 315 x 315 point evaluation
+  panels take the rank in 14-17 ms against 25-29 ms, and the RREF in 27-33
+  ms against 37-42 ms.  On the 16-bit-limb tier (q = 2^31-1) they still tie
+  at 160; no workload has such a matrix, so those primes keep one panel.
 
 The RREF and its pivot columns are unique, so every path gives the same
 kernels and solutions.  A rank needs only the pivot columns: it eliminates
@@ -147,9 +146,9 @@ def _reduce(x, q: int):
 
 def _float_mod(x, q: int):
     """x mod q, as int64, of a float64 array of nonnegative integers below
-    2^53: the cast is exact, and integer remainder is much cheaper than fmod."""
+    2^53: the cast is exact, and ``_reduce`` is much cheaper than fmod."""
     out = x.astype(np.int64)
-    out %= q
+    _reduce(out, q)
     return out
 
 
@@ -171,7 +170,8 @@ def _mulmod(a, b, q: int):
         out = _float_mod(ahi @ bhi, q) * ((1 << 32) % q)
         out += _float_mod(mid, q) << 16
         out += _float_mod(alo @ blo, q)
-        return out % q
+        _reduce(out, q)
+        return out
     prod = (a.astype(object) @ b.astype(object)) % q
     return prod.astype(residue_dtype(q))
 
@@ -185,59 +185,28 @@ _SPARSE_DENSITY = 0.1
 #: elimination runs instead.
 _SPARSE_WORK = 4
 
-#: Panel width of the blocked rank elimination, and the smaller side from
-#: which a dense rank takes it (when q is on ``_mulmod``'s float64 tier for
-#: an inner dimension of ``_PANEL``): below about 96 it gains nothing, and
-#: below 128 little.
+#: Panel width of the dense elimination, and the smaller side from which a
+#: dense matrix takes it (when q is on ``_mulmod``'s float64 tier for an
+#: inner dimension of ``_PANEL``; otherwise one panel spans the matrix):
+#: below 128 it gains nothing.
 _PANEL = 32
 _BLOCKED_MIN = 128
 
 
-def _echelon_dense(a, q: int, full: bool):
-    """Row reduction of a copy of the reduced residue array ``a``, one pivot
-    at a time: the first nonzero entry of each column, top to bottom, is the
-    pivot.  Returns (rows, pivot columns): the RREF when ``full``, otherwise
-    a row echelon form with the same pivots, eliminated below them only."""
-    a = a.copy()
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), q - 2, q)
-        # Row r is zero left of column c, so only columns c: change.
-        a[r, c:] = a[r, c:] * inv % q
-        if full:
-            others = np.nonzero(a[:, c])[0]
-            others = others[others != r]
-        else:
-            # The swap moved a zero of column c to row i: the nonzeros
-            # below the pivot are the rest of nz.
-            others = r + nz[1:]
-        if others.size:
-            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % q
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _echelon_blocked(a, q: int, b: int):
-    """``_echelon_dense(a, q, full=False)`` by panels of ``b`` columns: the
-    same pivots, and a row echelon form of the same rows.
+def _echelon_dense(a, q: int, full: bool, b: int):
+    """Row reduction of a copy of the reduced residue array ``a`` by panels
+    of ``b`` columns: the first nonzero entry of each column, top to bottom,
+    is the pivot.  Returns (rows, pivot columns): the RREF when ``full``,
+    otherwise a row echelon form with the same pivots, eliminated below them
+    only.  With ``b`` at least the column count this is the per-pivot loop.
 
     Each panel is eliminated one pivot at a time on its own columns, and
     every eliminated entry keeps its multiplier (the rows are P A = L U
     restricted to the panel).  The k pivot rows' trailing part is then
     forward-substituted through L11, giving U12, and the other rows'
     trailing part becomes the Schur complement A22 - L21 U12: one product,
-    in place of k rank-1 updates.
+    in place of k rank-1 updates.  With ``full``, one upward pass, last
+    pivot first, then clears each pivot column above its pivot.
     """
     a = a.copy()
     m, n = a.shape
@@ -279,27 +248,41 @@ def _echelon_blocked(a, q: int, b: int):
             if k % lag == 0:
                 _reduce(below, q)
         if k:
-            low = panel[:, piv]  # [L11; L21], with the pivots on L11's diagonal
-            u12 = rows[:k, c1:]
-            for t in range(k):
-                u = u12[t]
-                u %= q
-                u *= invs[t]
-                u %= q
-                rest = u12[t + 1 :]
-                rest -= low[t + 1 : k, t, None] * u
-                if (t + 1) % lag == 0:
-                    _reduce(rest, q)
-            schur = rows[k:, c1:]
-            schur -= _mulmod(low[k:], u12, q)
-            _reduce(schur, q)
-            # Clear L: below the pivots the panel is zero, and each pivot is 1.
-            li, lj = np.tril_indices(k)
-            panel[li, np.asarray(piv)[lj]] = 0
-            panel[range(k), piv] = 1
+            if c1 < n:
+                low = panel[:, piv]  # [L11; L21], with the pivots on L11's diagonal
+                u12 = rows[:k, c1:]
+                for t in range(k):
+                    u = u12[t]
+                    u %= q
+                    u *= invs[t]
+                    u %= q
+                    rest = u12[t + 1 :]
+                    rest -= low[t + 1 : k, t, None] * u
+                    if (t + 1) % lag == 0:
+                        _reduce(rest, q)
+                schur = rows[k:, c1:]
+                schur -= _mulmod(low[k:], u12, q)
+                _reduce(schur, q)
+            # Clear L: each pivot row is zero left of its pivot, which is 1,
+            # and the rows below the pivots are zero.
+            top = panel[:k]
+            top[np.arange(c1 - c0) < np.asarray(piv)[:, None]] = 0
+            top[np.arange(k), piv] = 1
             panel[k:] = 0
         pivots += [c0 + c for c in piv]
         r += k
+    if full:
+        # A pivot column is zero in every later pivot row, so its entries
+        # above the pivot are still reduced when their turn comes; each
+        # pivot row is final once reduced, and the rows above take the lag.
+        for t in range(r - 1, -1, -1):
+            c = pivots[t]
+            u = a[t, c:]
+            u %= q
+            above = a[:t, c:]
+            above -= a[:t, c, None] * u
+            if (r - t) % lag == 0:
+                _reduce(above, q)
     return a, pivots
 
 
@@ -542,8 +525,8 @@ class ExactMatrix:
 
         Matrices with at most ``_SPARSE_DENSITY`` nonzeros are eliminated on
         sparse rows within a work budget; denser ones, and sparse ones that
-        exceed it, on the dense path, except that large dense ranks at a
-        small enough q take the blocked path.
+        exceed it, by panels: ``_PANEL`` columns wide for large matrices at
+        a small enough q, else one panel as wide as the matrix.
         """
         a, q = self._a, self.q
         nnz = np.count_nonzero(a)
@@ -551,9 +534,9 @@ class ExactMatrix:
             r = _echelon_sparse(a, q, full, _SPARSE_WORK * nnz)
             if r is not None:
                 return r
-        elif not full and min(a.shape) >= _BLOCKED_MIN and (q - 1) ** 2 * _PANEL <= _FLOAT_EXACT:
-            return _echelon_blocked(a, q, _PANEL)
-        return _echelon_dense(a, q, full)
+        if min(a.shape) >= _BLOCKED_MIN and (q - 1) ** 2 * _PANEL <= _FLOAT_EXACT:
+            return _echelon_dense(a, q, full, _PANEL)
+        return _echelon_dense(a, q, full, max(1, a.shape[1]))
 
     def _rref_rational(self):
         a = [list(row) for row in self._a]
@@ -591,10 +574,8 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank over the matrix's field.
 
-        GF(q) uses forward elimination (below the pivots only); dense
-        matrices of at least 128 rows and columns over a prime with
-        (q - 1)^2 * 32 <= 2^53 - 1 are eliminated by 32-column panels, each
-        updating the rows below with one float64 product.  Over Q the
+        GF(q) uses forward elimination (below the pivots only), by the
+        same paths as the RREF.  Over Q the
         rank modulo ``_CERT_PRIME`` of the row-wise integer matrix is taken
         first, the same way; when it is min(rows, cols) it is the rational
         rank, and otherwise fraction-free (Bareiss) elimination computes the

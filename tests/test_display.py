@@ -3,7 +3,7 @@
 import pytest
 
 from twistforms.bott import binom, h_O
-from twistforms.display import build_display, ledger_for, verify_display
+from twistforms.display import _check_sequence, build_display, ledger_for, verify_display
 from twistforms.exactalg import ExactMatrix, snake_check
 
 
@@ -46,6 +46,31 @@ def test_verify_display_small_grid():
                     s.verdict == "exact-at-sections" for s in ledger.sequences
                 ), (n, p, ledger.t)
                 assert ledger.snake_ok, (n, p, ledger.t)
+
+
+def test_negative_twists_meet_the_h1_of_their_kernels():
+    # Only p = 0, t = -1 leaves a cokernel: H^1(Omega^1) = 1 on the left and
+    # middle columns, whose middle terms have h^1 = 0, so it must equal 1.
+    for n in (2, 3, 4):
+        for p in range(n):
+            for t in range(-3, 1):
+                ledger = ledger_for(build_display(n, p, t))
+                assert ledger.passed, (n, p, t)
+                for s in ledger.sequences:
+                    if (p, t) == (0, -1) and s.name in ("left column", "middle column"):
+                        assert (s.coker, s.h1_obstruction) == (1, 1)
+                        assert s.verdict == "exact-with-known-h1-obstruction"
+                    else:
+                        assert s.verdict == "exact-at-sections", (n, p, t, s.name)
+
+
+def test_cokernel_short_of_h1_fails_when_the_middle_h1_vanishes():
+    # 0 -> 0 -> k -> k^2: exact at the left and middle, cokernel 1.
+    f, g = ExactMatrix.zeros(1, 0, q=101), ExactMatrix.from_rows([[1], [0]], q=101)
+    assert _check_sequence("s", f, g, 2).verdict == "exact-with-known-h1-obstruction"
+    assert _check_sequence("s", f, g, 2, 0).verdict == "failed"
+    assert _check_sequence("s", f, g, 1, 0).verdict == "exact-with-known-h1-obstruction"
+    assert _check_sequence("s", f, g, 0, 0).verdict == "failed"
 
 
 def test_left_column_composition_vanishes():

@@ -522,10 +522,12 @@ def test_elimination_paths_match_per_pivot_reference(case):
     # The routed entry point, each path on its own, and the budget fallback.
     with mock.patch.object(exactalg, "_SPARSE_WORK", 0):
         fallback = ExactMatrix._reduced(a, q)._rref_mod()
+    # Panels of 1, 2, 3 and 32 columns, and one panel as wide as the matrix.
+    widths = (1, 2, 3, 32, max(1, a.shape[1]))
     for rr, pivots in (
         m._rref_mod(),
         exactalg._echelon_sparse(a, q, True, unbounded),
-        exactalg._echelon_dense(a, q, True),
+        *(exactalg._echelon_dense(a, q, True, b) for b in widths),
         fallback,
     ):
         assert pivots == ref_pivots
@@ -535,7 +537,7 @@ def test_elimination_paths_match_per_pivot_reference(case):
     for ech, pivots in (
         m._rref_mod(full=False),
         exactalg._echelon_sparse(a, q, False, unbounded),
-        exactalg._echelon_dense(a, q, False),
+        *(exactalg._echelon_dense(a, q, False, b) for b in widths),
     ):
         assert pivots == ref_pivots
         assert ech.dtype == ref_rr.dtype
@@ -572,9 +574,9 @@ def test_fill_heavy_matrix_exhausts_budget_and_matches_reference():
     assert m.rank() == len(ref_pivots)
 
 
-def test_display_maps_take_the_sparse_path_and_evaluations_the_dense(monkeypatch):
-    from twistforms.maxrank import eval_matrix, random_points
-
+def _record_paths(monkeypatch):
+    """Patch both eliminations to log their path: "sparse" (or
+    "sparse-exhausted" when it gives way), or the dense panel width."""
     taken = []
     sparse, dense = exactalg._echelon_sparse, exactalg._echelon_dense
 
@@ -583,8 +585,19 @@ def test_display_maps_take_the_sparse_path_and_evaluations_the_dense(monkeypatch
         taken.append("sparse" if r is not None else "sparse-exhausted")
         return r
 
+    def count_dense(a, q, full, b):
+        taken.append(b)
+        return dense(a, q, full, b)
+
     monkeypatch.setattr(exactalg, "_echelon_sparse", count_sparse)
-    monkeypatch.setattr(exactalg, "_echelon_dense", lambda *a: taken.append("dense") or dense(*a))
+    monkeypatch.setattr(exactalg, "_echelon_dense", count_dense)
+    return taken
+
+
+def test_display_maps_take_the_sparse_path_and_evaluations_the_dense(monkeypatch):
+    from twistforms.maxrank import eval_matrix, random_points
+
+    taken = _record_paths(monkeypatch)
     contraction = contraction_matrix(4, 2, 5, q=101)
     ev = eval_matrix(3, 0, 4, random_points(3, 35, q=101, seed=1))
     taken.clear()
@@ -592,7 +605,8 @@ def test_display_maps_take_the_sparse_path_and_evaluations_the_dense(monkeypatch
     assert taken == ["sparse"]
     taken.clear()
     assert ev.rank() == ev.cols
-    assert taken == ["dense"]
+    # Too small for panels: one panel as wide as the matrix, pivot by pivot.
+    assert taken == [ev.cols]
 
 
 # -- blocked rank elimination ---------------------------------------------------
@@ -648,14 +662,18 @@ def _dense_example(q):
 
 
 @settings(max_examples=200, deadline=None)
-@given(planted_arrays(), st.sampled_from((32, 1, 2, 3)))
+@given(planted_arrays(), st.sampled_from((32, 1, 2, 3, None)))
 @example(_dense_example(101), 32)
 @example(_dense_example(2**31 - 1), 32)
 @example(_dense_example(CERT_PRIME), 32)
+@example(_dense_example(CERT_PRIME), None)
 def test_blocked_elimination_matches_per_pivot_reference(case, b):
     q, a = case
+    b = b or max(1, a.shape[1])  # None: one panel, the per-pivot loop
     ref_rr, ref_pivots = _whole_row_rref(ExactMatrix._reduced(a, q))
-    ech, pivots = exactalg._echelon_blocked(a, q, b)
+    rr, pivots = exactalg._echelon_dense(a, q, True, b)
+    assert pivots == ref_pivots and _same_array(rr, ref_rr)
+    ech, pivots = exactalg._echelon_dense(a, q, False, b)
     assert pivots == ref_pivots
     assert ech.dtype == a.dtype and _is_echelon(ech, pivots)
     # Its rows span the same space: their RREF is the full one.
@@ -665,14 +683,7 @@ def test_blocked_elimination_matches_per_pivot_reference(case, b):
 def test_large_dense_ranks_take_the_blocked_path(monkeypatch):
     from twistforms.maxrank import eval_matrix, random_points
 
-    taken = []
-    for name in ("_echelon_sparse", "_echelon_dense", "_echelon_blocked"):
-
-        def counted(*args, _fn=getattr(exactalg, name), _path=name.removeprefix("_echelon_")):
-            taken.append(_path)
-            return _fn(*args)
-
-        monkeypatch.setattr(exactalg, name, counted)
+    taken = _record_paths(monkeypatch)
 
     def path(m):
         taken.clear()
@@ -687,18 +698,22 @@ def test_large_dense_ranks_take_the_blocked_path(monkeypatch):
         return ExactMatrix.from_rows([[x * y for y in v] for x in u], q=q)
 
     ev = eval_matrix(3, 0, 7, random_points(3, 105, q=101, seed=1))
-    assert ev.shape == (315, 315) and path(ev) == ["blocked"]
-    assert path(rank_one(128, 200, 101)) == ["blocked"]
-    # Too small, sparse, or a prime past the float64 tier for a panel.
-    assert path(rank_one(127, 200, 101)) == ["dense"]
-    assert path(ExactMatrix._reduced(rng.integers(0, 101, (90, 84)), 101)) == ["dense"]
+    assert ev.shape == (315, 315) and path(ev) == [32]
+    assert path(rank_one(128, 200, 101)) == [32]
+    # Too small, sparse, or a prime past the float64 tier for a panel: one
+    # panel as wide as the matrix.
+    assert path(rank_one(127, 200, 101)) == [200]
+    assert path(ExactMatrix._reduced(rng.integers(0, 101, (90, 84)), 101)) == [84]
     assert path(contraction_matrix(4, 2, 5, q=101)) == ["sparse"]
-    assert path(rank_one(128, 128, 2**31 - 1)) == ["dense"]
-    assert path(rank_one(128, 128, 2**61 - 1)) == ["dense"]
-    # A full RREF never takes it.
+    assert path(rank_one(128, 128, 2**31 - 1)) == [128]
+    assert path(rank_one(128, 128, 2**61 - 1)) == [128]
+    # A full RREF takes panels too, and back-substitutes to the same RREF.
     taken.clear()
-    ExactMatrix._reduced(ev._a, 101).kernel_basis()
-    assert taken == ["dense"]
+    m = ExactMatrix._reduced(ev._a, 101)
+    rr, pivots = m._rref()
+    assert taken == [32]
+    ref_rr, ref_pivots = _whole_row_rref(m)
+    assert pivots == ref_pivots and _same_array(rr, ref_rr)
 
 
 @settings(max_examples=60, deadline=None)
