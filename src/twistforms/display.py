@@ -28,8 +28,7 @@ from .forms import (
     DEFAULT_PRIME,
     ConsistencyError,
     SectionSpace,
-    _ambient_map,
-    _express,
+    _section_map,
     conormal_wedge,
     drop_last_differential,
     free_sections,
@@ -120,8 +119,7 @@ def _kernel_generator_map(n: int, p: int, t: int, q) -> tuple:
             out.append(((full[:pos] + full[pos + 1 :], tuple(mk)), sign))
         return out
 
-    amb = _ambient_map(free.key, mid.key, entries, q)
-    return free, _express(mid, amb @ free.basis, "kernel generators (%d,%d,t=%d)" % (n, p, t))
+    return free, _section_map(free, mid, entries, "kernel generators (%d,%d,t=%d)" % (n, p, t))
 
 
 def build_display(n: int, p: int, t: int, q=DEFAULT_PRIME) -> DisplayInstance:
@@ -152,8 +150,7 @@ def build_display(n: int, p: int, t: int, q=DEFAULT_PRIME) -> DisplayInstance:
         mk[n] += 1
         return ((I, tuple(mk)), 1),
 
-    amb = _ambient_map(top.key, middle.key, xn_entries, q)
-    twist = _express(middle, amb @ top.basis, "twist inclusion")
+    twist = _section_map(top, middle, xn_entries, "twist inclusion")
 
     restrict = restriction_of_forms(n, p + 1, p + 2 + t, q)
     wedge = conormal_wedge(n, p, p + 2 + t, q)
@@ -166,8 +163,7 @@ def build_display(n: int, p: int, t: int, q=DEFAULT_PRIME) -> DisplayInstance:
             return ()
         return ((I, m[:n]), 1),
 
-    amb = _ambient_map(middle.key, bottom_mid.key, hyp_entries, q)
-    to_hyperplane = _express(bottom_mid, amb @ middle.basis, "restriction to hyperplane")
+    to_hyperplane = _section_map(middle, bottom_mid, hyp_entries, "restriction to hyperplane")
 
     left_top = free_incl.solve(twist)
     if left_top is None:

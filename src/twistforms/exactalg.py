@@ -1,9 +1,9 @@
 """Exact dense linear algebra over prime fields GF(q) and the rationals.
 
-Matrices are immutable after construction.  Prime-field matrices are stored
-as reduced numpy arrays, int64 up to ``WORD_MODULUS_MAX`` and Python integers
-(object dtype) above it; rational matrices as tuples of canonical entries
-(ints, and Fractions whose denominator is not 1).  Pivot columns are always
+Matrices are immutable after construction, and each is one numpy array:
+over GF(q) of reduced residues, int64 up to ``WORD_MODULUS_MAX`` and Python
+integers (object dtype) above it; over Q of canonical entries (ints, and
+Fractions whose denominator is not 1; object dtype).  Pivot columns are always
 taken left to right and every elimination result is deterministic across
 platforms and thread schedules.
 
@@ -115,9 +115,10 @@ def is_prime(q: int) -> bool:
     return True
 
 
-def residue_dtype(q: int):
-    """numpy dtype that holds residues mod q and their pairwise products exactly."""
-    return np.int64 if q <= WORD_MODULUS_MAX else object
+def residue_dtype(q: int | None):
+    """numpy dtype that holds residues mod q and their pairwise products
+    exactly; object (Python ints and Fractions) for the rationals, q None."""
+    return np.int64 if q is not None and q <= WORD_MODULUS_MAX else object
 
 
 #: Every integer up to this bound is exact in float64.
@@ -352,7 +353,10 @@ def _echelon_sparse(a, q: int, full: bool, budget: int):
 
 
 class ExactMatrix:
-    """Dense matrix over GF(q) (``q`` a prime) or the rationals (``q=None``)."""
+    """Dense matrix over GF(q) (``q`` a prime) or the rationals (``q=None``),
+    stored as one read-only 2-D numpy array of dtype ``residue_dtype(q)``:
+    reduced residues over GF(q), canonical entries (ints, and Fractions
+    whose denominator is not 1) over Q."""
 
     __slots__ = ("rows", "cols", "q", "_a", "_rr", "_rank")
 
@@ -362,32 +366,32 @@ class ExactMatrix:
         self.q = q
         self._rr = None  # cached (rref, pivot columns)
         self._rank = None  # cached rank
-        if q is not None:
-            if not is_prime(q):
-                raise ValueError("modulus %r is not prime" % (q,))
-            if residue_dtype(q) is object:
-                a = np.array(data, dtype=object).reshape(self.rows, self.cols)
-                a = np.frompyfunc(lambda x: int(x) % q, 1, 1)(a)
-            else:
-                a = np.asarray(data, dtype=np.int64).reshape(self.rows, self.cols) % q
-            a.setflags(write=False)
-            self._a = a
+        if q is not None and not is_prime(q):
+            raise ValueError("modulus %r is not prime" % (q,))
+        try:
+            a = np.asarray(data, dtype=residue_dtype(q))
+        except ValueError:  # ragged rows
+            a = None
+        if a is not None and a.shape == (0,) and self.rows == 0:
+            a = a.reshape(self.shape)  # no rows, so no row length to check
+        if a is None or a.shape != self.shape:
+            raise ValueError("data do not form a %dx%d matrix" % self.shape)
+        if q is None:
+            a = np.frompyfunc(_canon_rational, 1, 1)(a)
+        elif a.dtype == object:
+            a = np.frompyfunc(lambda x: int(x) % q, 1, 1)(a)
         else:
-            mat = []
-            for row in data:
-                mat.append(tuple(_canon_rational(x) for x in row))
-                if len(mat[-1]) != self.cols:
-                    raise ValueError("ragged row in rational matrix")
-            if len(mat) != self.rows:
-                raise ValueError("row count mismatch")
-            self._a = tuple(mat)
+            a = a % q
+        a.setflags(write=False)
+        self._a = a
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def _reduced(cls, a, q):
-        """Wrap an array of residues mod the prime q that is already reduced
-        and of dtype ``residue_dtype(q)``: no primality test, no copy."""
+    def _wrap(cls, a, q):
+        """Wrap a 2-D array already in storage form (reduced residues of
+        dtype ``residue_dtype(q)``, or canonical rationals in an object
+        array): no checks, no copy."""
         m = cls.__new__(cls)
         m.rows, m.cols = a.shape
         m.q = q
@@ -395,19 +399,6 @@ class ExactMatrix:
         m._rank = None
         a.setflags(write=False)
         m._a = a
-        return m
-
-    @classmethod
-    def _canonical(cls, rows, cols, data):
-        """Wrap rational rows whose entries are already canonical (ints, and
-        Fractions whose denominator is not 1): ``_reduced``'s rational twin,
-        with no checks and no per-entry canonicalisation."""
-        m = cls.__new__(cls)
-        m.rows, m.cols = rows, cols
-        m.q = None
-        m._rr = None
-        m._rank = None
-        m._a = tuple(map(tuple, data))
         return m
 
     @classmethod
@@ -419,11 +410,11 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, rows, cols, q=None):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)], q=q)
+        return cls(rows, cols, np.zeros((rows, cols), dtype=residue_dtype(q)), q=q)
 
     @classmethod
     def identity(cls, n, q=None):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)], q=q)
+        return cls(n, n, np.eye(n, dtype=residue_dtype(q)), q=q)
 
     # -- basic access --------------------------------------------------------
 
@@ -433,26 +424,20 @@ class ExactMatrix:
 
     def row_list(self):
         """Entries as a list of row lists (ints for GF(q), Fraction/int else)."""
-        if self.q is not None:
-            return [[int(x) for x in row] for row in self._a]
-        return [list(row) for row in self._a]
+        return self._a.tolist()
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.q != other.q or self.shape != other.shape:
             return False
-        if self.q is not None:
-            return bool(np.array_equal(self._a, other._a))
-        return self._a == other._a
+        return bool(np.array_equal(self._a, other._a))
 
     def __hash__(self):
         return hash((self.q, self.rows, self.cols))
 
     def is_zero(self):
-        if self.q is not None:
-            return not self._a.any()
-        return all(x == 0 for row in self._a for x in row)
+        return not self._a.any()
 
     def __repr__(self):
         tag = "Q" if self.q is None else "GF(%d)" % self.q
@@ -461,50 +446,33 @@ class ExactMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def transpose(self):
-        if self.q is not None:
-            return ExactMatrix._reduced(self._a.T, self.q)
-        data = list(zip(*self._a)) if self.rows else [()] * self.cols
-        return ExactMatrix._canonical(self.cols, self.rows, data)
+        return ExactMatrix._wrap(self._a.T, self.q)
 
     def __matmul__(self, other):
         if self.q != other.q:
             raise ValueError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        if self.q is not None:
-            return ExactMatrix._reduced(_mulmod(self._a, other._a, self.q), self.q)
-        if self.cols == 0:
-            return ExactMatrix.zeros(self.rows, other.cols)
-        a = np.array(self._a, dtype=object).reshape(self.shape)
-        b = np.array(other._a, dtype=object).reshape(other.shape)
-        return ExactMatrix(self.rows, other.cols, (a @ b).tolist(), q=None)
+        if self.q is None:
+            return ExactMatrix(self.rows, other.cols, self._a @ other._a)
+        return ExactMatrix._wrap(_mulmod(self._a, other._a, self.q), self.q)
 
     def __sub__(self, other):
         if self.q != other.q or self.shape != other.shape:
             raise ValueError("shape/field mismatch in subtraction")
-        if self.q is not None:
-            return ExactMatrix._reduced((self._a - other._a) % self.q, self.q)
-        data = [
-            [self._a[i][j] - other._a[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-        return ExactMatrix(self.rows, self.cols, data, q=None)
+        if self.q is None:
+            return ExactMatrix(self.rows, self.cols, self._a - other._a)
+        return ExactMatrix._wrap((self._a - other._a) % self.q, self.q)
 
     def augment(self, other):
         """Horizontal concatenation [self | other]."""
         if self.q != other.q or self.rows != other.rows:
             raise ValueError("shape/field mismatch in augment")
-        if self.q is not None:
-            return ExactMatrix._reduced(np.hstack([self._a, other._a]), self.q)
-        data = [x + y for x, y in zip(self._a, other._a)]
-        return ExactMatrix._canonical(self.rows, self.cols + other.cols, data)
+        return ExactMatrix._wrap(np.hstack([self._a, other._a]), self.q)
 
     def columns(self, idx):
         """Submatrix of the selected columns, in the given order."""
-        if self.q is not None:
-            return ExactMatrix._reduced(self._a[:, list(idx)], self.q)
-        data = [[row[j] for j in idx] for row in self._a]
-        return ExactMatrix._canonical(self.rows, len(idx), data)
+        return ExactMatrix._wrap(self._a[:, list(idx)], self.q)
 
     # -- elimination ---------------------------------------------------------
 
@@ -539,7 +507,7 @@ class ExactMatrix:
         return _echelon_dense(a, q, full, max(1, a.shape[1]))
 
     def _rref_rational(self):
-        a = [list(row) for row in self._a]
+        a = self._a.tolist()
         m, n = self.rows, self.cols
         pivots = []
         r = 0
@@ -569,7 +537,7 @@ class ExactMatrix:
                         row[j] = _canon_rational(row[j] - f * prow[j])
             pivots.append(c)
             r += 1
-        return a, pivots
+        return np.array(a, dtype=object).reshape(self.shape), pivots
 
     def rank(self) -> int:
         """Rank over the matrix's field.
@@ -589,7 +557,7 @@ class ExactMatrix:
             else:
                 rows = self._integer_rows()
                 a = np.array([[x % _CERT_PRIME for x in row] for row in rows], dtype=np.int64)
-                mod_p = ExactMatrix._reduced(a.reshape(self.shape), _CERT_PRIME)
+                mod_p = ExactMatrix._wrap(a.reshape(self.shape), _CERT_PRIME)
                 r = len(mod_p._rref_mod(full=False)[1])
                 self._rank = r if r == min(self.shape) else self._rank_bareiss(rows)
         return self._rank
@@ -598,9 +566,9 @@ class ExactMatrix:
         """Each rational row times the lcm of its denominators: integer rows
         spanning a matrix of the same rank."""
         rows = []
-        for row in self._a:
+        for row in self._a.tolist():
             den = lcm(*(x.denominator for x in row if type(x) is Fraction))
-            rows.append(list(row) if den == 1 else [int(x * den) for x in row])
+            rows.append(row if den == 1 else [int(x * den) for x in row])
         return rows
 
     def _rank_bareiss(self, rows) -> int:
@@ -640,30 +608,22 @@ class ExactMatrix:
         rr, pivots = self._rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
+        ker = np.zeros((self.cols, len(free)), dtype=rr.dtype)
+        ker[free, range(len(free))] = 1
+        ker[pivots] = -rr[: len(pivots), free]
         if self.q is not None:
-            q = self.q
-            ker = np.zeros((self.cols, len(free)), dtype=residue_dtype(q))
-            ker[free, range(len(free))] = 1
-            ker[pivots] = (-rr[: len(pivots), free]) % q
-            return ExactMatrix._reduced(ker, q)
-        cols = []
-        for f in free:
-            w = [0] * self.cols
-            w[f] = 1
-            for j, pc in enumerate(pivots):
-                w[pc] = -rr[j][f]
-            # Scaled by the lcm of its denominators the column is already
-            # primitive: every prime power of the lcm divides one denominator
-            # fully, and that entry's numerator is prime to it.
-            den = lcm(*(x.denominator for x in w if type(x) is Fraction))
-            if den != 1:
-                w = [int(x * den) for x in w]
-            lead = next((x for x in w if x != 0), 1)
-            if lead < 0:
-                w = [-x for x in w]
-            cols.append(w)
-        data = list(zip(*cols)) if cols else [()] * self.cols
-        return ExactMatrix._canonical(self.cols, len(free), data)
+            ker %= self.q
+        else:
+            for w in ker.T:
+                # Scaled by the lcm of its denominators the column is already
+                # primitive: every prime power of the lcm divides one
+                # denominator fully, and that entry's numerator is prime to it.
+                den = lcm(*(x.denominator for x in w if type(x) is Fraction))
+                if den != 1:
+                    w[:] = [int(x * den) for x in w]
+                if next((x for x in w if x != 0), 1) < 0:
+                    w[:] = -w
+        return ExactMatrix._wrap(ker, self.q)
 
     def solve(self, rhs: "ExactMatrix"):
         """One solution X of self @ X = rhs, or None if inconsistent.
@@ -676,14 +636,9 @@ class ExactMatrix:
         rr, pivots = aug._rref()
         if any(p >= self.cols for p in pivots):
             return None
-        if self.q is not None:
-            x = np.zeros((self.cols, rhs.cols), dtype=residue_dtype(self.q))
-            x[pivots] = rr[: len(pivots), self.cols :]
-            return ExactMatrix._reduced(x, self.q)
-        x = [[Fraction(0)] * rhs.cols for _ in range(self.cols)]
-        for j, pc in enumerate(pivots):
-            x[pc] = [Fraction(v) for v in rr[j][self.cols :]]
-        return ExactMatrix(self.cols, rhs.cols, x, q=None)
+        x = np.zeros((self.cols, rhs.cols), dtype=rr.dtype)
+        x[pivots] = rr[: len(pivots), self.cols :]
+        return ExactMatrix._wrap(x, self.q)
 
 
 # -- snake lemma ------------------------------------------------------------

@@ -35,8 +35,6 @@ __all__ = [
     "free_sections",
     "h0_basis",
     "monomials",
-    "pform_key",
-    "restricted_key",
     "restricted_sections",
     "restriction_of_forms",
 ]
@@ -117,6 +115,8 @@ def index_sets(nvars: int, p: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _key(ndiff: int, nvar: int, p: int, d: int) -> tuple:
+    """Ambient coordinate key of p-forms of twist d in dx_0..dx_{ndiff-1}
+    with coefficients in x_0..x_{nvar-1}: the pairs (I, m) in order."""
     if p < 0 or p > ndiff or d < p:
         return ()
     return tuple(
@@ -124,22 +124,12 @@ def _key(ndiff: int, nvar: int, p: int, d: int) -> tuple:
     )
 
 
-def pform_key(n: int, p: int, d: int) -> tuple:
-    """Ambient coordinate key of polynomial p-forms of twist d on P^n."""
-    return _key(n + 1, n + 1, p, d)
-
-
-def restricted_key(n: int, p: int, d: int) -> tuple:
-    """Key for forms with all n+1 differentials but coefficients in x_0..x_{n-1}."""
-    return _key(n + 1, n, p, d)
-
-
 def _mult_var(m: tuple, j: int) -> tuple:
     return m[:j] + (m[j] + 1,) + m[j + 1 :]
 
 
-def _contraction(p: int, d: int, ndiff: int, nvar: int, neuler: int, q) -> ExactMatrix:
-    """Matrix of contraction with sum_{i < neuler} x_i d/dx_i.
+def _contraction(p: int, d: int, ndiff: int, nvar: int, q) -> ExactMatrix:
+    """Matrix of contraction with sum_{i < nvar} x_i d/dx_i.
 
     Deleting different positions of an index set gives different index
     sets, so each (row, column) is set at most once.
@@ -150,7 +140,7 @@ def _contraction(p: int, d: int, ndiff: int, nvar: int, neuler: int, q) -> Exact
     rows, cols, vals = [], [], []
     for col, (I, m) in enumerate(dom):
         for pos, j in enumerate(I):
-            if j >= neuler:
+            if j >= nvar:
                 continue
             rows.append(cod_index[(I[:pos] + I[pos + 1 :], _mult_var(m, j))])
             cols.append(col)
@@ -160,19 +150,15 @@ def _contraction(p: int, d: int, ndiff: int, nvar: int, neuler: int, q) -> Exact
 
 def _assemble(nrows: int, ncols: int, rows, cols, vals, q) -> ExactMatrix:
     """Matrix with the Python int vals[k] at (rows[k], cols[k]), each
-    position given at most once; over GF(q) it is filled as one array of
-    ``residue_dtype(q)`` in which only the given values need reducing, over
-    Q as row lists that are already canonical."""
-    if q is None:
-        data = [[0] * ncols for _ in range(nrows)]
-        for i, j, v in zip(rows, cols, vals):
-            data[i][j] = v
-        return ExactMatrix._canonical(nrows, ncols, data)
-    if not is_prime(q):
-        raise ValueError("modulus %r is not prime" % (q,))
+    position given at most once, filled as one array of ``residue_dtype(q)``
+    in which only the given values need reducing (over Q none do)."""
+    if q is not None:
+        if not is_prime(q):
+            raise ValueError("modulus %r is not prime" % (q,))
+        vals = [v % q for v in vals]
     a = np.zeros((nrows, ncols), dtype=residue_dtype(q))
-    a[rows, cols] = [v % q for v in vals]
-    return ExactMatrix._reduced(a, q)
+    a[rows, cols] = vals
+    return ExactMatrix._wrap(a, q)
 
 
 def contraction_matrix(n: int, p: int, d: int, q=None) -> ExactMatrix:
@@ -182,7 +168,23 @@ def contraction_matrix(n: int, p: int, d: int, q=None) -> ExactMatrix:
     """
     if not 1 <= p <= n + 1:
         raise ValueError("contraction needs 1 <= p <= n+1, got p=%d" % p)
-    return _contraction(p, d, n + 1, n + 1, n + 1, q)
+    return _contraction(p, d, n + 1, n + 1, q)
+
+
+def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
+    """Sections of ``desc``'s twist d among its p-forms in dx_0..dx_n with
+    coefficients in x_0..x_{nvar-1}: the kernel of contraction with
+    sum_{i < nvar} x_i d/dx_i, all of them at p = 0, and a 0x0 basis when
+    there are no such forms."""
+    n, p, d = desc.n, desc.p, desc.d
+    key = _key(n + 1, nvar, p, d)
+    if p == 0:
+        basis = ExactMatrix.identity(len(key), q=q)
+    elif not key:
+        basis = ExactMatrix.zeros(0, 0, q=q)
+    else:
+        basis = _contraction(p, d, n + 1, nvar, q).kernel_basis()
+    return SectionSpace(desc, basis, key)
 
 
 @lru_cache(maxsize=None)
@@ -195,15 +197,7 @@ def h0_basis(n: int, p: int, d: int, q=DEFAULT_PRIME) -> SectionSpace:
     """
     if not 0 <= p <= n + 1:
         raise ValueError("form degree p=%d out of range for P^%d" % (p, n))
-    desc = OmegaForms(n, p, d)
-    key = pform_key(n, p, d)
-    if p == 0:
-        basis = ExactMatrix.identity(len(key), q=q)
-        return SectionSpace(desc, basis, key)
-    if not key:
-        return SectionSpace(desc, ExactMatrix.zeros(0, 0, q=q), key)
-    basis = _contraction(p, d, n + 1, n + 1, n + 1, q).kernel_basis()
-    return SectionSpace(desc, basis, key)
+    return _kernel_sections(OmegaForms(n, p, d), n + 1, q)
 
 
 @lru_cache(maxsize=None)
@@ -218,15 +212,7 @@ def restricted_sections(n: int, p: int, d: int, q=DEFAULT_PRIME) -> SectionSpace
         raise ValueError("restriction needs n >= 1")
     if not 0 <= p <= n + 1:
         raise ValueError("form degree p=%d out of range" % p)
-    desc = RestrictedOmega(n, p, d)
-    key = restricted_key(n, p, d)
-    if p == 0:
-        basis = ExactMatrix.identity(len(key), q=q)
-        return SectionSpace(desc, basis, key)
-    if not key:
-        return SectionSpace(desc, ExactMatrix.zeros(0, 0, q=q), key)
-    basis = _contraction(p, d, n + 1, n, n, q).kernel_basis()
-    return SectionSpace(desc, basis, key)
+    return _kernel_sections(RestrictedOmega(n, p, d), n, q)
 
 
 @lru_cache(maxsize=None)
@@ -237,14 +223,6 @@ def free_sections(n: int, d: int, r: int, q=DEFAULT_PRIME) -> SectionSpace:
     mons = monomials(n + 1, d)
     key = tuple((j, m) for j in range(r) for m in mons)
     return SectionSpace(FreeSum(n, d, r), ExactMatrix.identity(len(key), q=q), key)
-
-
-def _express(space: SectionSpace, vectors: ExactMatrix, what: str) -> ExactMatrix:
-    """Coordinates of ambient column vectors in a section basis."""
-    coords = space.basis.solve(vectors)
-    if coords is None:
-        raise ConsistencyError("%s: image does not lie in %r" % (what, space.descriptor))
-    return coords
 
 
 def _ambient_map(src_key, tgt_key, entries, q) -> ExactMatrix:
@@ -261,6 +239,17 @@ def _ambient_map(src_key, tgt_key, entries, q) -> ExactMatrix:
             cols.append(col)
             vals.append(val)
     return _assemble(len(tgt_key), len(src_key), rows, cols, vals, q)
+
+
+def _section_map(src: SectionSpace, tgt: SectionSpace, entries, what: str) -> ExactMatrix:
+    """Matrix, between the section bases, of the ambient map with the
+    ``entries`` of ``_ambient_map``; ``what`` names it if an image does not
+    lie in ``tgt``."""
+    amb = _ambient_map(src.key, tgt.key, entries, src.basis.q)
+    coords = tgt.basis.solve(amb @ src.basis)
+    if coords is None:
+        raise ConsistencyError("%s: image does not lie in %r" % (what, tgt.descriptor))
+    return coords
 
 
 def restriction_of_forms(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix:
@@ -280,8 +269,7 @@ def restriction_of_forms(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix
             return ()
         return ((I, m[:n]), 1),
 
-    proj = _ambient_map(src.key, tgt.key, entries, q)
-    return _express(tgt, proj @ src.basis, "restriction_of_forms(%d,%d,%d)" % (n, p, d))
+    return _section_map(src, tgt, entries, "restriction_of_forms(%d,%d,%d)" % (n, p, d))
 
 
 def conormal_wedge(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix:
@@ -297,8 +285,7 @@ def conormal_wedge(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix:
         I, m = pair
         return ((I + (n,), m), sign),
 
-    wedge = _ambient_map(src.key, tgt.key, entries, q)
-    return _express(tgt, wedge @ src.basis, "conormal_wedge(%d,%d,%d)" % (n, p, d))
+    return _section_map(src, tgt, entries, "conormal_wedge(%d,%d,%d)" % (n, p, d))
 
 
 def drop_last_differential(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix:
@@ -315,8 +302,7 @@ def drop_last_differential(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatr
             return ()
         return ((I, m), 1),
 
-    proj = _ambient_map(src.key, tgt.key, entries, q)
-    return _express(tgt, proj @ src.basis, "drop_last_differential(%d,%d,%d)" % (n, p, d))
+    return _section_map(src, tgt, entries, "drop_last_differential(%d,%d,%d)" % (n, p, d))
 
 
 def claim_i_kernel_test(n: int, p: int, d: int, q=DEFAULT_PRIME) -> bool:

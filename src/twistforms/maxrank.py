@@ -187,13 +187,11 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
         scales = [lcm(*(Fraction(c).denominator for c in pt.coords)) for pt in pts.points]
         rows = [[int(c * k) for c in pt.coords] for pt, k in zip(pts.points, scales)]
         coords = np.array(rows, dtype=object)
-        basis = np.array(space.basis._a, dtype=object)
     else:
         coords = np.array([pt.coords for pt in pts.points], dtype=residue_dtype(q))
-        basis = space.basis._a
     exps = np.array(monomials(n + 1, d), dtype=np.int64)
     sets = index_sets(n + 1, p + 1)
-    basis = basis.reshape(len(sets), len(exps), h).transpose(1, 0, 2)
+    basis = space.basis._a.reshape(len(sets), len(exps), h).transpose(1, 0, 2)
     out = np.zeros((s, fiber, h), dtype=basis.dtype)
     for v in sorted(set(piv)):
         group = [k for k, w in enumerate(piv) if w == v]
@@ -203,7 +201,7 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
         prod = table @ sections if q is None else _mulmod(table, sections, q)
         out[group] = prod.reshape(len(group), fiber, h)
     if q is not None:
-        return ExactMatrix._reduced(out.reshape(s * fiber, h), q)
+        return ExactMatrix._wrap(out.reshape(s * fiber, h), q)
     rows = [[Fraction(x, k**d) for x in row] for block, k in zip(out, scales) for row in block]
     return ExactMatrix(s * fiber, h, rows, q=None)
 

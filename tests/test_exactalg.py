@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from unittest import mock
 
 import numpy as np
@@ -87,6 +88,21 @@ def test_solve_consistent_and_inconsistent():
 def test_nonprime_modulus_rejected():
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[1]], q=100)
+
+
+@pytest.mark.parametrize("q", [None, 101, 2**61 - 1])
+def test_constructor_rejects_data_of_another_shape(q):
+    for rows, cols, data in (
+        (1, 4, [[1, 2], [3, 4]]),
+        (2, 2, [[1, 2], [3]]),
+        (2, 2, [[1, 2]]),
+        (1, 2, [1, 2]),
+        (2, 0, []),
+    ):
+        with pytest.raises(ValueError, match="do not form a %dx%d matrix" % (rows, cols)):
+            ExactMatrix(rows, cols, data, q=q)
+    # An empty row list has no row length to check: it fits any 0-row shape.
+    assert ExactMatrix(0, 3, [], q=q).shape == (0, 3)
 
 
 # The least strong pseudoprime to the bases 2..37 (OEIS A014233).
@@ -372,8 +388,8 @@ def test_limb_tier_at_its_inner_dimension_bound(monkeypatch):
     q = CERT_PRIME
     for k, limbs in ((exactalg._LIMB_INNER_MAX, True), (exactalg._LIMB_INNER_MAX + 1, False)):
         fmods.clear()
-        a = ExactMatrix._reduced(np.full((1, k), q - 1, dtype=np.int64), q)
-        b = ExactMatrix._reduced(np.full((k, 1), q - 1, dtype=np.int64), q)
+        a = ExactMatrix._wrap(np.full((1, k), q - 1, dtype=np.int64), q)
+        b = ExactMatrix._wrap(np.full((k, 1), q - 1, dtype=np.int64), q)
         assert (a @ b).row_list() == [[k * (q - 1) ** 2 % q]]
         assert bool(fmods) is limbs
 
@@ -516,12 +532,12 @@ def _same_array(x, ref):
 @given(residue_arrays())
 def test_elimination_paths_match_per_pivot_reference(case):
     q, a = case
-    m = ExactMatrix._reduced(a, q)
+    m = ExactMatrix._wrap(a, q)
     ref_rr, ref_pivots = _whole_row_rref(m)
     unbounded = 1 << 30
     # The routed entry point, each path on its own, and the budget fallback.
     with mock.patch.object(exactalg, "_SPARSE_WORK", 0):
-        fallback = ExactMatrix._reduced(a, q)._rref_mod()
+        fallback = ExactMatrix._wrap(a, q)._rref_mod()
     # Panels of 1, 2, 3 and 32 columns, and one panel as wide as the matrix.
     widths = (1, 2, 3, 32, max(1, a.shape[1]))
     for rr, pivots in (
@@ -541,8 +557,8 @@ def test_elimination_paths_match_per_pivot_reference(case):
     ):
         assert pivots == ref_pivots
         assert ech.dtype == ref_rr.dtype
-        assert _same_array(_whole_row_rref(ExactMatrix._reduced(ech, q))[0], ref_rr)
-    assert ExactMatrix._reduced(a, q).rank() == len(ref_pivots)
+        assert _same_array(_whole_row_rref(ExactMatrix._wrap(ech, q))[0], ref_rr)
+    assert ExactMatrix._wrap(a, q).rank() == len(ref_pivots)
 
 
 def test_rank_takes_forward_elimination_and_leaves_rref_uncached(monkeypatch):
@@ -567,7 +583,7 @@ def test_fill_heavy_matrix_exhausts_budget_and_matches_reference():
     assert nnz <= exactalg._SPARSE_DENSITY * a.size
     assert exactalg._echelon_sparse(a, q, True, exactalg._SPARSE_WORK * nnz) is None
     assert exactalg._echelon_sparse(a, q, False, exactalg._SPARSE_WORK * nnz) is None
-    m = ExactMatrix._reduced(a, q)
+    m = ExactMatrix._wrap(a, q)
     rr, pivots = m._rref_mod()
     ref_rr, ref_pivots = _whole_row_rref(m)
     assert pivots == ref_pivots and _same_array(rr, ref_rr)
@@ -670,14 +686,14 @@ def _dense_example(q):
 def test_blocked_elimination_matches_per_pivot_reference(case, b):
     q, a = case
     b = b or max(1, a.shape[1])  # None: one panel, the per-pivot loop
-    ref_rr, ref_pivots = _whole_row_rref(ExactMatrix._reduced(a, q))
+    ref_rr, ref_pivots = _whole_row_rref(ExactMatrix._wrap(a, q))
     rr, pivots = exactalg._echelon_dense(a, q, True, b)
     assert pivots == ref_pivots and _same_array(rr, ref_rr)
     ech, pivots = exactalg._echelon_dense(a, q, False, b)
     assert pivots == ref_pivots
     assert ech.dtype == a.dtype and _is_echelon(ech, pivots)
     # Its rows span the same space: their RREF is the full one.
-    assert _same_array(_whole_row_rref(ExactMatrix._reduced(ech, q))[0], ref_rr)
+    assert _same_array(_whole_row_rref(ExactMatrix._wrap(ech, q))[0], ref_rr)
 
 
 def test_large_dense_ranks_take_the_blocked_path(monkeypatch):
@@ -703,36 +719,65 @@ def test_large_dense_ranks_take_the_blocked_path(monkeypatch):
     # Too small, sparse, or a prime past the float64 tier for a panel: one
     # panel as wide as the matrix.
     assert path(rank_one(127, 200, 101)) == [200]
-    assert path(ExactMatrix._reduced(rng.integers(0, 101, (90, 84)), 101)) == [84]
+    assert path(ExactMatrix._wrap(rng.integers(0, 101, (90, 84)), 101)) == [84]
     assert path(contraction_matrix(4, 2, 5, q=101)) == ["sparse"]
     assert path(rank_one(128, 128, 2**31 - 1)) == [128]
     assert path(rank_one(128, 128, 2**61 - 1)) == [128]
     # A full RREF takes panels too, and back-substitutes to the same RREF.
     taken.clear()
-    m = ExactMatrix._reduced(ev._a, 101)
+    m = ExactMatrix._wrap(ev._a, 101)
     rr, pivots = m._rref()
     assert taken == [32]
     ref_rr, ref_pivots = _whole_row_rref(m)
     assert pivots == ref_pivots and _same_array(rr, ref_rr)
 
 
+def _assert_canonical_storage(m):
+    """A rational matrix is stored as a read-only 2-D object array of ints
+    and Fractions whose denominator is not 1."""
+    a = m._a
+    assert isinstance(a, np.ndarray) and a.dtype == object and a.shape == m.shape
+    assert not a.flags.writeable
+    for x in a.ravel():
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), x
+
+
 @settings(max_examples=60, deadline=None)
 @given(rational_matrices(), st.data())
 def test_canonical_wraps_equal_constructed_matrices(m, data):
+    from twistforms.maxrank import eval_matrix, random_points
+
     rows = m.row_list()
     idx = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=6)) if m.cols else []
+    rev = [[r[m.cols - 1 - j] for j in range(m.cols)] for r in rows]
+    gram = m @ m.transpose()
+    sol = m.solve(gram)  # consistent: m.transpose() is one solution
     ker = m.kernel_basis()
+    ev = eval_matrix(2, 0, 2, random_points(2, 3, q=None, seed=len(rows)))
     for x, ref in (
         (m.transpose(), ExactMatrix(m.cols, m.rows, [[r[j] for r in rows] for j in range(m.cols)])),
         (m.augment(m), ExactMatrix(m.rows, 2 * m.cols, [r + r for r in rows])),
         (m.columns(idx), ExactMatrix(m.rows, len(idx), [[r[j] for j in idx] for r in rows])),
+        (
+            m - ExactMatrix(m.rows, m.cols, rev),
+            ExactMatrix(m.rows, m.cols, [[x - y for x, y in zip(r, v)] for r, v in zip(rows, rev)]),
+        ),
+        (gram, ExactMatrix.from_rows([[sum(map(mul, r, v)) for v in rows] for r in rows])),
+        (sol, ExactMatrix(sol.rows, sol.cols, sol.row_list())),
         (ker, ExactMatrix(ker.rows, ker.cols, ker.row_list())),
+        (ExactMatrix.zeros(m.rows, m.cols), ExactMatrix(m.rows, m.cols, [[0] * m.cols] * m.rows)),
+        (ExactMatrix.identity(m.rows), ExactMatrix.from_rows(np.eye(m.rows, dtype=int).tolist())),
+        (ev, ExactMatrix(ev.rows, ev.cols, ev.row_list())),
     ):
+        _assert_canonical_storage(x)
+        _assert_canonical_storage(ref)
         assert x == ref and x.shape == ref.shape
         assert _typed(x.row_list()) == _typed(ref.row_list())
+    assert m @ sol == gram
     for n, p, d in ((1, 1, 2), (2, 1, 3), (3, 2, 2), (2, 3, 3)):
         c = contraction_matrix(n, p, d, q=None)
         ref = ExactMatrix(c.rows, c.cols, c.row_list())
+        _assert_canonical_storage(c)
         assert c == ref and c.shape == ref.shape
 
 
