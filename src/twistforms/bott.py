@@ -37,7 +37,8 @@ def h_omega(n: int, p: int, d: int, i: int) -> int:
 
     The top-degree branch uses binom(p-d, -d) * binom(-d-1, n-p); this is
     the form that satisfies Serre duality against the h^0 branch and that
-    the kernel construction in the forms module reproduces.
+    the closed-form Koszul-contraction kernels of the forms module
+    reproduce.
     """
     _check_range(n, p, i)
     if i == 0 and d > p:

@@ -227,8 +227,12 @@ def _echelon_dense(a, q: int, full: bool, b: int):
         for c in range(c1 - c0):
             if k == len(rows):
                 break
+            # With ``lag`` 1 the block below and right of the last pivot was
+            # reduced right after it (and the panel starts reduced), so the
+            # next column and pivot row, which lie inside it, are reduced.
             col = panel[k:, c]
-            col %= q
+            if lag > 1:
+                col %= q
             nz = np.flatnonzero(col)
             if nz.size == 0:
                 continue
@@ -237,7 +241,8 @@ def _echelon_dense(a, q: int, full: bool, b: int):
                 rows[[k, i]] = rows[[i, k]]
             inv = pow(int(panel[k, c]), q - 2, q)
             u = panel[k, c + 1 :]
-            u %= q
+            if lag > 1:
+                u %= q
             u *= inv
             u %= q
             # Column c keeps the multipliers of the rows below: L21 and L11.

@@ -4,8 +4,19 @@ A polynomial p-form of twist d is a vector indexed by pairs (I, m): I a
 strictly increasing p-element subset of {0..n} (the wedge of dx_i for i in
 I) and m a monomial of degree d-p in the homogeneous coordinates.  Global
 sections of Omega^p(d) are exactly the forms annihilated by contraction
-with the Euler field sum x_i d/dx_i, so every section space below is a
-kernel of an explicit integer matrix.
+iota with the Euler field sum x_i d/dx_i, so every section space below is a
+kernel of an explicit integer matrix with entries 0 and +/-1.
+
+That kernel is written out in closed form, from the contracting homotopy
+of the Koszul complex (Eisenbud, *Commutative Algebra*, section 17), with
+no elimination.  Contraction keeps the multidegree m + 1_I of a form
+x^m dx_I, so the matrix is block diagonal, one block per multidegree.  In
+a block, v0 is the least variable that occurs in it.  The forms whose I
+contains v0 are the pivot columns of the matrix's RREF; every other form w
+is a free column, with kernel vector w - h(iota w) for the homotopy
+h = dx_{v0} ^ (.) / x_{v0}.  These are the vectors the RREF gives, so each
+basis is the one ``ExactMatrix.kernel_basis`` of ``contraction_matrix``
+would return, entry for entry; the tests check this against the matrix.
 
 Index sets are ordered lexicographically and monomials in graded-lex order
 with x_0 > x_1 > ... > x_n, so all matrices are reproducible across runs.
@@ -164,7 +175,9 @@ def _assemble(nrows: int, ncols: int, rows, cols, vals, q) -> ExactMatrix:
 def contraction_matrix(n: int, p: int, d: int, q=None) -> ExactMatrix:
     """Euler contraction from p-forms to (p-1)-forms of twist d on P^n.
 
-    Entries are 0 and +/-1; a 0x0 matrix when the domain is empty.
+    Entries are 0 and +/-1; a 0x0 matrix when the domain is empty.  The
+    section bases do not eliminate it: their closed form is checked against
+    this matrix's ``kernel_basis`` in the tests.
     """
     if not 1 <= p <= n + 1:
         raise ValueError("contraction needs 1 <= p <= n+1, got p=%d" % p)
@@ -173,18 +186,55 @@ def contraction_matrix(n: int, p: int, d: int, q=None) -> ExactMatrix:
 
 def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
     """Sections of ``desc``'s twist d among its p-forms in dx_0..dx_n with
-    coefficients in x_0..x_{nvar-1}: the kernel of contraction with
-    sum_{i < nvar} x_i d/dx_i, all of them at p = 0, and a 0x0 basis when
-    there are no such forms."""
+    coefficients in x_0..x_{nvar-1}: the kernel of contraction iota with
+    sum_{i < nvar} x_i d/dx_i, as ``kernel_basis`` gives it (the identity
+    on the RREF's free columns over GF(q); over Q each column negated when
+    its first nonzero entry is negative), filled in closed form.
+
+    Contraction keeps the multidegree m + 1_J of x^m dx_J, so the matrix is
+    block diagonal.  In the block of (J, m), v0 is the least j < nvar with
+    m_j > 0 or j in J.  The pivot columns are the (J, m) with v0 in J.  A
+    free column w = x^m dx_J has the kernel vector w - h(iota w), with
+    h = dx_{v0} ^ (.) / x_{v0}:
+
+        x^m dx_J - sum_{pos: J[pos] < nvar} (-1)^pos x^(m + e_J[pos] - e_v0) dx_{(v0,) + J - J[pos]}
+
+    It lies in the kernel, since iota h + h iota = 1.  It is the RREF's
+    kernel vector: its other entries are at pivot columns, all before
+    (J, m) because v0 < min J, and the pivot columns are independent,
+    since the terms of iota(dx_{v0} ^ u) = x_{v0} u - dx_{v0} ^ iota(u)
+    without dx_{v0} determine u.  So the free columns depend on earlier
+    ones and the pivot columns do not, and over Q only the sign rule is
+    left, as every entry is +/-1.  A column with no v0 (restricted p = 1,
+    J = (n,), m = 0) is zero, and its kernel vector is itself; at p = 0
+    every column is free and the basis is the identity.
+    """
     n, p, d = desc.n, desc.p, desc.d
     key = _key(n + 1, nvar, p, d)
-    if p == 0:
-        basis = ExactMatrix.identity(len(key), q=q)
-    elif not key:
-        basis = ExactMatrix.zeros(0, 0, q=q)
-    else:
-        basis = _contraction(p, d, n + 1, nvar, q).kernel_basis()
-    return SectionSpace(desc, basis, key)
+    index = {pair: i for i, pair in enumerate(key)}
+    rows, cols, vals = [], [], []
+    free = 0
+    for row, (J, m) in enumerate(key):
+        v0 = next((j for j in range(nvar) if m[j] or j in J), None)
+        if v0 is not None and v0 in J:
+            continue  # a pivot column
+        terms = [(row, 1)]
+        for pos, j in enumerate(J):
+            if j < nvar:
+                shifted = list(m)
+                shifted[j] += 1
+                shifted[v0] -= 1
+                other = ((v0,) + J[:pos] + J[pos + 1 :], tuple(shifted))
+                terms.append((index[other], 1 if pos % 2 else -1))
+        # Over Q, kernel_basis negates a column whose first nonzero is negative.
+        if q is None and min(terms)[1] < 0:
+            terms = [(i, -v) for i, v in terms]
+        for i, v in terms:
+            rows.append(i)
+            cols.append(free)
+            vals.append(v)
+        free += 1
+    return SectionSpace(desc, _assemble(len(key), free, rows, cols, vals, q), key)
 
 
 @lru_cache(maxsize=None)

@@ -6,9 +6,12 @@ from twistforms.bott import binom, h_O, h_omega
 from twistforms.exactalg import ExactMatrix
 from twistforms.forms import (
     ConsistencyError,
+    OmegaForms,
+    RestrictedOmega,
     _ambient_map,
     _assemble,
     _contraction,
+    _kernel_sections,
     _key,
     _mult_var,
     claim_i_kernel_test,
@@ -233,6 +236,37 @@ def test_assemble_equals_constructed_matrix(q):
         assert got._a.dtype == want._a.dtype
         assert [type(x) for x in got._a.ravel()] == [type(x) for x in want._a.ravel()]
         assert got._a.tolist() == want._a.tolist()
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 2**31 - 1, 2**61 - 1, None])
+def test_closed_form_sections_equal_the_contraction_rref_kernel(q):
+    # Entry for entry, in dtype and in Python entry type; d = p - 1 has no
+    # forms, and nvar = n is the restricted case, which at p = d = 1 has a
+    # zero column.  At p = 0 every form is a section.
+    for n in range(5):
+        for nvar in (n, n + 1):
+            desc = OmegaForms if nvar == n + 1 else RestrictedOmega
+            for p in range(n + 2):
+                for d in range(p - 1, p + 4):
+                    got = _kernel_sections(desc(n, p, d), nvar, q).basis
+                    if p == 0:
+                        want = ExactMatrix.identity(len(_key(n + 1, nvar, 0, d)), q=q)
+                    else:
+                        want = _contraction(p, d, n + 1, nvar, q).kernel_basis()
+                    case = (n, nvar, p, d)
+                    assert got.shape == want.shape and got == want, case
+                    assert got._a.dtype == want._a.dtype, case
+                    assert [type(x) for x in got._a.ravel()] == [
+                        type(x) for x in want._a.ravel()
+                    ], case
+
+
+@pytest.mark.parametrize("p, d", [(0, 2), (1, 2), (2, 4), (3, 2)])
+def test_section_spaces_reject_a_composite_modulus(p, d):
+    with pytest.raises(ValueError, match="not prime"):
+        h0_basis(2, p, d, 100)
+    with pytest.raises(ValueError, match="not prime"):
+        restricted_sections(2, p, d, 100)
 
 
 def test_assemble_rejects_a_composite_modulus():
