@@ -11,11 +11,14 @@ are
     bottom_mid    Omega^{p+1}_{P^n}(p+2+t) restricted to x_n = 0
 
 and the arrows are realized as matrices between the explicit section
-bases of the forms module.  The two column maps out of the top node and
-the surjection free -> bottom_left are obtained by linear solves against
-the commutativity constraints; a failed solve aborts construction with a
-named diagnostic.  t = 0 is the theorem instance; larger twists are a
-faithfulness sweep with the same code.
+bases of the forms module.  The six maps that come from maps of forms
+(twist, free inclusion, restriction, restriction to the hyperplane, wedge
+and drop) read their coordinates off the target basis's free rows, with
+no elimination.  The two left-column maps, top -> free and the surjection
+free -> bottom_left, are obtained by linear solves against the
+commutativity constraints.  An image outside its target or a failed solve
+aborts construction with a named diagnostic.  t = 0 is the theorem
+instance; larger twists are a faithfulness sweep with the same code.
 """
 
 from __future__ import annotations

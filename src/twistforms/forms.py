@@ -18,6 +18,12 @@ h = dx_{v0} ^ (.) / x_{v0}.  These are the vectors the RREF gives, so each
 basis is the one ``ExactMatrix.kernel_basis`` of ``contraction_matrix``
 would return, entry for entry; the tests check this against the matrix.
 
+Each section space also names its free rows, one ambient row per basis
+column: the free forms above, and every row of a free sum.  On those rows
+the basis is the identity over GF(q) and a diagonal of +/-1 over Q, so the
+maps between section spaces read the coordinates of an image off its free
+rows, with no elimination, and one product checks that it lies in the span.
+
 Index sets are ordered lexicographically and monomials in graded-lex order
 with x_0 > x_1 > ... > x_n, so all matrices are reproducible across runs.
 """
@@ -93,12 +99,15 @@ class SectionSpace:
     """An explicit basis of global sections.
 
     ``key`` lists the ambient coordinate pairs; ``basis`` has one column
-    per basis section, expressed in those coordinates.
+    per basis section, expressed in those coordinates.  ``free`` has one
+    ambient row per column, the only row of ``free`` where that column is
+    nonzero; there its entry is 1 over GF(q) and +/-1 over Q.
     """
 
     descriptor: object
     basis: ExactMatrix
     key: tuple
+    free: tuple
 
     @property
     def dim(self) -> int:
@@ -207,13 +216,13 @@ def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
     ones and the pivot columns do not, and over Q only the sign rule is
     left, as every entry is +/-1.  A column with no v0 (restricted p = 1,
     J = (n,), m = 0) is zero, and its kernel vector is itself; at p = 0
-    every column is free and the basis is the identity.
+    every column is free and the basis is the identity.  The free rows
+    (J, m) are recorded as the space's ``free``.
     """
     n, p, d = desc.n, desc.p, desc.d
     key = _key(n + 1, nvar, p, d)
     index = {pair: i for i, pair in enumerate(key)}
-    rows, cols, vals = [], [], []
-    free = 0
+    rows, cols, vals, free = [], [], [], []
     for row, (J, m) in enumerate(key):
         v0 = next((j for j in range(nvar) if m[j] or j in J), None)
         if v0 is not None and v0 in J:
@@ -231,10 +240,10 @@ def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
             terms = [(i, -v) for i, v in terms]
         for i, v in terms:
             rows.append(i)
-            cols.append(free)
+            cols.append(len(free))
             vals.append(v)
-        free += 1
-    return SectionSpace(desc, _assemble(len(key), free, rows, cols, vals, q), key)
+        free.append(row)
+    return SectionSpace(desc, _assemble(len(key), len(free), rows, cols, vals, q), key, tuple(free))
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +281,8 @@ def free_sections(n: int, d: int, r: int, q=DEFAULT_PRIME) -> SectionSpace:
         raise ValueError("multiplicity must be nonnegative")
     mons = monomials(n + 1, d)
     key = tuple((j, m) for j in range(r) for m in mons)
-    return SectionSpace(FreeSum(n, d, r), ExactMatrix.identity(len(key), q=q), key)
+    basis = ExactMatrix.identity(len(key), q=q)
+    return SectionSpace(FreeSum(n, d, r), basis, key, tuple(range(len(key))))
 
 
 def _ambient_map(src_key, tgt_key, entries, q) -> ExactMatrix:
@@ -294,10 +304,19 @@ def _ambient_map(src_key, tgt_key, entries, q) -> ExactMatrix:
 def _section_map(src: SectionSpace, tgt: SectionSpace, entries, what: str) -> ExactMatrix:
     """Matrix, between the section bases, of the ambient map with the
     ``entries`` of ``_ambient_map``; ``what`` names it if an image does not
-    lie in ``tgt``."""
-    amb = _ambient_map(src.key, tgt.key, entries, src.basis.q)
-    coords = tgt.basis.solve(amb @ src.basis)
-    if coords is None:
+    lie in ``tgt``.
+
+    The coordinates are selected, not solved for.  On the rows ``tgt.free``
+    the target basis B is a diagonal D of 1s over GF(q) and of +/-1s over
+    Q, so an image B @ Y has the rows D @ Y there, and Y is those rows
+    times D.  An image outside the span differs from B times its selected
+    coordinates, so the one product check is exact and complete.
+    """
+    image = _ambient_map(src.key, tgt.key, entries, src.basis.q) @ src.basis
+    free = list(tgt.free)
+    signs = tgt.basis._a[free, range(len(free))]
+    coords = ExactMatrix._wrap(image._a[free] * signs[:, None], image.q)
+    if tgt.basis @ coords != image:
         raise ConsistencyError("%s: image does not lie in %r" % (what, tgt.descriptor))
     return coords
 

@@ -256,6 +256,8 @@ class RankCertificate:
         seed, trials, rank = (_entry(doc, key, int) for key in ("seed", "trials", "rank"))
         maximal = _entry(doc, "maximal", bool)
         pts = tuple(_parse_point(pt, n, q) for pt in _entry(doc, "points", list))
+        if len(pts) != s:
+            raise CertificateError("certificate lists %d points for s = %d" % (len(pts), s))
         return cls(n, p, d, s, q, seed, trials, tuple(shape), rank, maximal, pts)
 
 
@@ -301,13 +303,10 @@ def maxrank_test(
     fiber = comb(n, p + 1)
     shape = (s * fiber, space_dim)
     bound = min(shape)
-    best_rank = -1
-    best_pts = None
-    used = 0
+    best_rank, best_pts = -1, None
     for trial in range(trials):
-        used = trial + 1
         pts = random_points(n, s, q, _trial_seed(seed, trial))
-        r = eval_matrix(n, p, d, pts).rank() if s > 0 else 0
+        r = eval_matrix(n, p, d, pts).rank()
         if r > best_rank:
             best_rank, best_pts = r, pts
         if r == bound:
@@ -319,11 +318,11 @@ def maxrank_test(
         s,
         q,
         seed,
-        used,
+        trial + 1,
         shape,
-        best_rank if s > 0 else 0,
-        (best_rank if s > 0 else 0) == bound,
-        tuple(pt.coords for pt in best_pts.points) if best_pts is not None else (),
+        best_rank,
+        best_rank == bound,
+        tuple(pt.coords for pt in best_pts.points),
     )
 
 
@@ -334,8 +333,6 @@ def verify_certificate(cert: RankCertificate) -> bool:
     pts = PointSet(
         cert.n, tuple(ProjPoint.make(c, cert.q) for c in cert.points), cert.q, cert.seed
     )
-    if cert.s == 0:
-        return cert.rank == 0 and cert.maximal
     m = eval_matrix(cert.n, cert.p, cert.d, pts)
     r = m.rank()
     return m.shape == cert.shape and r == cert.rank and cert.maximal == (r == min(cert.shape))

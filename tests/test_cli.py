@@ -115,6 +115,9 @@ def test_maxrank_witnessed_and_not(capsys, tmp_path):
         lambda doc: doc.update(shape=[8]),
         # A strong pseudoprime to the bases 2..37.
         lambda doc: doc.update(field={"kind": "prime", "modulus": 318665857834031151167461}),
+        # s changed with the points kept, and a point dropped with s kept.
+        lambda doc: doc["problem"].update(s=3),
+        lambda doc: doc.update(points=doc["points"][:3]),
     ],
 )
 def test_maxrank_verify_rejects_malformed_certificate(capsys, tmp_path, edit):

@@ -1,5 +1,6 @@
 """Section spaces as Koszul-contraction kernels, and the maps between them."""
 
+import numpy as np
 import pytest
 
 from twistforms.bott import binom, h_O, h_omega
@@ -14,10 +15,12 @@ from twistforms.forms import (
     _kernel_sections,
     _key,
     _mult_var,
+    _section_map,
     claim_i_kernel_test,
     conormal_wedge,
     contraction_matrix,
     drop_last_differential,
+    free_sections,
     h0_basis,
     monomials,
     restricted_sections,
@@ -292,3 +295,84 @@ def test_ambient_maps_give_each_target_once(monkeypatch):
     for n, p, t in ((1, 0, 0), (2, 0, 1), (2, 1, 0), (3, 1, 1), (3, 2, 0)):
         display.build_display(n, p, t)
     assert len(calls) == 5 * 6
+
+
+# -- section maps by coordinate selection -------------------------------------
+
+FIELDS = [2, 3, 101, 2**31 - 1, 2**61 - 1, None]
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_free_rows_carry_the_identity(q):
+    # On its free rows each basis is the identity over GF(q) and a +/-1
+    # diagonal over Q, empty spaces included.
+    spaces = []
+    for n in range(5):
+        spaces += [free_sections(n, d, r, q) for d in range(-1, 4) for r in range(3)]
+        for p in range(n + 2):
+            for d in range(p - 1, p + 4):
+                spaces.append(h0_basis(n, p, d, q))
+                if n >= 1:
+                    spaces.append(restricted_sections(n, p, d, q))
+    for space in spaces:
+        case = space.descriptor
+        assert len(space.free) == space.dim, case
+        block = space.basis._a[list(space.free)]
+        diag = block.diagonal()
+        assert not (block - np.diag(diag)).any(), case
+        if q is None:
+            assert all(x in (1, -1) for x in diag), case
+        else:
+            assert (diag == 1).all(), case
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_section_maps_equal_the_solve_against_the_basis(monkeypatch, q):
+    # Every user of _section_map (three in forms, three in the display)
+    # against the old coordinates, tgt.basis.solve(image): entry for entry,
+    # in dtype and in Python entry type.
+    from twistforms import display, forms
+
+    seen = set()
+
+    def checked(src, tgt, entries, what):
+        got = _section_map(src, tgt, entries, what)
+        image = _ambient_map(src.key, tgt.key, entries, q) @ src.basis
+        want = tgt.basis.solve(image)
+        assert got == want and got.shape == want.shape, what
+        assert got._a.dtype == want._a.dtype, what
+        assert [type(x) for x in got._a.ravel()] == [type(x) for x in want._a.ravel()], what
+        seen.add(what.split("(")[0].strip())
+        return got
+
+    monkeypatch.setattr(forms, "_section_map", checked)
+    monkeypatch.setattr(display, "_section_map", checked)
+    for n, p, t in ((1, 0, 0), (2, 0, -1), (2, 1, 0), (3, 0, 1), (3, 1, -2), (3, 2, 0)):
+        display.build_display(n, p, t, q)
+    assert seen == {
+        "restriction_of_forms",
+        "conormal_wedge",
+        "drop_last_differential",
+        "kernel generators",
+        "twist inclusion",
+        "restriction to hyperplane",
+    }
+
+
+@pytest.mark.parametrize("q", [2, 101, None])
+def test_section_map_rejects_an_image_outside_the_target(q):
+    # The x_n twist of Omega^1(2) into Omega^1(3) on P^2, with one term of
+    # a section dropped: the image no longer contracts to zero.
+    top, middle = h0_basis(2, 1, 2, q), h0_basis(2, 1, 3, q)
+    dropped = next(pair for pair, row in zip(top.key, top.basis.row_list()) if any(row))
+
+    def twist(pair):
+        I, m = pair
+        return ((I, m[:2] + (m[2] + 1,)), 1),
+
+    def entries(pair):
+        return () if pair == dropped else twist(pair)
+
+    assert _section_map(top, middle, twist, "twist").shape == (middle.dim, top.dim)
+    with pytest.raises(ConsistencyError, match="twist with a dropped term"):
+        _section_map(top, middle, entries, "twist with a dropped term")

@@ -200,6 +200,13 @@ def test_maxrank_zero_points_is_vacuous():
     assert verify_certificate(cert)
 
 
+def test_zero_point_certificate_with_a_wrong_shape_does_not_verify():
+    cert = maxrank_test(2, 0, 2, 0, q=101, trials=1, seed=0)
+    assert cert.shape == (0, 8) and cert.points == ()
+    forged = RankCertificate(2, 0, 2, 0, 101, 0, 1, (99, 5), 0, True, ())
+    assert not verify_certificate(RankCertificate.from_json(forged.to_json()))
+
+
 def test_certificate_json_round_trip_and_determinism():
     a = maxrank_test(2, 1, 2, 3, q=101, trials=5, seed=42)
     b = maxrank_test(2, 1, 2, 3, q=101, trials=5, seed=42)
