@@ -22,7 +22,6 @@ from .maxrank import (
     PointSet,
     ProjPoint,
     RankCertificate,
-    betti_ledger,
     eval_matrix,
     maxrank_test,
     random_points,

@@ -136,6 +136,8 @@ def cmd_h0(args) -> int:
 def cmd_verify_display(args) -> int:
     ns = parse_range(args.n)
     ts = parse_range(args.t)
+    if min(ns) < 1:
+        raise UsageError("a display needs n >= 1, got n=%d" % min(ns))
     all_ok = True
     out_lines = []
     records = []
@@ -221,7 +223,7 @@ def cmd_maxrank(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(cert.to_json())
-    ledger = maxrank.betti_ledger(cert)
+    ledger = maxrank.BettiLedger.from_certificate(cert)
     sys.stdout.write(
         "n=%d p=%d d=%d s=%d  shape %dx%d  rank %d  %s  ker %d coker %d\n"
         % (

@@ -11,18 +11,21 @@ are
     bottom_mid    Omega^{p+1}_{P^n}(p+2+t) restricted to x_n = 0
 
 and the arrows are realized as matrices between the explicit section
-bases of the forms module.  The six maps that come from maps of forms
-(twist, free inclusion, restriction, restriction to the hyperplane, wedge
-and drop) read their coordinates off the target basis's free rows, with
-no elimination.  The two left-column maps, top -> free and the surjection
-free -> bottom_left, are obtained by linear solves against the
-commutativity constraints.  An image outside its target or a failed solve
-aborts construction with a named diagnostic.  t = 0 is the theorem
-instance; larger twists are a faithfulness sweep with the same code.
+bases of the forms module.  All eight are maps of forms, each given by an
+explicit rule on terms (twist, free inclusion, restriction, restriction
+to the hyperplane, wedge, drop, and the left column's top -> free and
+free -> bottom_left), and each reads its coordinates off the target
+basis's free rows, with no elimination and no solve.  An image outside
+its target aborts construction with a named diagnostic.  Nothing at
+construction checks that the squares commute: the ledger does, so a
+left map that does not commute fails its square there.  t = 0 is the
+theorem instance; larger twists are a faithfulness sweep with the same
+code.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .bott import binom, h_omega
@@ -30,13 +33,12 @@ from .exactalg import ExactMatrix, snake_check
 from .forms import (
     DEFAULT_PRIME,
     ConsistencyError,
-    SectionSpace,
+    _mult_var,
     _section_map,
     conormal_wedge,
     drop_last_differential,
     free_sections,
     h0_basis,
-    monomials,
     restricted_sections,
     restriction_of_forms,
 )
@@ -97,45 +99,28 @@ class DisplayInstance:
         return {name: self.nodes[name].dim for name in NODE_NAMES}
 
 
-def _kernel_generator_map(n: int, p: int, t: int, q) -> tuple:
-    """Section-level inclusion O(t)^{+binom(n,p+1)} -> Omega^{p+1}(p+2+t).
-
-    The j-th copy is carried onto multiples of the contraction of the
-    Euler field with dx_{J_j} ^ dx_n, where J_j runs over the
-    (p+1)-subsets of {0..n-1}; these forms restrict to zero on the
-    hyperplane and generate the kernel of the restriction.
-    """
-    import itertools
-
-    free = free_sections(n, t, binom(n, p + 1), q)
-    mid = h0_basis(n, p + 1, p + 2 + t, q)
-    subsets = list(itertools.combinations(range(n), p + 1))
-
-    def entries(pair):
-        j, m = pair
-        full = subsets[j] + (n,)
-        out = []
-        for pos, k in enumerate(full):
-            sign = -1 if pos % 2 else 1
-            mk = list(m)
-            mk[k] += 1
-            out.append(((full[:pos] + full[pos + 1 :], tuple(mk)), sign))
-        return out
-
-    return free, _section_map(free, mid, entries, "kernel generators (%d,%d,t=%d)" % (n, p, t))
-
-
 def build_display(n: int, p: int, t: int, q=DEFAULT_PRIME) -> DisplayInstance:
-    """Construct all six section spaces and seven maps of the display."""
+    """Construct all six section spaces and eight maps of the display.
+
+    J_j is the j-th (p+1)-subset of {0..n-1}.  The j-th copy of O(t) is
+    carried onto multiples of the contraction of the Euler field with
+    dx_{J_j} ^ dx_n; these forms restrict to zero on the hyperplane and
+    generate the kernel of the restriction.  The left column reads the
+    two commuting squares off those generators: top -> free takes the
+    coefficient of dx_{J_j}, whose generator term is (-1)^(p+1) x_n dx_{J_j},
+    and free -> bottom_left is the Euler contraction of x^m dx_{J_j} on the
+    hyperplane, signed by (-1)^p to match the conormal wedge.
+    """
     if n < 1 or not 0 <= p <= n - 1:
         raise ValueError("display needs n >= 1 and 0 <= p <= n-1")
     inst = DisplayInstance(n, p, t, q)
+    subsets = list(itertools.combinations(range(n), p + 1))
     top = h0_basis(n, p + 1, p + 1 + t, q)
+    free = free_sections(n, t, len(subsets), q)
     middle = h0_basis(n, p + 1, p + 2 + t, q)
     right = h0_basis(n - 1, p + 1, p + 2 + t, q)
     bottom_left = h0_basis(n - 1, p, p + 1 + t, q)
     bottom_mid = restricted_sections(n, p + 1, p + 2 + t, q)
-    free, free_incl = _kernel_generator_map(n, p, t, q)
 
     inst.nodes = {
         "top": top,
@@ -145,13 +130,23 @@ def build_display(n: int, p: int, t: int, q=DEFAULT_PRIME) -> DisplayInstance:
         "bottom_left": bottom_left,
         "bottom_mid": bottom_mid,
     }
+    case = "(%d,%d,t=%d)" % (n, p, t)
+
+    # middle row left arrow: the kernel generators.
+    def generator_entries(pair):
+        j, m = pair
+        full = subsets[j] + (n,)
+        return [
+            ((full[:pos] + full[pos + 1 :], _mult_var(m, k)), -1 if pos % 2 else 1)
+            for pos, k in enumerate(full)
+        ]
+
+    free_incl = _section_map(free, middle, generator_entries, "kernel generators " + case)
 
     # middle column top arrow: multiplication by x_n.
     def xn_entries(pair):
         I, m = pair
-        mk = list(m)
-        mk[n] += 1
-        return ((I, tuple(mk)), 1),
+        return ((I, _mult_var(m, n)), 1),
 
     twist = _section_map(top, middle, xn_entries, "twist inclusion")
 
@@ -168,17 +163,30 @@ def build_display(n: int, p: int, t: int, q=DEFAULT_PRIME) -> DisplayInstance:
 
     to_hyperplane = _section_map(middle, bottom_mid, hyp_entries, "restriction to hyperplane")
 
-    left_top = free_incl.solve(twist)
-    if left_top is None:
-        raise ConsistencyError(
-            "display(%d,%d,t=%d): top node does not factor through the free node" % (n, p, t)
-        )
-    left_bottom = wedge.solve(to_hyperplane @ free_incl)
-    if left_bottom is None:
-        raise ConsistencyError(
-            "display(%d,%d,t=%d): free node does not surject through the conormal wedge"
-            % (n, p, t)
-        )
+    # left column top arrow: the coefficient of dx_{J_j}.
+    subset_index = {J: j for j, J in enumerate(subsets)}
+    top_sign = -1 if (p + 1) % 2 else 1
+
+    def top_entries(pair):
+        I, m = pair
+        if n in I:
+            return ()
+        return ((subset_index[I], m), top_sign),
+
+    left_top = _section_map(top, free, top_entries, "top to free " + case)
+
+    # left column bottom arrow: the Euler contraction on the hyperplane.
+    def bottom_entries(pair):
+        j, m = pair
+        if m[n] > 0:
+            return ()
+        J = subsets[j]
+        return [
+            ((J[:pos] + J[pos + 1 :], _mult_var(m, k)[:n]), -1 if (p + pos) % 2 else 1)
+            for pos, k in enumerate(J)
+        ]
+
+    left_bottom = _section_map(free, bottom_left, bottom_entries, "free to bottom_left " + case)
 
     inst.maps = {
         "twist": twist,  # top -> middle

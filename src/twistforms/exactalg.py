@@ -25,7 +25,7 @@ Eliminations over GF(q) all go through ``ExactMatrix._rref_mod``, on one of
 two paths with the same pivots:
 
 * Sparse matrices, with at most ``_SPARSE_DENSITY`` (10%) nonzero entries,
-  such as the display's contraction and ambient maps, are eliminated on
+  such as the Euler contraction and most display maps, are eliminated on
   Python dict rows: Gauss-Jordan with a column -> rows index and the
   sparsest candidate row as pivot (sparse elimination over finite fields as
   in LaMacchia and Odlyzko, CRYPTO 1990).  The attempt counts its entry
@@ -462,22 +462,11 @@ class ExactMatrix:
             return ExactMatrix(self.rows, other.cols, self._a @ other._a)
         return ExactMatrix._wrap(_mulmod(self._a, other._a, self.q), self.q)
 
-    def __sub__(self, other):
-        if self.q != other.q or self.shape != other.shape:
-            raise ValueError("shape/field mismatch in subtraction")
-        if self.q is None:
-            return ExactMatrix(self.rows, self.cols, self._a - other._a)
-        return ExactMatrix._wrap((self._a - other._a) % self.q, self.q)
-
     def augment(self, other):
         """Horizontal concatenation [self | other]."""
         if self.q != other.q or self.rows != other.rows:
             raise ValueError("shape/field mismatch in augment")
         return ExactMatrix._wrap(np.hstack([self._a, other._a]), self.q)
-
-    def columns(self, idx):
-        """Submatrix of the selected columns, in the given order."""
-        return ExactMatrix._wrap(self._a[:, list(idx)], self.q)
 
     # -- elimination ---------------------------------------------------------
 

@@ -23,6 +23,9 @@ column: the free forms above, and every row of a free sum.  On those rows
 the basis is the identity over GF(q) and a diagonal of +/-1 over Q, so the
 maps between section spaces read the coordinates of an image off its free
 rows, with no elimination, and one product checks that it lies in the span.
+A map is given by its rule on terms x^m dx_I, and the image of a basis is
+composed on terms, from the basis's nonzero entries: no matrix between the
+two ambient spaces is built.
 
 Index sets are ordered lexicographically and monomials in graded-lex order
 with x_0 > x_1 > ... > x_n, so all matrices are reproducible across runs.
@@ -285,34 +288,40 @@ def free_sections(n: int, d: int, r: int, q=DEFAULT_PRIME) -> SectionSpace:
     return SectionSpace(FreeSum(n, d, r), basis, key, tuple(range(len(key))))
 
 
-def _ambient_map(src_key, tgt_key, entries, q) -> ExactMatrix:
-    """Sparse-by-construction matrix between two ambient coordinate spaces.
+def _ambient_map(src: SectionSpace, tgt_key, entries) -> ExactMatrix:
+    """Image of ``src.basis`` in the ambient coordinates ``tgt_key``: a
+    len(tgt_key) x src.dim matrix, composed on terms.
 
     ``entries(pair)`` yields (target pair, coefficient) terms for one
-    source coordinate, with distinct target pairs.
+    source coordinate; a target pair may repeat.  Each nonzero basis entry
+    is pushed through the terms of its row, and the products are summed
+    per (target row, column), so no ambient-to-ambient matrix is built.
     """
-    tgt_index = {pair: i for i, pair in enumerate(tgt_key)}
-    rows, cols, vals = [], [], []
-    for col, pair in enumerate(src_key):
-        for tgt, val in entries(pair):
-            rows.append(tgt_index[tgt])
-            cols.append(col)
-            vals.append(val)
-    return _assemble(len(tgt_key), len(src_key), rows, cols, vals, q)
+    a = src.basis._a
+    index = {pair: i for i, pair in enumerate(tgt_key)}
+    sums = {}
+    rows, cols = np.nonzero(a)
+    for r, c, v in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
+        for tgt, x in entries(src.key[r]):
+            cell = index[tgt], c
+            sums[cell] = sums.get(cell, 0) + x * v
+    img_rows, img_cols = [i for i, _ in sums], [c for _, c in sums]
+    return _assemble(len(tgt_key), src.dim, img_rows, img_cols, list(sums.values()), src.basis.q)
 
 
 def _section_map(src: SectionSpace, tgt: SectionSpace, entries, what: str) -> ExactMatrix:
-    """Matrix, between the section bases, of the ambient map with the
-    ``entries`` of ``_ambient_map``; ``what`` names it if an image does not
-    lie in ``tgt``.
+    """Matrix, between the section bases, of the map of forms with the
+    term rule ``entries`` of ``_ambient_map``; ``what`` names it if an
+    image does not lie in ``tgt``.
 
-    The coordinates are selected, not solved for.  On the rows ``tgt.free``
+    The image of ``src.basis`` is composed on terms, and its coordinates
+    are selected, not solved for.  On the rows ``tgt.free``
     the target basis B is a diagonal D of 1s over GF(q) and of +/-1s over
     Q, so an image B @ Y has the rows D @ Y there, and Y is those rows
     times D.  An image outside the span differs from B times its selected
     coordinates, so the one product check is exact and complete.
     """
-    image = _ambient_map(src.key, tgt.key, entries, src.basis.q) @ src.basis
+    image = _ambient_map(src, tgt.key, entries)
     free = list(tgt.free)
     signs = tgt.basis._a[free, range(len(free))]
     coords = ExactMatrix._wrap(image._a[free] * signs[:, None], image.q)

@@ -29,7 +29,6 @@ __all__ = [
     "PointSet",
     "ProjPoint",
     "RankCertificate",
-    "betti_ledger",
     "eval_matrix",
     "maxrank_test",
     "random_points",
@@ -297,6 +296,8 @@ def maxrank_test(
     settles the verdict.  The certificate records the witness points (or
     the best trial seen) so the run can be replayed bit-exactly.
     """
+    if n < 1 or p < 0 or s < 0:
+        raise ValueError("problem needs n >= 1, p >= 0 and s >= 0")
     if trials < 1:
         raise ValueError("need at least one trial")
     space_dim = h0_basis(n, p + 1, d + p + 1, q).dim
@@ -354,7 +355,3 @@ class BettiLedger:
             "expected resolution shape" if min(ker, coker) == 0 else "excess syzygies possible"
         )
         return cls(ker, coker, verdict)
-
-
-def betti_ledger(cert: RankCertificate) -> BettiLedger:
-    return BettiLedger.from_certificate(cert)

@@ -167,6 +167,28 @@ def test_maxrank_rational_field(capsys):
     assert "maximal" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("maxrank", "--n", "2", "--p", "-1", "--d", "2", "--s", "3"),
+    ("maxrank", "--n", "0", "--p", "0", "--d", "2", "--s", "1"),
+    ("horace", "--n", "2", "--p", "-1", "--d", "2", "--s", "3"),
+])
+def test_maxrank_rejects_what_its_replay_rejects(capsys, tmp_path, argv):
+    # No certificate is written for a problem that replay would refuse.
+    path = tmp_path / "c.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: problem needs n >= 1, p >= 0 and s >= 0\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "0..1", "-1..2"])
+def test_verify_display_rejects_n_below_one(capsys, n):
+    code, out, err = run(capsys, "verify-display", "--n", n, "--t", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n >= 1" in err
+
+
 def test_maxrank_missing_args_is_usage_error(capsys):
     code, _, err = run(capsys, "maxrank", "--n", "2", "--p", "0", "--d", "2")
     assert code == 1

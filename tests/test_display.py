@@ -5,6 +5,7 @@ import pytest
 from twistforms.bott import binom, h_O
 from twistforms.display import _check_sequence, build_display, ledger_for, verify_display
 from twistforms.exactalg import ExactMatrix, snake_check
+from twistforms.forms import ConsistencyError
 
 
 def test_node_dimensions_200():
@@ -90,6 +91,62 @@ def test_free_map_kernel_equals_top_image():
         assert lt.rank() == inst.nodes["top"].dim  # injective
         assert inst.nodes["free"].dim - lb.rank() == lt.rank(), (n, p, t)
         assert (lb @ lt).is_zero()
+
+
+FIELDS = [2, 3, 101, 2**31 - 1, 2**61 - 1, None]
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_left_maps_equal_the_solves_of_their_squares(q):
+    # The left column by its term rules against the solves it replaced:
+    # entry for entry, in dtype and in Python entry type.
+    for n in range(1, 5):
+        for p in range(n):
+            for t in (-1, 0, 1):
+                m = build_display(n, p, t, q).maps
+                solved = {
+                    "left_top": m["free_incl"].solve(m["twist"]),
+                    "left_bottom": m["wedge"].solve(m["to_hyperplane"] @ m["free_incl"]),
+                }
+                for name, want in solved.items():
+                    got, case = m[name], (n, p, t, name)
+                    assert want is not None and got == want, case
+                    assert got._a.dtype == want._a.dtype, case
+                    assert [type(x) for x in got._a.ravel()] == [
+                        type(x) for x in want._a.ravel()
+                    ], case
+
+
+def _changed(inst, name):
+    # One entry of a left map, moved by one.
+    a = inst.maps[name]._a.copy()
+    a[0, 0] = (a[0, 0] + 1) % inst.q
+    inst.maps[name] = ExactMatrix._wrap(a, inst.q)
+    return inst
+
+
+@pytest.mark.parametrize("name", ["left_top", "left_bottom"])
+def test_a_changed_left_map_fails_its_square(name):
+    # Construction checks that each image lies in its target, not that the
+    # squares commute: the ledger does.
+    squares = ledger_for(_changed(build_display(3, 1, 1), name)).squares
+    assert dict(squares) == {
+        "top square": name != "left_top",
+        "bottom-left square": name != "left_bottom",
+        "bottom-right square": True,
+    }
+
+
+def test_verify_display_raises_on_a_changed_left_map(monkeypatch):
+    # At t = 0 the top node is empty, as h^0(Omega^{p+1}(p+1)) = 0, so
+    # only left_bottom has an entry to change.
+    from twistforms import display
+
+    monkeypatch.setattr(
+        display, "build_display", lambda *args: _changed(build_display(*args), "left_bottom")
+    )
+    with pytest.raises(ConsistencyError, match="bottom-left square"):
+        verify_display(3, 1, 0, 0)
 
 
 def test_commutativity_is_exact_matrix_equality():

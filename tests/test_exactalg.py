@@ -743,13 +743,11 @@ def _assert_canonical_storage(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_matrices(), st.data())
-def test_canonical_wraps_equal_constructed_matrices(m, data):
+@given(rational_matrices())
+def test_canonical_wraps_equal_constructed_matrices(m):
     from twistforms.maxrank import eval_matrix, random_points
 
     rows = m.row_list()
-    idx = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=6)) if m.cols else []
-    rev = [[r[m.cols - 1 - j] for j in range(m.cols)] for r in rows]
     gram = m @ m.transpose()
     sol = m.solve(gram)  # consistent: m.transpose() is one solution
     ker = m.kernel_basis()
@@ -757,11 +755,6 @@ def test_canonical_wraps_equal_constructed_matrices(m, data):
     for x, ref in (
         (m.transpose(), ExactMatrix(m.cols, m.rows, [[r[j] for r in rows] for j in range(m.cols)])),
         (m.augment(m), ExactMatrix(m.rows, 2 * m.cols, [r + r for r in rows])),
-        (m.columns(idx), ExactMatrix(m.rows, len(idx), [[r[j] for j in idx] for r in rows])),
-        (
-            m - ExactMatrix(m.rows, m.cols, rev),
-            ExactMatrix(m.rows, m.cols, [[x - y for x, y in zip(r, v)] for r, v in zip(rows, rev)]),
-        ),
         (gram, ExactMatrix.from_rows([[sum(map(mul, r, v)) for v in rows] for r in rows])),
         (sol, ExactMatrix(sol.rows, sol.cols, sol.row_list())),
         (ker, ExactMatrix(ker.rows, ker.cols, ker.row_list())),

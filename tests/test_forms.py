@@ -208,9 +208,12 @@ def test_contraction_matches_list_built(q):
 
 @pytest.mark.parametrize("q", [2, 101, 2**61 - 1, None])
 def test_ambient_map_matches_list_built(q):
+    # The image of a section basis, against the list-built ambient matrix
+    # times that basis: entry for entry, in dtype and in Python entry type.
     # Up to two distinct targets per source pair, with coefficients that
-    # are negative, zero or larger than q.
-    src, tgt = _key(3, 3, 1, 3), _key(3, 3, 0, 2)
+    # are negative, zero or larger than q; then one target repeated, with
+    # coefficients that are zero or cancel at some pairs.
+    src, tgt = h0_basis(2, 1, 3, q), _key(3, 3, 0, 2)
 
     def entries(pair):
         I, m = pair
@@ -219,9 +222,17 @@ def test_ambient_map_matches_list_built(q):
             out.append((((), (m[0] - 1, m[1] + 1, m[2])), 7 * m[0] - 4))
         return out
 
-    amb = _ambient_map(src, tgt, entries, q)
-    assert amb == _list_ambient_map(src, tgt, entries, q)
-    assert not amb.is_zero()
+    def repeated(pair):
+        I, m = pair
+        return [(((), m), 2), (((), m), I[0] - 2), (((), m), 0)]
+
+    for rule in (entries, repeated):
+        amb = _ambient_map(src, tgt, rule)
+        want = _list_ambient_map(src.key, tgt, rule, q) @ src.basis
+        assert amb == want and amb.shape == (len(tgt), src.dim)
+        assert amb._a.dtype == want._a.dtype
+        assert [type(x) for x in amb._a.ravel()] == [type(x) for x in want._a.ravel()]
+        assert not amb.is_zero()
 
 
 @pytest.mark.parametrize("q", [2, 101, 2**31 - 1, 2**61 - 1])
@@ -277,24 +288,22 @@ def test_assemble_rejects_a_composite_modulus():
         _assemble(2, 2, [0], [1], [1], 100)
 
 
-def test_ambient_maps_give_each_target_once(monkeypatch):
-    # _ambient_map sets each (row, column) once; every map the display and
-    # the restriction checks build must keep to that.
+def test_each_display_makes_eight_section_maps(monkeypatch):
+    # All eight display maps, the left column included, are section maps.
     from twistforms import display, forms
 
     calls = []
 
-    def checked(src_key, tgt_key, entries, q):
-        for pair in src_key:
-            targets = [tgt for tgt, _ in entries(pair)]
-            assert len(set(targets)) == len(targets), pair
-        calls.append(len(src_key))
-        return _ambient_map(src_key, tgt_key, entries, q)
+    def counted(src, tgt, entries, what):
+        calls.append(what)
+        return _section_map(src, tgt, entries, what)
 
-    monkeypatch.setattr(forms, "_ambient_map", checked)
-    for n, p, t in ((1, 0, 0), (2, 0, 1), (2, 1, 0), (3, 1, 1), (3, 2, 0)):
+    monkeypatch.setattr(forms, "_section_map", counted)
+    monkeypatch.setattr(display, "_section_map", counted)
+    cases = ((1, 0, 0), (2, 0, 1), (2, 1, 0), (3, 1, 1), (3, 2, 0))
+    for k, (n, p, t) in enumerate(cases):
         display.build_display(n, p, t)
-    assert len(calls) == 5 * 6
+        assert len(calls) == 8 * (k + 1), (n, p, t)
 
 
 # -- section maps by coordinate selection -------------------------------------
@@ -328,7 +337,7 @@ def test_free_rows_carry_the_identity(q):
 
 @pytest.mark.parametrize("q", FIELDS)
 def test_section_maps_equal_the_solve_against_the_basis(monkeypatch, q):
-    # Every user of _section_map (three in forms, three in the display)
+    # Every user of _section_map (three in forms, five in the display)
     # against the old coordinates, tgt.basis.solve(image): entry for entry,
     # in dtype and in Python entry type.
     from twistforms import display, forms
@@ -337,7 +346,7 @@ def test_section_maps_equal_the_solve_against_the_basis(monkeypatch, q):
 
     def checked(src, tgt, entries, what):
         got = _section_map(src, tgt, entries, what)
-        image = _ambient_map(src.key, tgt.key, entries, q) @ src.basis
+        image = _ambient_map(src, tgt.key, entries)
         want = tgt.basis.solve(image)
         assert got == want and got.shape == want.shape, what
         assert got._a.dtype == want._a.dtype, what
@@ -356,6 +365,8 @@ def test_section_maps_equal_the_solve_against_the_basis(monkeypatch, q):
         "kernel generators",
         "twist inclusion",
         "restriction to hyperplane",
+        "top to free",
+        "free to bottom_left",
     }
 
 

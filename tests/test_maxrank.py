@@ -9,11 +9,11 @@ from twistforms.bott import binom, h_omega
 from twistforms.exactalg import ExactMatrix
 from twistforms.forms import h0_basis
 from twistforms.maxrank import (
+    BettiLedger,
     FieldTooSmallError,
     PointSet,
     ProjPoint,
     RankCertificate,
-    betti_ledger,
     eval_matrix,
     maxrank_test,
     random_points,
@@ -247,14 +247,14 @@ def test_repeated_point_certificate_rejected_over_large_prime():
 
 def test_betti_ledger_cases():
     # 3 points impose 6 conditions on the 8-dimensional space: kernel 2.
-    under = betti_ledger(maxrank_test(2, 0, 2, 3, q=101, trials=5, seed=0))
+    under = BettiLedger.from_certificate(maxrank_test(2, 0, 2, 3, q=101, trials=5, seed=0))
     assert (under.kernel_dim, under.cokernel_dim) == (2, 0)
     assert under.verdict == "expected resolution shape"
 
-    square = betti_ledger(maxrank_test(2, 0, 2, 4, q=101, trials=5, seed=0))
+    square = BettiLedger.from_certificate(maxrank_test(2, 0, 2, 4, q=101, trials=5, seed=0))
     assert (square.kernel_dim, square.cokernel_dim) == (0, 0)
 
-    over = betti_ledger(maxrank_test(2, 0, 2, 5, q=101, trials=5, seed=0))
+    over = BettiLedger.from_certificate(maxrank_test(2, 0, 2, 5, q=101, trials=5, seed=0))
     assert (over.kernel_dim, over.cokernel_dim) == (0, 2)
 
 
