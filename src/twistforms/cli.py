@@ -75,7 +75,22 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _check_dimension(args) -> None:
+    """Tables of P^n need n >= 0; P^0 is a point, with h0 = 1."""
+    if args.n < 0:
+        raise UsageError("projective space needs n >= 0, got n=%d" % args.n)
+
+
+def _check_form_degree(args) -> None:
+    """Point evaluation of (p+1)-forms on P^n needs p <= n-1.  The error
+    names the --p given, not the degree p+1 of the forms evaluated; n < 1
+    and p < 0 are left to the problem's own check."""
+    if args.p >= args.n >= 1:
+        raise UsageError("--p %d is out of range for --n %d: need p <= n-1" % (args.p, args.n))
+
+
 def cmd_bott(args) -> int:
+    _check_dimension(args)
     ps = parse_range(args.p, 0, args.n)
     ds = parse_range(args.d)
     for p in ps:
@@ -106,6 +121,7 @@ def cmd_bott(args) -> int:
 
 
 def cmd_h0(args) -> int:
+    _check_dimension(args)
     ps = parse_range(args.p, 0, args.n)
     ds = parse_range(args.d)
     header = ["p", "d", "h0_formula", "h0_koszul"]
@@ -217,6 +233,7 @@ def cmd_maxrank(args) -> int:
     for name in ("n", "p", "d", "s"):
         if getattr(args, name) is None:
             raise UsageError("--%s is required unless --verify is given" % name)
+    _check_form_degree(args)
     cert = maxrank.maxrank_test(
         args.n, args.p, args.d, args.s, args.q, args.trials, args.seed
     )
@@ -243,6 +260,7 @@ def cmd_maxrank(args) -> int:
 
 
 def cmd_horace(args) -> int:
+    _check_form_degree(args)
     if args.d < args.base:
         raise UsageError("need d >= base, got d=%d base=%d" % (args.d, args.base))
     tree = horace.plan(args.n, args.p, args.d, args.s, args.base)

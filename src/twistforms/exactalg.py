@@ -115,6 +115,14 @@ def is_prime(q: int) -> bool:
     return True
 
 
+def _check_modulus(q) -> None:
+    """Raise ValueError unless q is None (the rationals) or a prime.  Each
+    public entry point that takes q checks it once; the private paths it
+    calls take q as checked."""
+    if q is not None and not is_prime(q):
+        raise ValueError("modulus %r is not prime" % (q,))
+
+
 def residue_dtype(q: int | None):
     """numpy dtype that holds residues mod q and their pairwise products
     exactly; object (Python ints and Fractions) for the rationals, q None."""
@@ -371,8 +379,7 @@ class ExactMatrix:
         self.q = q
         self._rr = None  # cached (rref, pivot columns)
         self._rank = None  # cached rank
-        if q is not None and not is_prime(q):
-            raise ValueError("modulus %r is not prime" % (q,))
+        _check_modulus(q)
         try:
             a = np.asarray(data, dtype=residue_dtype(q))
         except ValueError:  # ragged rows
@@ -550,9 +557,7 @@ class ExactMatrix:
                 self._rank = len(self._rref_mod(full=False)[1])
             else:
                 rows = self._integer_rows()
-                a = np.array([[x % _CERT_PRIME for x in row] for row in rows], dtype=np.int64)
-                mod_p = ExactMatrix._wrap(a.reshape(self.shape), _CERT_PRIME)
-                r = len(mod_p._rref_mod(full=False)[1])
+                r = len(_mod_cert_prime(rows, self.shape)._rref_mod(full=False)[1])
                 self._rank = r if r == min(self.shape) else self._rank_bareiss(rows)
         return self._rank
 
@@ -633,6 +638,13 @@ class ExactMatrix:
         x = np.zeros((self.cols, rhs.cols), dtype=rr.dtype)
         x[pivots] = rr[: len(pivots), self.cols :]
         return ExactMatrix._wrap(x, self.q)
+
+
+def _mod_cert_prime(rows, shape) -> ExactMatrix:
+    """Integer rows (from ``ExactMatrix._integer_rows``) reduced modulo
+    ``_CERT_PRIME``, as a matrix of the given shape over that field."""
+    a = np.array([[x % _CERT_PRIME for x in row] for row in rows], dtype=np.int64)
+    return ExactMatrix._wrap(a.reshape(shape), _CERT_PRIME)
 
 
 # -- snake lemma ------------------------------------------------------------

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bott import binom, h_O
-from .exactalg import ExactMatrix, is_prime, residue_dtype
+from .exactalg import ExactMatrix, _check_modulus, residue_dtype
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -174,10 +174,9 @@ def _contraction(p: int, d: int, ndiff: int, nvar: int, q) -> ExactMatrix:
 def _assemble(nrows: int, ncols: int, rows, cols, vals, q) -> ExactMatrix:
     """Matrix with the Python int vals[k] at (rows[k], cols[k]), each
     position given at most once, filled as one array of ``residue_dtype(q)``
-    in which only the given values need reducing (over Q none do)."""
+    in which only the given values need reducing (over Q none do).  q was
+    checked by the public function that received it."""
     if q is not None:
-        if not is_prime(q):
-            raise ValueError("modulus %r is not prime" % (q,))
         vals = [v % q for v in vals]
     a = np.zeros((nrows, ncols), dtype=residue_dtype(q))
     a[rows, cols] = vals
@@ -193,6 +192,7 @@ def contraction_matrix(n: int, p: int, d: int, q=None) -> ExactMatrix:
     """
     if not 1 <= p <= n + 1:
         raise ValueError("contraction needs 1 <= p <= n+1, got p=%d" % p)
+    _check_modulus(q)
     return _contraction(p, d, n + 1, n + 1, q)
 
 
@@ -259,6 +259,7 @@ def h0_basis(n: int, p: int, d: int, q=DEFAULT_PRIME) -> SectionSpace:
     """
     if not 0 <= p <= n + 1:
         raise ValueError("form degree p=%d out of range for P^%d" % (p, n))
+    _check_modulus(q)
     return _kernel_sections(OmegaForms(n, p, d), n + 1, q)
 
 
@@ -274,6 +275,7 @@ def restricted_sections(n: int, p: int, d: int, q=DEFAULT_PRIME) -> SectionSpace
         raise ValueError("restriction needs n >= 1")
     if not 0 <= p <= n + 1:
         raise ValueError("form degree p=%d out of range" % p)
+    _check_modulus(q)
     return _kernel_sections(RestrictedOmega(n, p, d), n, q)
 
 

@@ -5,9 +5,12 @@ at s general points has maximal rank.  A split node specializes as many
 points onto the hyperplane as the hyperplane problem can absorb, producing
 a hyperplane child on P^{n-1}, an interior node for the remaining points,
 and a degree-lowered child carrying the induction on d.  The engine does
-not transfer verdicts along the implication; every node is verified by a
-direct rank computation, and any internal node whose children are all
-witnessed but which itself is not gets flagged as an implication failure.
+not transfer verdicts along the implication; every node is verified at
+general points by its own rank computation, and any internal node whose
+children are all witnessed but which itself is not gets flagged as an
+implication failure.  Nodes with one (n, p, d) share the work: one seeded
+point sequence per trial, whose prefixes of each node's s points are
+ranked by one elimination (``maxrank.certify_counts``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from math import comb
 
 from .bott import h_omega
 from .forms import DEFAULT_PRIME
-from .maxrank import RankCertificate, maxrank_test
+from .maxrank import RankCertificate, certify_counts
 
 __all__ = ["HoraceNode", "HoraceReport", "plan", "verify_tree", "render_tree"]
 
@@ -144,19 +147,27 @@ class HoraceReport:
 def verify_tree(
     tree: HoraceNode, q=DEFAULT_PRIME, trials: int = 5, seed: int = 0
 ) -> HoraceReport:
-    """Directly rank-check every node, then audit the induction implications.
+    """Rank-check every node, then audit the induction implications.
 
-    An implication failure (all children witnessed, node itself not) is a
+    Nodes are grouped by (n, p, d), and one ``certify_counts`` call
+    certifies every point count of a group: the prefixes of one seeded
+    point sequence per trial, ranked by one elimination.  A group's seed
+    is ``seed * 100_003`` plus the walk index of its first node.  An
+    implication failure (all children witnessed, node itself not) is a
     distinguished report entry, not a crash: it would point at either a
     bug or a genuine counterexample at that instance.
     """
     nodes = list(tree.walk())
+    groups = {}  # (n, p, d) -> (walk index of its first node, its nodes)
     for idx, node in enumerate(nodes):
-        cert = maxrank_test(
-            node.n, node.p, node.d, node.s, q, trials, seed * 100_003 + idx
+        groups.setdefault(node.problem[:3], (idx, []))[1].append(node)
+    for (n, p, d), (idx, members) in groups.items():
+        certs = certify_counts(
+            n, p, d, [node.s for node in members], q, trials, seed * 100_003 + idx
         )
-        node.certificate = cert
-        node.status = "witnessed-maximal" if cert.maximal else "not-witnessed"
+        for node in members:
+            node.certificate = certs[node.s]
+            node.status = "witnessed-maximal" if node.certificate.maximal else "not-witnessed"
     failures = []
     for node in nodes:
         if not node.children:

@@ -7,19 +7,33 @@ section basis, over Q on points scaled to integer coordinates.  A witness
 point set achieving full rank certifies maximal rank for general points
 over the field's closure (the maximal-rank locus is open); failure of every
 trial is reported as "not witnessed", never as a disproof.
+
+Certificates for several point counts of one (n, p, d) come from one point
+sequence per trial (``certify_counts``): a forward elimination of the
+transposed evaluation matrix takes its pivot columns left to right, so the
+rank at the first s points is the number of pivots among the first
+s * binom(n, p+1) columns, and one elimination answers every count.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
 import numpy as np
 
-from .exactalg import ExactMatrix, _mulmod, is_prime, residue_dtype
+from .exactalg import (
+    ExactMatrix,
+    _check_modulus,
+    _mod_cert_prime,
+    _mulmod,
+    is_prime,
+    residue_dtype,
+)
 from .forms import DEFAULT_PRIME, h0_basis, index_sets, monomials
 
 __all__ = [
@@ -29,6 +43,7 @@ __all__ = [
     "PointSet",
     "ProjPoint",
     "RankCertificate",
+    "certify_counts",
     "eval_matrix",
     "maxrank_test",
     "random_points",
@@ -97,6 +112,7 @@ def random_points(n: int, s: int, q=DEFAULT_PRIME, seed: int = 0) -> PointSet:
     """
     if s < 0:
         raise ValueError("point count must be nonnegative")
+    _check_modulus(q)
     if q is not None and s > _num_rational_points(n, q):
         raise FieldTooSmallError(
             "P^%d over GF(%d) has only %d points, cannot pick %d distinct ones"
@@ -142,7 +158,7 @@ def _no_small_hyperplane(pts, n, q):
     from itertools import combinations
 
     for sub in combinations(pts, n + 1):
-        m = ExactMatrix.from_rows([list(p.coords) for p in sub], q=q)
+        m = ExactMatrix._wrap(np.array([p.coords for p in sub], dtype=residue_dtype(q)), q)
         if m.rank() < n + 1:
             return False
     return True
@@ -181,7 +197,7 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
     if any(pt.coords[v] == 0 for pt, v in zip(pts.points, piv)):
         raise ValueError("pivot coordinate vanishes at the point")
     if not s or not h:
-        return ExactMatrix.zeros(s * fiber, h, q=q)
+        return ExactMatrix._wrap(np.zeros((s * fiber, h), dtype=residue_dtype(q)), q)
     if q is None:
         scales = [lcm(*(Fraction(c).denominator for c in pt.coords)) for pt in pts.points]
         rows = [[int(c * k) for c in pt.coords] for pt, k in zip(pts.points, scales)]
@@ -245,6 +261,8 @@ class RankCertificate:
         n, p, d, s = (_entry(prob, key, int) for key in ("n", "p", "d", "s"))
         if n < 1 or p < 0 or s < 0:
             raise CertificateError("problem needs n >= 1, p >= 0 and s >= 0")
+        if p >= n:
+            raise CertificateError("problem needs p <= n-1, got p=%d for n=%d" % (p, n))
         kind = _entry(field, "kind", str)
         q = _entry(field, "modulus", int) if kind == "prime" else None
         if kind not in ("prime", "rational") or (q is not None and not is_prime(q)):
@@ -287,44 +305,91 @@ def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
+def _prefix_ranks(n: int, p: int, d: int, pts: PointSet, counts: list) -> dict:
+    """Rank of the evaluation at the first s points of ``pts``, for each s
+    in ``counts``, from one forward elimination of the transposed matrix.
+
+    Its pivot columns are taken left to right, so those among the first
+    s * binom(n, p+1) columns span the first s points' rows.  Over Q the
+    integer rows are eliminated modulo ``_CERT_PRIME``: a rank there is at
+    most the rank over Q, so a prefix that reaches min(rows, cols) has it
+    over Q, and any other prefix takes its exact ``rank()``.
+    """
+    m = eval_matrix(n, p, d, pts)
+    fiber = comb(n, p + 1)
+    mod = m if m.q is not None else _mod_cert_prime(m._integer_rows(), m.shape)
+    pivots = mod.transpose()._rref_mod(full=False)[1]
+    ranks = {}
+    for s in counts:
+        k = s * fiber
+        r = bisect_left(pivots, k)
+        if m.q is None and r < min(k, m.cols):
+            r = ExactMatrix._wrap(m._a[:k], None).rank()
+        ranks[s] = r
+    return ranks
+
+
+def certify_counts(
+    n: int, p: int, d: int, counts: list, q=DEFAULT_PRIME, trials: int = 5, seed: int = 0
+) -> dict:
+    """Seeded maximal-rank certificates of the point-evaluation map of
+    (n, p, d) at each point count s in ``counts``, keyed by s.
+
+    Trial t draws one sequence of as many points as the largest count not
+    yet witnessed, with seed ``_trial_seed(seed, t)``, and a count is
+    settled by the first trial whose first s points give rank
+    min(rows, cols); the others take the next trial, up to ``trials``.
+    Each certificate records ``seed``, the trials run for its count, and
+    its witness points (or those of its best trial), so it replays
+    bit-exactly.  One count is ``maxrank_test``.
+    """
+    if n < 1 or p < 0 or any(s < 0 for s in counts):
+        raise ValueError("problem needs n >= 1, p >= 0 and s >= 0")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    h = h0_basis(n, p + 1, d + p + 1, q).dim
+    fiber = comb(n, p + 1)
+    best = {s: (-1, None) for s in counts}  # rank, points of the best trial
+    settled = {}  # count -> trials run
+    for trial in range(trials):
+        pending = [s for s in best if s not in settled]
+        if not pending:
+            break
+        pts = random_points(n, max(pending), q, _trial_seed(seed, trial))
+        for s, r in _prefix_ranks(n, p, d, pts, pending).items():
+            if r > best[s][0]:
+                best[s] = r, pts.points[:s]
+            if r == min(s * fiber, h):
+                settled[s] = trial + 1
+    return {
+        s: RankCertificate(
+            n,
+            p,
+            d,
+            s,
+            q,
+            seed,
+            settled.get(s, trials),
+            (s * fiber, h),
+            r,
+            s in settled,
+            tuple(pt.coords for pt in witness),
+        )
+        for s, (r, witness) in best.items()
+    }
+
+
 def maxrank_test(
     n: int, p: int, d: int, s: int, q=DEFAULT_PRIME, trials: int = 5, seed: int = 0
 ) -> RankCertificate:
-    """Seeded maximal-rank certification of the point-evaluation map.
+    """Seeded maximal-rank certification of the point-evaluation map at s
+    points: ``certify_counts`` for the one count s.
 
     Runs up to ``trials`` independent point sets; one full-rank witness
     settles the verdict.  The certificate records the witness points (or
     the best trial seen) so the run can be replayed bit-exactly.
     """
-    if n < 1 or p < 0 or s < 0:
-        raise ValueError("problem needs n >= 1, p >= 0 and s >= 0")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    space_dim = h0_basis(n, p + 1, d + p + 1, q).dim
-    fiber = comb(n, p + 1)
-    shape = (s * fiber, space_dim)
-    bound = min(shape)
-    best_rank, best_pts = -1, None
-    for trial in range(trials):
-        pts = random_points(n, s, q, _trial_seed(seed, trial))
-        r = eval_matrix(n, p, d, pts).rank()
-        if r > best_rank:
-            best_rank, best_pts = r, pts
-        if r == bound:
-            break
-    return RankCertificate(
-        n,
-        p,
-        d,
-        s,
-        q,
-        seed,
-        trial + 1,
-        shape,
-        best_rank,
-        best_rank == bound,
-        tuple(pt.coords for pt in best_pts.points),
-    )
+    return certify_counts(n, p, d, [s], q, trials, seed)[s]
 
 
 def verify_certificate(cert: RankCertificate) -> bool:

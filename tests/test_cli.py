@@ -118,6 +118,9 @@ def test_maxrank_witnessed_and_not(capsys, tmp_path):
         # s changed with the points kept, and a point dropped with s kept.
         lambda doc: doc["problem"].update(s=3),
         lambda doc: doc.update(points=doc["points"][:3]),
+        # A form degree p >= n, named as p and not as p+1.
+        lambda doc: doc["problem"].update(p=5),
+        lambda doc: doc["problem"].update(p=2),
     ],
 )
 def test_maxrank_verify_rejects_malformed_certificate(capsys, tmp_path, edit):
@@ -167,18 +170,51 @@ def test_maxrank_rational_field(capsys):
     assert "maximal" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ("maxrank", "--n", "2", "--p", "-1", "--d", "2", "--s", "3"),
-    ("maxrank", "--n", "0", "--p", "0", "--d", "2", "--s", "1"),
-    ("horace", "--n", "2", "--p", "-1", "--d", "2", "--s", "3"),
-])
+_REJECTED = {
+    ("maxrank", "--n", "2", "--p", "-1", "--d", "2", "--s", "3"):
+        "problem needs n >= 1, p >= 0 and s >= 0",
+    ("maxrank", "--n", "0", "--p", "0", "--d", "2", "--s", "1"):
+        "problem needs n >= 1, p >= 0 and s >= 0",
+    ("horace", "--n", "2", "--p", "-1", "--d", "2", "--s", "3"):
+        "problem needs n >= 1, p >= 0 and s >= 0",
+    # The error names the --p given, not the degree p+1 of the forms.
+    ("maxrank", "--n", "2", "--p", "5", "--d", "2", "--s", "1"):
+        "--p 5 is out of range for --n 2: need p <= n-1",
+    ("maxrank", "--n", "2", "--p", "2", "--d", "2", "--s", "1"):
+        "--p 2 is out of range for --n 2: need p <= n-1",
+    ("horace", "--n", "2", "--p", "3", "--d", "2", "--s", "3"):
+        "--p 3 is out of range for --n 2: need p <= n-1",
+}
+
+
+@pytest.mark.parametrize("argv", list(_REJECTED))
 def test_maxrank_rejects_what_its_replay_rejects(capsys, tmp_path, argv):
     # No certificate is written for a problem that replay would refuse.
     path = tmp_path / "c.json"
     code, out, err = run(capsys, *argv, "--out", str(path))
     assert (code, out) == (1, "")
-    assert err == "error: problem needs n >= 1, p >= 0 and s >= 0\n"
+    assert err == "error: %s\n" % _REJECTED[argv]
     assert not path.exists()
+    if argv[0] == "maxrank":
+        n, p = int(argv[2]), int(argv[4])
+        forged = RankCertificate(n, p, 2, 0, 101, 0, 1, (0, 0), 0, True, ())
+        with pytest.raises(CertificateError):
+            RankCertificate.from_json(forged.to_json())
+
+
+@pytest.mark.parametrize("command", ["h0", "bott"])
+def test_tables_reject_negative_n(capsys, command):
+    code, out, err = run(capsys, command, "--n", "-1", "--d", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: projective space needs n >= 0, got n=-1\n"
+    # P^0 is a point: one section of O(0).
+    code, out, _ = run(capsys, command, "--n", "0", "--d", "0", "--format", "json")
+    assert code == 0
+    expected = {
+        "h0": {"p": 0, "d": 0, "h0_formula": 1, "h0_koszul": 1},
+        "bott": {"n": 0, "p": 0, "d": 0, "dims": [1]},
+    }
+    assert json.loads(out) == [expected[command]]
 
 
 @pytest.mark.parametrize("n", ["0", "0..1", "-1..2"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twistforms.bott import binom, h_O, h_omega
+from twistforms.display import build_display, verify_display
 from twistforms.exactalg import ExactMatrix
 from twistforms.forms import (
     ConsistencyError,
@@ -25,6 +26,17 @@ from twistforms.forms import (
     monomials,
     restricted_sections,
     restriction_of_forms,
+)
+from twistforms.horace import plan, verify_tree
+from twistforms.maxrank import (
+    PointSet,
+    ProjPoint,
+    RankCertificate,
+    certify_counts,
+    eval_matrix,
+    maxrank_test,
+    random_points,
+    verify_certificate,
 )
 
 
@@ -283,9 +295,41 @@ def test_section_spaces_reject_a_composite_modulus(p, d):
         restricted_sections(2, p, d, 100)
 
 
-def test_assemble_rejects_a_composite_modulus():
+# Every public function that takes q checks it once; the private paths
+# below it (``_assemble``, ``_no_small_hyperplane``) take q as checked.
+_ENTRY_POINTS = {
+    "ExactMatrix": lambda q: ExactMatrix(1, 1, [[1]], q=q),
+    "ExactMatrix.from_rows": lambda q: ExactMatrix.from_rows([[1]], q=q),
+    "ExactMatrix.zeros": lambda q: ExactMatrix.zeros(2, 2, q=q),
+    "ExactMatrix.identity": lambda q: ExactMatrix.identity(2, q=q),
+    "contraction_matrix": lambda q: contraction_matrix(2, 1, 2, q),
+    "h0_basis": lambda q: h0_basis(2, 1, 3, q),
+    "restricted_sections": lambda q: restricted_sections(2, 1, 3, q),
+    "free_sections": lambda q: free_sections(2, 1, 2, q),
+    "restriction_of_forms": lambda q: restriction_of_forms(2, 1, 3, q),
+    "conormal_wedge": lambda q: conormal_wedge(2, 0, 3, q),
+    "drop_last_differential": lambda q: drop_last_differential(2, 1, 3, q),
+    "claim_i_kernel_test": lambda q: claim_i_kernel_test(2, 0, 3, q),
+    "build_display": lambda q: build_display(2, 0, 0, q),
+    "verify_display": lambda q: verify_display(2, 0, 0, 0, q),
+    # Five points on P^2 take no small-hyperplane check, so no rank.
+    "random_points": lambda q: random_points(2, 5, q, seed=0),
+    "eval_matrix": lambda q: eval_matrix(
+        2, 0, 2, PointSet(2, (ProjPoint.make([1, 2, 1], q),), q)
+    ),
+    "maxrank_test": lambda q: maxrank_test(2, 0, 2, 4, q),
+    "certify_counts": lambda q: certify_counts(2, 0, 2, [3, 4], q),
+    "verify_certificate": lambda q: verify_certificate(
+        RankCertificate(2, 0, 2, 1, q, 0, 1, (2, 8), 2, True, ((1, 2, 1),))
+    ),
+    "verify_tree": lambda q: verify_tree(plan(2, 0, 2, 4, 1), q),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+def test_public_entry_points_reject_a_composite_modulus(name):
     with pytest.raises(ValueError, match="not prime"):
-        _assemble(2, 2, [0], [1], [1], 100)
+        _ENTRY_POINTS[name](100)
 
 
 def test_each_display_makes_eight_section_maps(monkeypatch):

@@ -5,7 +5,15 @@ import json
 import pytest
 
 from twistforms.bott import binom, h_omega
-from twistforms.horace import HoraceNode, plan, render_tree, tree_to_json, verify_tree
+from twistforms.horace import (
+    HoraceNode,
+    HoraceReport,
+    plan,
+    render_tree,
+    tree_to_json,
+    verify_tree,
+)
+from twistforms.maxrank import maxrank_test, verify_certificate
 
 
 def test_plan_line_instance_is_a_leaf():
@@ -126,8 +134,6 @@ def test_implication_failure_detection_is_wired():
     for node in root.walk():
         node.status = "witnessed-maximal"
     root.status = "not-witnessed"
-    from twistforms.horace import HoraceReport
-
     failures = [
         node.problem
         for node in root.walk()
@@ -138,3 +144,49 @@ def test_implication_failure_detection_is_wired():
     report = HoraceReport(root, failures)
     assert not report.consistent
     assert report.implication_failures == [(2, 0, 2, 4)]
+
+
+def per_node_report(tree, q, trials, seed):
+    """Reference: every node certified on its own, by ``maxrank_test`` with
+    the seed of its walk index."""
+    nodes = list(tree.walk())
+    for idx, node in enumerate(nodes):
+        cert = maxrank_test(node.n, node.p, node.d, node.s, q, trials, seed * 100_003 + idx)
+        node.status = "witnessed-maximal" if cert.maximal else "not-witnessed"
+    failures = [
+        node.problem
+        for node in nodes
+        if node.children
+        and all(c.status == "witnessed-maximal" for c in node.children)
+        and node.status != "witnessed-maximal"
+    ]
+    return HoraceReport(tree, failures)
+
+
+SMALL_TREES = [(2, 0, 2, 4, 1), (2, 1, 3, 3, 1), (3, 0, 3, 6, 1), (3, 1, 3, 4, 1), (3, 0, 4, 10, 1)]
+
+
+@pytest.mark.parametrize("q", [101, None])
+@pytest.mark.parametrize("args", SMALL_TREES)
+def test_grouped_audit_matches_the_per_node_audit(args, q):
+    report = verify_tree(plan(*args), q=q, trials=5, seed=3)
+    reference = per_node_report(plan(*args), q, 5, 3)
+    assert [n.status for n in report.tree.walk()] == [n.status for n in reference.tree.walk()]
+    assert tree_to_json(report) == tree_to_json(reference)
+    assert render_tree(report.tree) == render_tree(reference.tree)
+
+
+@pytest.mark.parametrize("q", [101, None])
+@pytest.mark.parametrize("args", SMALL_TREES)
+def test_every_node_certificate_replays(args, q):
+    report = verify_tree(plan(*args), q=q, trials=5, seed=0)
+    first = {}
+    for idx, node in enumerate(report.tree.walk()):
+        cert = node.certificate
+        assert (cert.n, cert.p, cert.d, cert.s) == node.problem
+        assert verify_certificate(cert)
+        # One seed per (n, p, d): that of the first node with it.
+        assert cert.seed == first.setdefault(node.problem[:3], idx)
+        if node.s == 0:
+            assert cert.rank == 0 and cert.maximal and cert.points == ()
+            assert node.status == "witnessed-maximal"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistforms.bott import binom, h_omega
-from twistforms.exactalg import ExactMatrix
+from twistforms.exactalg import _CERT_PRIME, ExactMatrix
 from twistforms.forms import h0_basis
 from twistforms.maxrank import (
     BettiLedger,
@@ -14,6 +14,10 @@ from twistforms.maxrank import (
     PointSet,
     ProjPoint,
     RankCertificate,
+    _num_rational_points,
+    _prefix_ranks,
+    _trial_seed,
+    certify_counts,
     eval_matrix,
     maxrank_test,
     random_points,
@@ -262,3 +266,83 @@ def test_certificate_shape_matches_bookkeeping():
     for (n, p, d, s) in [(2, 0, 3, 5), (2, 1, 2, 2), (3, 0, 2, 4)]:
         cert = maxrank_test(n, p, d, s, q=101, trials=3, seed=1)
         assert cert.shape == (s * binom(n, p + 1), h0_basis(n, p + 1, d + p + 1).dim)
+
+
+def per_count_certificate(n, p, d, s, q, trials, seed):
+    """Reference: certification of one count by a direct rank per trial."""
+    shape = (s * binom(n, p + 1), h0_basis(n, p + 1, d + p + 1, q).dim)
+    best_rank, best_pts = -1, None
+    for trial in range(trials):
+        pts = random_points(n, s, q, _trial_seed(seed, trial))
+        r = eval_matrix(n, p, d, pts).rank()
+        if r > best_rank:
+            best_rank, best_pts = r, pts
+        if r == min(shape):
+            break
+    coords = tuple(pt.coords for pt in best_pts.points)
+    maximal = best_rank == min(shape)
+    return RankCertificate(n, p, d, s, q, seed, trial + 1, shape, best_rank, maximal, coords)
+
+
+@st.composite
+def count_problems(draw):
+    q = draw(st.sampled_from([3, 101, 2**31 - 1, None]))
+    n = draw(st.integers(min_value=1, max_value=3))
+    p = draw(st.integers(min_value=0, max_value=n - 1))
+    d = draw(st.integers(min_value=0, max_value=3))
+    top = 8 if q is None else min(8, _num_rational_points(n, q))
+    counts = draw(st.lists(st.integers(min_value=0, max_value=top), min_size=1, max_size=4))
+    trials = draw(st.integers(min_value=1, max_value=3))
+    return n, p, d, counts, q, trials, draw(st.integers(min_value=0, max_value=10**6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_problems())
+def test_certify_counts_ranks_each_prefix_directly(problem):
+    n, p, d, counts, q, trials, seed = problem
+    certs = certify_counts(n, p, d, counts, q, trials, seed)
+    assert sorted(certs) == sorted(set(counts))
+    first = random_points(n, max(counts), q, _trial_seed(seed, 0)).points
+    for s, cert in certs.items():
+        assert (cert.n, cert.p, cert.d, cert.s, cert.q, cert.seed) == (n, p, d, s, q, seed)
+        pts = PointSet(n, tuple(ProjPoint.make(c, q) for c in cert.points), q)
+        m = eval_matrix(n, p, d, pts)
+        assert cert.shape == m.shape and cert.rank == m.rank()
+        assert cert.maximal == (cert.rank == min(m.shape))
+        assert 1 <= cert.trials <= trials and (cert.maximal or cert.trials == trials)
+        if cert.trials == 1 and cert.maximal:
+            # Settled by the first trial: a prefix of its one sequence.
+            assert cert.points == tuple(pt.coords for pt in first[:s])
+        # One count is the per-count certification, byte for byte.
+        single = certify_counts(n, p, d, [s], q, trials, seed)[s]
+        assert single.to_json() == per_count_certificate(n, p, d, s, q, trials, seed).to_json()
+
+
+def test_maxrank_test_is_the_one_count_case():
+    for q in (3, 101, None):
+        for problem in [(2, 0, 2, 4), (2, 1, 2, 3), (3, 0, 2, 7), (3, 1, 1, 2)]:
+            got = maxrank_test(*problem, q=q, trials=3, seed=5)
+            assert got.to_json() == per_count_certificate(*problem, q, 3, 5).to_json()
+            assert got == certify_counts(*problem[:3], [problem[3]], q, 3, 5)[problem[3]]
+
+
+def test_rational_prefix_short_modulo_the_prime_takes_its_exact_rank():
+    # The two points of P^1 agree modulo _CERT_PRIME, so modulo that prime
+    # they impose one condition on the two sections of Omega^1(3); over Q
+    # they are distinct and impose two.
+    pts = PointSet(1, (ProjPoint.make([0, 1]), ProjPoint.make([_CERT_PRIME, 1])), None)
+    assert _prefix_ranks(1, 0, 2, pts, [0, 1, 2]) == {0: 0, 1: 1, 2: 2}
+    assert eval_matrix(1, 0, 2, pts).rank() == 2
+
+
+def test_certify_counts_zero_points_are_vacuous():
+    certs = certify_counts(2, 0, 2, [0, 0, 3], q=101, trials=1, seed=0)
+    assert certs[0].shape == (0, 8) and certs[0].rank == 0 and certs[0].maximal
+    assert certs[0].points == () and verify_certificate(certs[0])
+
+
+def test_certify_counts_rejects_bad_problems():
+    with pytest.raises(ValueError, match="problem needs"):
+        certify_counts(2, 0, 2, [3, -1])
+    with pytest.raises(ValueError, match="trial"):
+        certify_counts(2, 0, 2, [3], trials=0)
