@@ -51,12 +51,20 @@ The RREF and its pivot columns are unique, so every path gives the same
 kernels and solutions.  A rank needs only the pivot columns: it eliminates
 below each pivot and never above it, and it does not fill the cached RREF.
 
-Rational products are one object-dtype numpy product.  The rank of a
-rational matrix is certified modulo the word prime ``_CERT_PRIME``: clearing
-the denominators of each row gives an integer matrix of the same rank, and
-a minor that is nonzero modulo a prime is nonzero over Z, so a rank modulo
-that prime equal to min(rows, cols) is the rank over Q.  Only when it
-falls short does fraction-free (Bareiss 1968) elimination decide the rank.
+A rational product of two matrices with only integer entries, such as
+section bases, display maps and point evaluations, is an exact integer
+product: through float64 BLAS, cast back to integers with no reduction,
+when max|A| * max|B| * k <= 2^53 - 1 (the argument of the first tier above,
+with no modulus), and as one object-dtype numpy product otherwise.  A
+product with a Fraction entry is one object-dtype product whose entries are
+then canonicalised.
+
+The rank of a rational matrix is certified modulo the word prime
+``_CERT_PRIME``: clearing the denominators of each row gives an integer
+matrix of the same rank, and a minor that is nonzero modulo a prime is
+nonzero over Z, so a rank modulo that prime equal to min(rows, cols) is the
+rank over Q.  Only when it falls short does fraction-free (Bareiss 1968)
+elimination decide the rank.
 """
 
 from __future__ import annotations
@@ -161,12 +169,24 @@ def _float_mod(x, q: int):
     return out
 
 
-def _mulmod(a, b, q: int):
+def _max_abs(a) -> int:
+    return max(map(abs, a.flat), default=0)
+
+
+def _mulmod(a, b, q: int | None):
     """(a @ b) mod q of two reduced residue arrays, as a reduced array of
-    dtype ``residue_dtype(q)``; the tier is chosen as in the module docstring."""
+    dtype ``residue_dtype(q)``; with q None, the exact product of two object
+    arrays of Python ints, as one.  The tier is chosen as in the module
+    docstring."""
     (m, k), n = a.shape, b.shape[1]
     if k == 0:
         return np.zeros((m, n), dtype=residue_dtype(q))
+    if q is None:
+        # A zero operand counts as 1, so the other one also converts exactly.
+        if max(_max_abs(a), 1) * max(_max_abs(b), 1) * k <= _FLOAT_EXACT:
+            prod = a.astype(np.float64) @ b.astype(np.float64)
+            return prod.astype(np.int64).astype(object)
+        return a @ b
     if (q - 1) ** 2 * k <= _FLOAT_EXACT:
         return _float_mod(a.astype(np.float64) @ b.astype(np.float64), q)
     if q <= WORD_MODULUS_MAX and k <= _LIMB_INNER_MAX:
@@ -414,13 +434,6 @@ class ExactMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, data, q=None):
-        data = [list(r) for r in data]
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, data, q=q)
-
-    @classmethod
     def zeros(cls, rows, cols, q=None):
         return cls(rows, cols, np.zeros((rows, cols), dtype=residue_dtype(q)), q=q)
 
@@ -466,7 +479,11 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         if self.q is None:
-            return ExactMatrix(self.rows, other.cols, self._a @ other._a)
+            # Products of canonical rationals with a Fraction in them take
+            # the constructor's canonicalisation; integer ones need none.
+            types = set(map(type, self._a.flat)) | set(map(type, other._a.flat))
+            if not types <= {int}:
+                return ExactMatrix(self.rows, other.cols, self._a @ other._a)
         return ExactMatrix._wrap(_mulmod(self._a, other._a, self.q), self.q)
 
     def augment(self, other):
@@ -641,8 +658,9 @@ class ExactMatrix:
 
 
 def _mod_cert_prime(rows, shape) -> ExactMatrix:
-    """Integer rows (from ``ExactMatrix._integer_rows``) reduced modulo
-    ``_CERT_PRIME``, as a matrix of the given shape over that field."""
+    """Integer rows (from ``ExactMatrix._integer_rows``, or of an integer
+    matrix) reduced modulo ``_CERT_PRIME``, as a matrix of the given shape
+    over that field."""
     a = np.array([[x % _CERT_PRIME for x in row] for row in rows], dtype=np.int64)
     return ExactMatrix._wrap(a.reshape(shape), _CERT_PRIME)
 

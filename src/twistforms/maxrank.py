@@ -3,10 +3,13 @@
 The evaluation map sends a section of Omega^{p+1}(d+p+1) to its values in
 the fibers over s points; ``eval_matrix`` builds it as exact products of a
 table of monomial values at the points and each chart's slice of the
-section basis, over Q on points scaled to integer coordinates.  A witness
-point set achieving full rank certifies maximal rank for general points
-over the field's closure (the maximal-rank locus is open); failure of every
-trial is reported as "not witnessed", never as a disproof.
+section basis.  Over Q each point is evaluated at its primitive integer
+representative, so the matrix has integer entries; each point's block is
+the one at its stored coordinates times a nonzero scalar, so the ranks are
+those at the stored coordinates.  A witness point set achieving full rank
+certifies maximal rank for general points over the field's closure (the
+maximal-rank locus is open); failure of every trial is reported as "not
+witnessed", never as a disproof.
 
 Certificates for several point counts of one (n, p, d) come from one point
 sequence per trial (``certify_counts``): a forward elimination of the
@@ -71,20 +74,8 @@ class ProjPoint:
 
     @classmethod
     def make(cls, coords, q=None):
-        coords = list(coords)
-        if q is not None:
-            coords = [c % q for c in coords]
-        pivot = max((i for i, c in enumerate(coords) if c != 0), default=None)
-        if pivot is None:
-            raise ValueError("projective point needs a nonzero coordinate")
-        lead = coords[pivot]
-        if q is not None:
-            inv = pow(lead, q - 2, q)
-            coords = [c * inv % q for c in coords]
-        else:
-            coords = [Fraction(c, lead) for c in coords]
-            coords = [int(c) if c.denominator == 1 else c for c in coords]
-        return cls(tuple(coords), q)
+        _check_modulus(q)
+        return _point(coords, q)
 
     @property
     def pivot(self) -> int:
@@ -97,6 +88,24 @@ class PointSet:
     points: tuple
     q: int | None
     seed: int | None = None
+
+
+def _point(coords, q) -> ProjPoint:
+    """``ProjPoint.make`` for a q already checked."""
+    coords = list(coords)
+    if q is not None:
+        coords = [c % q for c in coords]
+    pivot = max((i for i, c in enumerate(coords) if c != 0), default=None)
+    if pivot is None:
+        raise ValueError("projective point needs a nonzero coordinate")
+    lead = coords[pivot]
+    if q is not None:
+        inv = pow(lead, q - 2, q)
+        coords = [c * inv % q for c in coords]
+    else:
+        coords = [Fraction(c, lead) for c in coords]
+        coords = [int(c) if c.denominator == 1 else c for c in coords]
+    return ProjPoint(tuple(coords), q)
 
 
 def _num_rational_points(n: int, q: int) -> int:
@@ -146,7 +155,7 @@ def _sample_distinct(rng, n, s, q):
             coords = [rng.randint(-_RATIONAL_COORD_RANGE, _RATIONAL_COORD_RANGE) for _ in range(n + 1)]
         if all(c == 0 for c in coords):
             continue
-        pt = ProjPoint.make(coords, q)
+        pt = _point(coords, q)
         if pt.coords in seen:
             continue
         seen.add(pt.coords)
@@ -186,8 +195,11 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
     the entry of ``pivots``); columns: h^0.  Each group of points with one
     pivot is one product: the table of degree-d monomials at the points times
     the chart's slice of the basis, viewed as (monomial, index set, section).
-    Over Q the points are scaled to integer coordinates, and the product's
-    rows are divided back by scale^d.
+    Over Q each point is evaluated at its primitive integer representative,
+    the stored coordinates times the lcm of their denominators, so the
+    entries are Python ints; each point's block is the one at the stored
+    coordinates times the nonzero scalar scale^d, so every rank is the one
+    at the stored coordinates.
     """
     q = pts.q
     space = h0_basis(n, p + 1, d + p + 1, q)
@@ -213,12 +225,8 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
         chart = [j for j, I in enumerate(sets) if v not in I]
         sections = basis[:, chart].reshape(len(exps), fiber * h)
         table = _monomial_table(coords[group], exps, q)
-        prod = table @ sections if q is None else _mulmod(table, sections, q)
-        out[group] = prod.reshape(len(group), fiber, h)
-    if q is not None:
-        return ExactMatrix._wrap(out.reshape(s * fiber, h), q)
-    rows = [[Fraction(x, k**d) for x in row] for block, k in zip(out, scales) for row in block]
-    return ExactMatrix(s * fiber, h, rows, q=None)
+        out[group] = _mulmod(table, sections, q).reshape(len(group), fiber, h)
+    return ExactMatrix._wrap(out.reshape(s * fiber, h), q)
 
 
 @dataclass(frozen=True)
@@ -311,13 +319,13 @@ def _prefix_ranks(n: int, p: int, d: int, pts: PointSet, counts: list) -> dict:
 
     Its pivot columns are taken left to right, so those among the first
     s * binom(n, p+1) columns span the first s points' rows.  Over Q the
-    integer rows are eliminated modulo ``_CERT_PRIME``: a rank there is at
+    integer matrix is eliminated modulo ``_CERT_PRIME``: a rank there is at
     most the rank over Q, so a prefix that reaches min(rows, cols) has it
     over Q, and any other prefix takes its exact ``rank()``.
     """
     m = eval_matrix(n, p, d, pts)
     fiber = comb(n, p + 1)
-    mod = m if m.q is not None else _mod_cert_prime(m._integer_rows(), m.shape)
+    mod = m if m.q is not None else _mod_cert_prime(m._a.tolist(), m.shape)
     pivots = mod.transpose()._rref_mod(full=False)[1]
     ranks = {}
     for s in counts:
@@ -396,9 +404,8 @@ def verify_certificate(cert: RankCertificate) -> bool:
     """Recompute rank and verdict from the certificate's replay list."""
     if cert.points is None:
         raise ValueError("certificate carries no replay list")
-    pts = PointSet(
-        cert.n, tuple(ProjPoint.make(c, cert.q) for c in cert.points), cert.q, cert.seed
-    )
+    _check_modulus(cert.q)
+    pts = PointSet(cert.n, tuple(_point(c, cert.q) for c in cert.points), cert.q, cert.seed)
     m = eval_matrix(cert.n, cert.p, cert.d, pts)
     r = m.rank()
     return m.shape == cert.shape and r == cert.rank and cert.maximal == (r == min(cert.shape))

@@ -21,12 +21,18 @@ from twistforms.exactalg import (
 from twistforms.forms import contraction_matrix
 
 
+def from_rows(rows, q=None):
+    """The matrix with the given rows, through the checking constructor."""
+    rows = [list(r) for r in rows]
+    return ExactMatrix(len(rows), len(rows[0]) if rows else 0, rows, q=q)
+
+
 def gf(rows, q=101):
-    return ExactMatrix.from_rows(rows, q=q)
+    return from_rows(rows, q=q)
 
 
 def qq(rows):
-    return ExactMatrix.from_rows(rows, q=None)
+    return from_rows(rows, q=None)
 
 
 def test_rank_identity_and_zero():
@@ -87,7 +93,7 @@ def test_solve_consistent_and_inconsistent():
 
 def test_nonprime_modulus_rejected():
     with pytest.raises(ValueError):
-        ExactMatrix.from_rows([[1]], q=100)
+        from_rows([[1]], q=100)
 
 
 @pytest.mark.parametrize("q", [None, 101, 2**61 - 1])
@@ -113,7 +119,7 @@ def test_is_prime_rejects_strong_pseudoprime_to_bases_2_to_37():
     assert PSEUDOPRIME_2_TO_37 == 399165290221 * 798330580441
     assert not is_prime(PSEUDOPRIME_2_TO_37)
     with pytest.raises(ValueError, match="not prime"):
-        ExactMatrix.from_rows([[1]], q=PSEUDOPRIME_2_TO_37)
+        from_rows([[1]], q=PSEUDOPRIME_2_TO_37)
     assert [x for x in range(50) if is_prime(x)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47
     ]
@@ -135,7 +141,7 @@ def matrices(draw, q):
             max_size=rows,
         )
     )
-    return ExactMatrix.from_rows(data, q=q)
+    return from_rows(data, q=q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,7 +170,7 @@ def test_kernel_annihilated_and_independent(m):
 def test_rational_rank_bounds_modular_rank(m):
     r = m.rank()
     for q in (101, 1009, 65537):
-        mq = ExactMatrix.from_rows(m.row_list(), q=q)
+        mq = from_rows(m.row_list(), q=q)
         assert mq.rank() <= r
 
 
@@ -339,7 +345,7 @@ LARGE_PRIMES = (4294967311, 2**61 - 1, 2**89 - 1)
 def test_large_prime_ranks_equal_rational_ranks(m):
     r = m.rank()
     for q in LARGE_PRIMES:
-        mq = ExactMatrix.from_rows(m.row_list(), q=q)
+        mq = from_rows(m.row_list(), q=q)
         assert mq.rank() == r
         k = mq.kernel_basis()
         assert k.cols == m.cols - r
@@ -420,8 +426,8 @@ def test_product_past_the_float_bound():
     # 7 * (q-2)^2 is odd and above 2^53, where float64 rounds the sum
     # (to a residue of 29).
     q = 94906249
-    a = ExactMatrix.from_rows([[q - 2] * 7], q=q)
-    b = ExactMatrix.from_rows([[q - 2]] * 7, q=q)
+    a = from_rows([[q - 2] * 7], q=q)
+    b = from_rows([[q - 2]] * 7, q=q)
     assert (a @ b).row_list() == [[7 * (q - 2) ** 2 % q]] == [[28]]
 
 
@@ -432,6 +438,78 @@ def test_product_with_empty_inner_dimension():
         assert prod._a.dtype == residue_dtype(q)
     prod = ExactMatrix.zeros(3, 0) @ ExactMatrix.zeros(0, 2)
     assert prod.row_list() == [[0, 0]] * 3
+
+
+# -- exact integer products (rational matrices with integer entries) -----------
+
+
+def _object_array(rows, shape):
+    return np.array(rows, dtype=object).reshape(shape)
+
+
+@st.composite
+def integer_pairs(draw):
+    m, k, n = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    # Magnitudes on both sides of max|A| * max|B| * k <= 2^53 - 1.
+    bound = draw(st.sampled_from((1, 1000, 2**26, 2**26 + 1, 2**40, 2**70)))
+    entry = st.one_of(st.integers(-bound, bound), st.sampled_from((-bound, bound)))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return _object_array(a, (m, k)), _object_array(b, (k, n))
+
+
+# max|A| = max|B| = 2^26: k = 1 is on the float64 tier, k = 2 past it.
+@example((_object_array([[2**26]], (1, 1)), _object_array([[-(2**26)]], (1, 1))))
+@example((_object_array([[2**26, 2**26]], (1, 2)), _object_array([[2**26], [2**26]], (2, 1))))
+# The bound met with equality: 2^53 - 1 = 6361 * 69431 * 20394401.
+@example((_object_array([[6361 * 69431]], (1, 1)), _object_array([[20394401]], (1, 1))))
+# 2^52 + (2^26 + 1)^2 is odd and above 2^53, where float64 rounds the sum.
+@example(
+    (_object_array([[2**26, 2**26 + 1]], (1, 2)), _object_array([[2**26], [2**26 + 1]], (2, 1)))
+)
+# A zero operand: the other one may be too large for float64 at all.
+@example((_object_array([[2**1100]], (1, 1)), _object_array([[0]], (1, 1))))
+@settings(max_examples=200, deadline=None)
+@given(integer_pairs())
+def test_integer_product_equals_object_product(case):
+    a, b = case
+    prod = exactalg._mulmod(a, b, None)
+    oracle = [[sum(a[i, t] * b[t, j] for t in range(a.shape[1])) for j in range(b.shape[1])]
+              for i in range(a.shape[0])]
+    assert prod.shape == (a.shape[0], b.shape[1]) and prod.dtype == object
+    assert _typed(prod.tolist()) == _typed(oracle)
+
+
+@st.composite
+def mixed_rational_pairs(draw):
+    m, k, n = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    big = st.integers(-(2**40), 2**40)
+    ints = st.one_of(small_int, big)
+    a = draw(st.lists(st.lists(ints, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(rational_entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    left, right = ExactMatrix(m, k, a), ExactMatrix(k, n, b)
+    return (left, right) if draw(st.booleans()) else (right.transpose(), left.transpose())
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_rational_pairs())
+def test_rational_products_are_canonical_on_both_paths(case):
+    # An operand with a Fraction takes the constructor's canonicalisation;
+    # integer operands take the integer product.  Both give canonical
+    # entries equal to a Fraction product.
+    a, b = case
+    ra, rb = a.row_list(), b.row_list()
+    ref = [
+        [sum((Fraction(ra[i][t]) * Fraction(rb[t][j]) for t in range(a.cols)), Fraction(0))
+         for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    canon = [[x.numerator if x.denominator == 1 else x for x in row] for row in ref]
+    assert _typed((a @ b).row_list()) == _typed(canon)
+    ints = ExactMatrix(a.rows, a.cols, [[int(x) for x in row] for row in ra])
+    assert _typed((ints @ ints.transpose()).row_list()) == _typed(
+        [[sum(int(x) * int(y) for x, y in zip(r, s)) for s in ra] for r in ra]
+    )
 
 
 def _whole_row_rref(m):
@@ -472,7 +550,7 @@ def _loop_kernel(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices(q=None), st.sampled_from((2, 101, 2**61 - 1)))
 def test_rref_and_kernel_match_reference_loops(m, q):
-    mq = ExactMatrix.from_rows(m.row_list(), q=q)
+    mq = from_rows(m.row_list(), q=q)
     rr, pivots = mq._rref()
     ref_rr, ref_pivots = _whole_row_rref(mq)
     assert pivots == ref_pivots
@@ -485,8 +563,8 @@ def test_rref_and_kernel_match_reference_loops(m, q):
 @settings(max_examples=40, deadline=None)
 @given(matrices(q=None), st.sampled_from((101, 2**61 - 1, None)))
 def test_rank_same_before_and_after_rref_cache(m, q):
-    fresh = ExactMatrix.from_rows(m.row_list(), q=q)
-    cached = ExactMatrix.from_rows(m.row_list(), q=q)
+    fresh = from_rows(m.row_list(), q=q)
+    cached = from_rows(m.row_list(), q=q)
     cached._rref()
     r = fresh.rank()
     assert cached.rank() == r == fresh.rank()
@@ -711,7 +789,7 @@ def test_large_dense_ranks_take_the_blocked_path(monkeypatch):
     def rank_one(rows, cols, q):
         u = rng.integers(1, min(q, 2**62), rows).tolist()
         v = rng.integers(1, min(q, 2**62), cols).tolist()
-        return ExactMatrix.from_rows([[x * y for y in v] for x in u], q=q)
+        return from_rows([[x * y for y in v] for x in u], q=q)
 
     ev = eval_matrix(3, 0, 7, random_points(3, 105, q=101, seed=1))
     assert ev.shape == (315, 315) and path(ev) == [32]
@@ -755,11 +833,11 @@ def test_canonical_wraps_equal_constructed_matrices(m):
     for x, ref in (
         (m.transpose(), ExactMatrix(m.cols, m.rows, [[r[j] for r in rows] for j in range(m.cols)])),
         (m.augment(m), ExactMatrix(m.rows, 2 * m.cols, [r + r for r in rows])),
-        (gram, ExactMatrix.from_rows([[sum(map(mul, r, v)) for v in rows] for r in rows])),
+        (gram, from_rows([[sum(map(mul, r, v)) for v in rows] for r in rows])),
         (sol, ExactMatrix(sol.rows, sol.cols, sol.row_list())),
         (ker, ExactMatrix(ker.rows, ker.cols, ker.row_list())),
         (ExactMatrix.zeros(m.rows, m.cols), ExactMatrix(m.rows, m.cols, [[0] * m.cols] * m.rows)),
-        (ExactMatrix.identity(m.rows), ExactMatrix.from_rows(np.eye(m.rows, dtype=int).tolist())),
+        (ExactMatrix.identity(m.rows), from_rows(np.eye(m.rows, dtype=int).tolist())),
         (ev, ExactMatrix(ev.rows, ev.cols, ev.row_list())),
     ):
         _assert_canonical_storage(x)
@@ -786,8 +864,8 @@ def test_elimination_deterministic():
 
 
 def rows_k_k2_k(q=None):
-    i = ExactMatrix.from_rows([[1], [0]], q=q)
-    p = ExactMatrix.from_rows([[0, 1]], q=q)
+    i = from_rows([[1], [0]], q=q)
+    p = from_rows([[0, 1]], q=q)
     return i, p
 
 
@@ -810,7 +888,7 @@ def test_snake_isomorphism_case():
 def test_snake_worked_example():
     i, p = rows_k_k2_k()
     f1 = ExactMatrix.zeros(1, 1)
-    f2 = ExactMatrix.from_rows([[0, 0], [0, 1]])
+    f2 = from_rows([[0, 0], [0, 1]])
     f3 = ExactMatrix.identity(1)
     ledger = snake_check(i, p, i, p, f1, f2, f3)
     assert ledger.exact
@@ -837,7 +915,7 @@ def test_snake_rejects_noncommuting_square():
 
 
 def test_snake_rejects_non_exact_row():
-    i = ExactMatrix.from_rows([[1], [0]])
+    i = from_rows([[1], [0]])
     not_surjective = ExactMatrix.zeros(1, 2)
     one = ExactMatrix.identity(1)
     two = ExactMatrix.identity(2)

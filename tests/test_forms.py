@@ -109,7 +109,7 @@ def test_rational_and_modular_ranks_agree_on_forms_matrices():
                     continue
                 r = m.rank()
                 for q in (101, 10007, 2):
-                    mq = ExactMatrix.from_rows(m.row_list(), q=q)
+                    mq = ExactMatrix(m.rows, m.cols, m.row_list(), q=q)
                     assert mq.rank() == r, (n, p, d, q)
 
 
@@ -299,7 +299,6 @@ def test_section_spaces_reject_a_composite_modulus(p, d):
 # below it (``_assemble``, ``_no_small_hyperplane``) take q as checked.
 _ENTRY_POINTS = {
     "ExactMatrix": lambda q: ExactMatrix(1, 1, [[1]], q=q),
-    "ExactMatrix.from_rows": lambda q: ExactMatrix.from_rows([[1]], q=q),
     "ExactMatrix.zeros": lambda q: ExactMatrix.zeros(2, 2, q=q),
     "ExactMatrix.identity": lambda q: ExactMatrix.identity(2, q=q),
     "contraction_matrix": lambda q: contraction_matrix(2, 1, 2, q),
@@ -314,9 +313,9 @@ _ENTRY_POINTS = {
     "verify_display": lambda q: verify_display(2, 0, 0, 0, q),
     # Five points on P^2 take no small-hyperplane check, so no rank.
     "random_points": lambda q: random_points(2, 5, q, seed=0),
-    "eval_matrix": lambda q: eval_matrix(
-        2, 0, 2, PointSet(2, (ProjPoint.make([1, 2, 1], q),), q)
-    ),
+    "ProjPoint.make": lambda q: ProjPoint.make([3, 6], q),
+    # Built directly, so only eval_matrix sees the modulus.
+    "eval_matrix": lambda q: eval_matrix(2, 0, 2, PointSet(2, (ProjPoint((1, 2, 1), q),), q)),
     "maxrank_test": lambda q: maxrank_test(2, 0, 2, 4, q),
     "certify_counts": lambda q: certify_counts(2, 0, 2, [3, 4], q),
     "verify_certificate": lambda q: verify_certificate(

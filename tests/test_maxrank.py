@@ -1,13 +1,18 @@
 """Point sampling, fiber evaluation, and maximal-rank certificates."""
 
+from bisect import bisect_left
+from fractions import Fraction
 from itertools import combinations
+from math import comb, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistforms.bott import binom, h_omega
-from twistforms.exactalg import _CERT_PRIME, ExactMatrix
-from twistforms.forms import h0_basis
+from twistforms import maxrank
+from twistforms.exactalg import _CERT_PRIME, ExactMatrix, _mod_cert_prime
+from twistforms.forms import h0_basis, index_sets, monomials
 from twistforms.maxrank import (
     BettiLedger,
     FieldTooSmallError,
@@ -15,6 +20,7 @@ from twistforms.maxrank import (
     ProjPoint,
     RankCertificate,
     _num_rational_points,
+    _monomial_table,
     _prefix_ranks,
     _trial_seed,
     certify_counts,
@@ -32,6 +38,12 @@ def test_projpoint_normalizes_last_nonzero_to_one():
     pt2 = ProjPoint.make([4, 0], q=None)
     assert pt2.coords == (1, 0)
     assert pt2.pivot == 0
+
+
+def test_projpoint_rejects_a_composite_modulus():
+    # Modulo 100, 6 has no inverse: this gave the point (48, 96).
+    with pytest.raises(ValueError, match="modulus 100 is not prime"):
+        ProjPoint.make([3, 6], q=100)
 
 
 def test_projpoint_rejects_zero_vector():
@@ -61,12 +73,19 @@ def test_small_sets_avoid_degenerate_hyperplanes():
     from itertools import combinations
 
     for sub in combinations(pts.points, 3):
-        m = ExactMatrix.from_rows([list(p.coords) for p in sub], q=101)
+        m = ExactMatrix(3, 3, [list(p.coords) for p in sub], q=101)
         assert m.rank() == 3
 
 
+def integer_representative(coords):
+    """A rational point's coordinates times the lcm of their denominators."""
+    scale = lcm(*(Fraction(c).denominator for c in coords))
+    return [int(c * scale) for c in coords]
+
+
 def naive_eval_matrix(n, p, d, pts, pivots=None):
-    """Reference: evaluate every section at every point, one term at a time."""
+    """Reference: evaluate every section at every point, one term at a time;
+    a rational point at its primitive integer representative."""
     q = pts.q
     space = h0_basis(n, p + 1, d + p + 1, q)
     cols = space.basis.row_list()
@@ -82,7 +101,8 @@ def naive_eval_matrix(n, p, d, pts, pivots=None):
                 if coeff == 0 or pivot in I:
                     continue
                 val = coeff
-                for e, c in zip(m, pt.coords):
+                coords = pt.coords if q is not None else integer_representative(pt.coords)
+                for e, c in zip(m, coords):
                     val *= c**e if q is None else pow(c, e, q)
                 acc[I] = acc.get(I, 0) + val
             block = [acc.get(I, 0) for I in chart]
@@ -141,7 +161,7 @@ def test_eval_matrix_invariant_one_form():
         ((1,), (0, 1)): 0,
     }
     pts = PointSet(1, (ProjPoint.make([1, 1], q=None),), None, 0)
-    assert eval_matrix(1, 0, 1, pts) == ExactMatrix.from_rows([[1]], q=None)
+    assert eval_matrix(1, 0, 1, pts) == ExactMatrix(1, 1, [[1]], q=None)
 
 
 def test_fiber_eval_chart_choice_preserves_rank():
@@ -346,3 +366,92 @@ def test_certify_counts_rejects_bad_problems():
         certify_counts(2, 0, 2, [3, -1])
     with pytest.raises(ValueError, match="trial"):
         certify_counts(2, 0, 2, [3], trials=0)
+
+
+# -- rational evaluation at integer representatives ------------------------------
+
+
+def fraction_eval_matrix(n, p, d, pts, pivots=None):
+    """Copy of the rational ``eval_matrix`` as it was before integer
+    representatives: the product at the points scaled to integer
+    coordinates, each point's rows divided back by scale^d into Fractions."""
+    space = h0_basis(n, p + 1, d + p + 1, None)
+    s, h, fiber = len(pts.points), space.dim, comb(n, p + 1)
+    if not s or not h:
+        return ExactMatrix.zeros(s * fiber, h)
+    piv = [pt.pivot if pivots is None else pivots[k] for k, pt in enumerate(pts.points)]
+    scales = [lcm(*(Fraction(c).denominator for c in pt.coords)) for pt in pts.points]
+    rows = [[int(c * k) for c in pt.coords] for pt, k in zip(pts.points, scales)]
+    coords = np.array(rows, dtype=object)
+    exps = np.array(monomials(n + 1, d), dtype=np.int64)
+    sets = index_sets(n + 1, p + 1)
+    basis = space.basis._a.reshape(len(sets), len(exps), h).transpose(1, 0, 2)
+    out = np.zeros((s, fiber, h), dtype=object)
+    for v in sorted(set(piv)):
+        group = [k for k, w in enumerate(piv) if w == v]
+        chart = [j for j, I in enumerate(sets) if v not in I]
+        sections = basis[:, chart].reshape(len(exps), fiber * h)
+        prod = _monomial_table(coords[group], exps, None) @ sections
+        out[group] = prod.reshape(len(group), fiber, h)
+    rows = [[Fraction(x, k**d) for x in row] for block, k in zip(out, scales) for row in block]
+    return ExactMatrix(s * fiber, h, rows, q=None)
+
+
+def fraction_prefix_ranks(n, p, d, pts, counts):
+    """Copy of ``_prefix_ranks`` as it was before integer representatives:
+    the Fraction evaluation, multiplied back to integer rows."""
+    m = fraction_eval_matrix(n, p, d, pts)
+    fiber = comb(n, p + 1)
+    pivots = _mod_cert_prime(m._integer_rows(), m.shape).transpose()._rref_mod(full=False)[1]
+    ranks = {}
+    for s in counts:
+        k = s * fiber
+        r = bisect_left(pivots, k)
+        if r < min(k, m.cols):
+            r = ExactMatrix._wrap(m._a[:k], None).rank()
+        ranks[s] = r
+    return ranks
+
+
+def _rational_point_sets(n, h, fiber):
+    """Seeded point sets on P^n: a short one, one with at least as many rows
+    as columns, and (for n >= 2) up to eight on the hyperplane x0 = 0, whose
+    ranks can fall short."""
+    yield random_points(n, 2, None, seed=n)
+    yield random_points(n, h // fiber + 1, None, seed=10 + n)
+    if n >= 2:
+        plane = random_points(n - 1, min(h // fiber // 2 + 1, 8), None, seed=20 + n)
+        pts = tuple(ProjPoint.make((0,) + pt.coords) for pt in plane.points)
+        yield PointSet(n, pts, None)
+
+
+def test_rational_evaluation_ranks_equal_the_fraction_evaluation():
+    deficient = 0
+    for n in (1, 2, 3):
+        for p in range(n):
+            fiber = comb(n, p + 1)
+            for d in range(6):
+                h = h0_basis(n, p + 1, d + p + 1, None).dim
+                for pts in _rational_point_sets(n, h, fiber):
+                    first = [min(i for i, c in enumerate(pt.coords) if c != 0) for pt in pts.points]
+                    for pivots in (None, first):
+                        m = eval_matrix(n, p, d, pts, pivots)
+                        ref = fraction_eval_matrix(n, p, d, pts, pivots)
+                        assert all(type(x) is int for x in m._a.flat)
+                        assert m.rank() == ref.rank(), (n, p, d, len(pts.points), pivots)
+                        deficient += m.rank() < min(m.shape)
+    assert deficient  # the hyperplane sets reach the exact-rank path
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_rational_certificates_equal_the_fraction_path(seed, monkeypatch):
+    problems = [(2, 0, 2, [3, 4, 6]), (2, 1, 3, [2, 5]), (3, 0, 2, [4, 7]), (3, 1, 2, [3, 6])]
+    now = [certify_counts(n, p, d, counts, None, 3, seed) for n, p, d, counts in problems]
+    single = maxrank_test(3, 0, 4, 30, q=None, trials=2, seed=seed)
+    monkeypatch.setattr(maxrank, "_prefix_ranks", fraction_prefix_ranks)
+    before = [certify_counts(n, p, d, counts, None, 3, seed) for n, p, d, counts in problems]
+    assert single.to_json() == maxrank_test(3, 0, 4, 30, q=None, trials=2, seed=seed).to_json()
+    for got, ref in zip(now, before):
+        assert [c.to_json() for c in got.values()] == [c.to_json() for c in ref.values()]
+        for cert in got.values():
+            assert verify_certificate(cert)
