@@ -61,10 +61,12 @@ then canonicalised.
 
 The rank of a rational matrix is certified modulo the word prime
 ``_CERT_PRIME``: clearing the denominators of each row gives an integer
-matrix of the same rank, and a minor that is nonzero modulo a prime is
-nonzero over Z, so a rank modulo that prime equal to min(rows, cols) is the
-rank over Q.  Only when it falls short does fraction-free (Bareiss 1968)
-elimination decide the rank.
+matrix of the same rank (a matrix of ints, as section bases, display maps
+and point evaluations are, is one already, and is reduced by one numpy
+remainder, with no lcm per row), and a minor that is nonzero modulo a
+prime is nonzero over Z, so a rank modulo that prime equal to
+min(rows, cols) is the rank over Q.  Only when it falls short does
+fraction-free (Bareiss 1968) elimination decide the rank.
 """
 
 from __future__ import annotations
@@ -447,10 +449,6 @@ class ExactMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def row_list(self):
-        """Entries as a list of row lists (ints for GF(q), Fraction/int else)."""
-        return self._a.tolist()
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -564,8 +562,8 @@ class ExactMatrix:
         same paths as the RREF.  Over Q the
         rank modulo ``_CERT_PRIME`` of the row-wise integer matrix is taken
         first, the same way; when it is min(rows, cols) it is the rational
-        rank, and otherwise fraction-free (Bareiss) elimination computes the
-        rank exactly.
+        rank, and otherwise fraction-free (Bareiss) elimination of its rows
+        computes the rank exactly.
         """
         if self._rank is None:
             if self._rr is not None:
@@ -573,22 +571,25 @@ class ExactMatrix:
             elif self.q is not None:
                 self._rank = len(self._rref_mod(full=False)[1])
             else:
-                rows = self._integer_rows()
-                r = len(_mod_cert_prime(rows, self.shape)._rref_mod(full=False)[1])
-                self._rank = r if r == min(self.shape) else self._rank_bareiss(rows)
+                a = self._integer_matrix()
+                r = len(_mod_cert_prime(a)._rref_mod(full=False)[1])
+                self._rank = r if r == min(self.shape) else self._rank_bareiss(a.tolist())
         return self._rank
 
-    def _integer_rows(self):
-        """Each rational row times the lcm of its denominators: integer rows
-        spanning a matrix of the same rank."""
+    def _integer_matrix(self):
+        """An object array of Python ints with the rank of this rational
+        matrix: its own array when every entry is an int, otherwise each
+        row times the lcm of its denominators."""
+        if set(map(type, self._a.flat)) <= {int}:
+            return self._a
         rows = []
         for row in self._a.tolist():
             den = lcm(*(x.denominator for x in row if type(x) is Fraction))
             rows.append(row if den == 1 else [int(x * den) for x in row])
-        return rows
+        return np.array(rows, dtype=object).reshape(self.shape)
 
     def _rank_bareiss(self, rows) -> int:
-        """Rank of the integer rows (from ``_integer_rows``), which it overwrites."""
+        """Rank of the integer rows (of ``_integer_matrix``), which it overwrites."""
         m, n = self.rows, self.cols
         prev = 1
         r = 0
@@ -657,12 +658,11 @@ class ExactMatrix:
         return ExactMatrix._wrap(x, self.q)
 
 
-def _mod_cert_prime(rows, shape) -> ExactMatrix:
-    """Integer rows (from ``ExactMatrix._integer_rows``, or of an integer
-    matrix) reduced modulo ``_CERT_PRIME``, as a matrix of the given shape
-    over that field."""
-    a = np.array([[x % _CERT_PRIME for x in row] for row in rows], dtype=np.int64)
-    return ExactMatrix._wrap(a.reshape(shape), _CERT_PRIME)
+def _mod_cert_prime(a) -> ExactMatrix:
+    """An object array of Python ints (from ``ExactMatrix._integer_matrix``,
+    or of an integer matrix) reduced modulo ``_CERT_PRIME`` by one numpy
+    remainder, as a matrix over that field."""
+    return ExactMatrix._wrap((a % _CERT_PRIME).astype(np.int64), _CERT_PRIME)
 
 
 # -- snake lemma ------------------------------------------------------------

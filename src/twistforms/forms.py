@@ -18,14 +18,16 @@ h = dx_{v0} ^ (.) / x_{v0}.  These are the vectors the RREF gives, so each
 basis is the one ``ExactMatrix.kernel_basis`` of ``contraction_matrix``
 would return, entry for entry; the tests check this against the matrix.
 
-Each section space also names its free rows, one ambient row per basis
-column: the free forms above, and every row of a free sum.  On those rows
-the basis is the identity over GF(q) and a diagonal of +/-1 over Q, so the
-maps between section spaces read the coordinates of an image off its free
-rows, with no elimination, and one product checks that it lies in the span.
-A map is given by its rule on terms x^m dx_I, and the image of a basis is
-composed on terms, from the basis's nonzero entries: no matrix between the
-two ambient spaces is built.
+Each section space keeps its basis also as terms, the (ambient row,
+coefficient) pairs of each column, and names its free rows, one ambient
+row per basis column: the free forms above, and every row of a free sum.
+On those rows the basis is the identity over GF(q) and a diagonal of +/-1
+over Q.  A map between section spaces is given by its rule on terms
+x^m dx_I; the image of a basis is composed on the basis's terms, its
+coordinates are read off the target's free rows, with no elimination, and
+the target's terms rebuild the image from them, which checks that it lies
+in the span.  No matrix between the two ambient spaces, and no dense
+image, is built.
 
 Index sets are ordered lexicographically and monomials in graded-lex order
 with x_0 > x_1 > ... > x_n, so all matrices are reproducible across runs.
@@ -34,7 +36,7 @@ with x_0 > x_1 > ... > x_n, so all matrices are reproducible across runs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -102,15 +104,19 @@ class SectionSpace:
     """An explicit basis of global sections.
 
     ``key`` lists the ambient coordinate pairs; ``basis`` has one column
-    per basis section, expressed in those coordinates.  ``free`` has one
-    ambient row per column, the only row of ``free`` where that column is
-    nonzero; there its entry is 1 over GF(q) and +/-1 over Q.
+    per basis section, expressed in those coordinates.  ``terms`` holds the
+    same columns as terms: per column, its nonzero entries as (ambient row,
+    value) pairs, values as ``basis`` stores them, the first on the
+    column's free row.  ``free`` has one ambient row per column, the only
+    row of ``free`` where that column is nonzero; there its entry is 1 over
+    GF(q) and +/-1 over Q.
     """
 
     descriptor: object
     basis: ExactMatrix
     key: tuple
     free: tuple
+    terms: tuple = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -220,12 +226,13 @@ def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
     left, as every entry is +/-1.  A column with no v0 (restricted p = 1,
     J = (n,), m = 0) is zero, and its kernel vector is itself; at p = 0
     every column is free and the basis is the identity.  The free rows
-    (J, m) are recorded as the space's ``free``.
+    (J, m) are recorded as the space's ``free``, and each column's terms,
+    its free row first, as its ``terms``.
     """
     n, p, d = desc.n, desc.p, desc.d
     key = _key(n + 1, nvar, p, d)
     index = {pair: i for i, pair in enumerate(key)}
-    rows, cols, vals, free = [], [], [], []
+    rows, cols, vals, free, columns = [], [], [], [], []
     for row, (J, m) in enumerate(key):
         v0 = next((j for j in range(nvar) if m[j] or j in J), None)
         if v0 is not None and v0 in J:
@@ -238,15 +245,19 @@ def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
                 shifted[v0] -= 1
                 other = ((v0,) + J[:pos] + J[pos + 1 :], tuple(shifted))
                 terms.append((index[other], 1 if pos % 2 else -1))
+        if q is not None:
+            terms = [(i, v % q) for i, v in terms]
         # Over Q, kernel_basis negates a column whose first nonzero is negative.
-        if q is None and min(terms)[1] < 0:
+        elif min(terms)[1] < 0:
             terms = [(i, -v) for i, v in terms]
         for i, v in terms:
             rows.append(i)
             cols.append(len(free))
             vals.append(v)
         free.append(row)
-    return SectionSpace(desc, _assemble(len(key), len(free), rows, cols, vals, q), key, tuple(free))
+        columns.append(tuple(terms))
+    basis = _assemble(len(key), len(free), rows, cols, vals, q)
+    return SectionSpace(desc, basis, key, tuple(free), tuple(columns))
 
 
 @lru_cache(maxsize=None)
@@ -287,28 +298,29 @@ def free_sections(n: int, d: int, r: int, q=DEFAULT_PRIME) -> SectionSpace:
     mons = monomials(n + 1, d)
     key = tuple((j, m) for j in range(r) for m in mons)
     basis = ExactMatrix.identity(len(key), q=q)
-    return SectionSpace(FreeSum(n, d, r), basis, key, tuple(range(len(key))))
+    rows = range(len(key))
+    return SectionSpace(FreeSum(n, d, r), basis, key, tuple(rows), tuple(((i, 1),) for i in rows))
 
 
-def _ambient_map(src: SectionSpace, tgt_key, entries) -> ExactMatrix:
-    """Image of ``src.basis`` in the ambient coordinates ``tgt_key``: a
-    len(tgt_key) x src.dim matrix, composed on terms.
+def _ambient_map(src: SectionSpace, tgt_key, entries) -> dict:
+    """Image of ``src.basis`` in the ambient coordinates ``tgt_key``,
+    composed on terms: {(target row, column): value}, values Python ints
+    not reduced modulo q.
 
     ``entries(pair)`` yields (target pair, coefficient) terms for one
-    source coordinate; a target pair may repeat.  Each nonzero basis entry
-    is pushed through the terms of its row, and the products are summed
-    per (target row, column), so no ambient-to-ambient matrix is built.
+    source coordinate; a target pair may repeat.  Each of ``src``'s column
+    terms is pushed through the terms of its row, and the products are
+    summed per (target row, column), so no ambient-to-ambient matrix and
+    no dense image is built.
     """
-    a = src.basis._a
     index = {pair: i for i, pair in enumerate(tgt_key)}
-    sums = {}
-    rows, cols = np.nonzero(a)
-    for r, c, v in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
-        for tgt, x in entries(src.key[r]):
-            cell = index[tgt], c
-            sums[cell] = sums.get(cell, 0) + x * v
-    img_rows, img_cols = [i for i, _ in sums], [c for _, c in sums]
-    return _assemble(len(tgt_key), src.dim, img_rows, img_cols, list(sums.values()), src.basis.q)
+    image = {}
+    for c, column in enumerate(src.terms):
+        for r, v in column:
+            for tgt, x in entries(src.key[r]):
+                cell = index[tgt], c
+                image[cell] = image.get(cell, 0) + x * v
+    return image
 
 
 def _section_map(src: SectionSpace, tgt: SectionSpace, entries, what: str) -> ExactMatrix:
@@ -317,19 +329,31 @@ def _section_map(src: SectionSpace, tgt: SectionSpace, entries, what: str) -> Ex
     image does not lie in ``tgt``.
 
     The image of ``src.basis`` is composed on terms, and its coordinates
-    are selected, not solved for.  On the rows ``tgt.free``
-    the target basis B is a diagonal D of 1s over GF(q) and of +/-1s over
-    Q, so an image B @ Y has the rows D @ Y there, and Y is those rows
-    times D.  An image outside the span differs from B times its selected
-    coordinates, so the one product check is exact and complete.
+    are selected, not solved for.  On the rows ``tgt.free`` the target
+    basis B is a diagonal D of 1s over GF(q) and of +/-1s over Q, so an
+    image B @ Y has the rows D @ Y there, and Y is those rows times D.
+    The target's column terms then rebuild B @ Y, and it must equal the
+    image at every ambient row, modulo q over GF(q) and exactly over Q.  An
+    image outside the span differs from B times its selected coordinates,
+    so the check is exact and complete.
     """
+    q = tgt.basis.q
     image = _ambient_map(src, tgt.key, entries)
-    free = list(tgt.free)
-    signs = tgt.basis._a[free, range(len(free))]
-    coords = ExactMatrix._wrap(image._a[free] * signs[:, None], image.q)
-    if tgt.basis @ coords != image:
+    # free row -> (its column of B, the diagonal entry there)
+    diag = {i: (k, column[0][1]) for k, (i, column) in enumerate(zip(tgt.free, tgt.terms))}
+    coords = {}
+    for (i, c), v in image.items():
+        if i in diag:
+            k, s = diag[i]
+            coords[k, c] = v * s if q is None else v * s % q
+    residual = dict(image)
+    for (k, c), y in coords.items():
+        for i, v in tgt.terms[k]:
+            residual[i, c] = residual.get((i, c), 0) - v * y
+    if any(residual.values()) if q is None else any(x % q for x in residual.values()):
         raise ConsistencyError("%s: image does not lie in %r" % (what, tgt.descriptor))
-    return coords
+    rows, cols = [k for k, _ in coords], [c for _, c in coords]
+    return _assemble(tgt.dim, src.dim, rows, cols, list(coords.values()), q)
 
 
 def restriction_of_forms(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix:

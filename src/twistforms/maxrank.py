@@ -325,7 +325,7 @@ def _prefix_ranks(n: int, p: int, d: int, pts: PointSet, counts: list) -> dict:
     """
     m = eval_matrix(n, p, d, pts)
     fiber = comb(n, p + 1)
-    mod = m if m.q is not None else _mod_cert_prime(m._a.tolist(), m.shape)
+    mod = m if m.q is not None else _mod_cert_prime(m._a)
     pivots = mod.transpose()._rref_mod(full=False)[1]
     ranks = {}
     for s in counts:

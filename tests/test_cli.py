@@ -10,6 +10,12 @@ from twistforms.exactalg import ExactMatrix
 from twistforms.maxrank import CertificateError, RankCertificate
 
 
+def row_list(m):
+    """Entries of an ExactMatrix as a list of row lists (Python ints over
+    GF(q), ints and Fractions over Q)."""
+    return m._a.tolist()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -68,7 +74,7 @@ def test_verify_display_fault_injection(capsys, monkeypatch):
     def faulted(n, p, t_min, t_max, q):
         inst = display.build_display(n, p, t_min, q)
         m = inst.maps["free_incl"]
-        rows = m.row_list()
+        rows = row_list(m)
         i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
         rows[i][j] = -rows[i][j] % q
         inst.maps["free_incl"] = ExactMatrix(m.rows, m.cols, rows, q=q)

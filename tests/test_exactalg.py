@@ -21,6 +21,12 @@ from twistforms.exactalg import (
 from twistforms.forms import contraction_matrix
 
 
+def row_list(m):
+    """Entries of an ExactMatrix as a list of row lists (Python ints over
+    GF(q), ints and Fractions over Q)."""
+    return m._a.tolist()
+
+
 def from_rows(rows, q=None):
     """The matrix with the given rows, through the checking constructor."""
     rows = [list(r) for r in rows]
@@ -64,7 +70,7 @@ def test_kernel_of_contraction_112_is_the_invariant_form():
     m = contraction_matrix(1, 1, 2, q=None)
     k = m.kernel_basis()
     assert k.shape == (4, 1)
-    col = [row[0] for row in k.row_list()]
+    col = [row[0] for row in row_list(k)]
     assert col[0] == col[3] == 0
     assert col[1] == -col[2] != 0
     assert (m @ k).is_zero()
@@ -76,7 +82,7 @@ def test_rational_kernel_columns_are_canonical_integers():
     assert k.shape == (3, 2)
     assert (m @ k).is_zero()
     for j in range(2):
-        col = [row[j] for row in k.row_list()]
+        col = [row[j] for row in row_list(k)]
         assert all(isinstance(c, int) for c in col)
         lead = next(c for c in col if c != 0)
         assert lead > 0
@@ -170,7 +176,7 @@ def test_kernel_annihilated_and_independent(m):
 def test_rational_rank_bounds_modular_rank(m):
     r = m.rank()
     for q in (101, 1009, 65537):
-        mq = from_rows(m.row_list(), q=q)
+        mq = from_rows(row_list(m), q=q)
         assert mq.rank() <= r
 
 
@@ -202,7 +208,7 @@ def _bareiss_rank(m):
     """Rank by fraction-free elimination of the row-wise integer matrix:
     the reference for the certified rank."""
     rows = []
-    for row in m.row_list():
+    for row in row_list(m):
         den = lcm(*(Fraction(x).denominator for x in row)) if row else 1
         rows.append([int(x * den) for x in row])
     prev, r = 1, 0
@@ -228,7 +234,7 @@ def _dense_rref(m):
     """Fraction RREF that normalises and updates whole rows: the reference
     for the sparse update."""
     canon = exactalg._canon_rational
-    a = m.row_list()
+    a = row_list(m)
     pivots, r = [], 0
     for c in range(m.cols):
         if r == m.rows:
@@ -286,24 +292,24 @@ def test_certified_rank_equals_bareiss_rank(m):
 @settings(max_examples=60, deadline=None)
 @given(rational_matrices())
 def test_rational_rref_and_kernel_match_dense_reference(m):
-    rr, pivots = ExactMatrix(m.rows, m.cols, m.row_list())._rref()
+    rr, pivots = ExactMatrix(m.rows, m.cols, row_list(m))._rref()
     ref_rr, ref_pivots = _dense_rref(m)
     assert pivots == ref_pivots
     assert _typed(rr) == _typed(ref_rr)
-    assert _typed(m.kernel_basis().row_list()) == _typed(_fraction_kernel(m))
+    assert _typed(row_list(m.kernel_basis())) == _typed(_fraction_kernel(m))
 
 
 @settings(max_examples=40, deadline=None)
 @given(rational_matrices())
 def test_rational_product_matches_entry_sums(m):
     for a, b in ((m, m.transpose()), (m.transpose(), m)):
-        ra, rb = a.row_list(), b.row_list()
+        ra, rb = row_list(a), row_list(b)
         ref = [
             [exactalg._canon_rational(sum(ra[i][k] * rb[k][j] for k in range(a.cols)))
              for j in range(b.cols)]
             for i in range(a.rows)
         ]
-        assert _typed((a @ b).row_list()) == _typed(ref)
+        assert _typed(row_list(a @ b)) == _typed(ref)
 
 
 def test_rational_rank_examples():
@@ -321,6 +327,38 @@ def test_rational_rank_examples():
     ]:
         m = qq(rows)
         assert m.rank() == r == m.transpose().rank()
+
+
+big_int = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+@st.composite
+def planted_integer_matrices(draw):
+    """Int-only rational matrices L @ R of rank at most k: small L, and R
+    with entries up to 2^70, so most entries are beyond 2^63."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=4))
+    left = draw(st.lists(st.lists(small_int, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(big_int, min_size=cols, max_size=cols), min_size=k, max_size=k))
+    data = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] or [0] * cols for row in left]
+    return qq(data)
+
+
+P63 = CERT_PRIME * 2**64  # beyond 2^63, and 0 modulo the certifying prime
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_integer_matrices())
+@example(qq([[P63, 0], [0, 1]]))
+@example(qq([[1, 1], [1, 1 + P63]]))
+@example(qq([[P63, 2 * P63, 0], [2**64, 2**65, 1]]))
+@example(qq([[2**64 + 1, 3], [2 * (2**64 + 1), 6], [P63, 1]]))
+def test_integer_rational_ranks_match_bareiss(m):
+    # An int-only matrix is reduced as it is, with no row scan; its rank,
+    # certified or by the Bareiss fallback, is the reference's.
+    assert m._integer_matrix() is m._a
+    assert m.rank() == _bareiss_rank(m) == m.transpose().rank()
 
 
 def test_full_rank_mod_cert_prime_skips_bareiss(monkeypatch):
@@ -345,7 +383,7 @@ LARGE_PRIMES = (4294967311, 2**61 - 1, 2**89 - 1)
 def test_large_prime_ranks_equal_rational_ranks(m):
     r = m.rank()
     for q in LARGE_PRIMES:
-        mq = from_rows(m.row_list(), q=q)
+        mq = from_rows(row_list(m), q=q)
         assert mq.rank() == r
         k = mq.kernel_basis()
         assert k.cols == m.cols - r
@@ -396,7 +434,7 @@ def test_limb_tier_at_its_inner_dimension_bound(monkeypatch):
         fmods.clear()
         a = ExactMatrix._wrap(np.full((1, k), q - 1, dtype=np.int64), q)
         b = ExactMatrix._wrap(np.full((k, 1), q - 1, dtype=np.int64), q)
-        assert (a @ b).row_list() == [[k * (q - 1) ** 2 % q]]
+        assert row_list(a @ b) == [[k * (q - 1) ** 2 % q]]
         assert bool(fmods) is limbs
 
 
@@ -419,7 +457,7 @@ def test_product_equals_object_oracle(case):
     oracle = (np.array(a, dtype=object).reshape(m, k) @ np.array(b, dtype=object).reshape(k, n)) % q
     assert prod.shape == (m, n)
     assert prod._a.dtype == residue_dtype(q)
-    assert prod.row_list() == [[int(x) for x in row] for row in oracle]
+    assert row_list(prod) == [[int(x) for x in row] for row in oracle]
 
 
 def test_product_past_the_float_bound():
@@ -428,7 +466,7 @@ def test_product_past_the_float_bound():
     q = 94906249
     a = from_rows([[q - 2] * 7], q=q)
     b = from_rows([[q - 2]] * 7, q=q)
-    assert (a @ b).row_list() == [[7 * (q - 2) ** 2 % q]] == [[28]]
+    assert row_list(a @ b) == [[7 * (q - 2) ** 2 % q]] == [[28]]
 
 
 def test_product_with_empty_inner_dimension():
@@ -437,7 +475,7 @@ def test_product_with_empty_inner_dimension():
         assert prod.shape == (3, 2) and prod.is_zero()
         assert prod._a.dtype == residue_dtype(q)
     prod = ExactMatrix.zeros(3, 0) @ ExactMatrix.zeros(0, 2)
-    assert prod.row_list() == [[0, 0]] * 3
+    assert row_list(prod) == [[0, 0]] * 3
 
 
 # -- exact integer products (rational matrices with integer entries) -----------
@@ -498,16 +536,16 @@ def test_rational_products_are_canonical_on_both_paths(case):
     # integer operands take the integer product.  Both give canonical
     # entries equal to a Fraction product.
     a, b = case
-    ra, rb = a.row_list(), b.row_list()
+    ra, rb = row_list(a), row_list(b)
     ref = [
         [sum((Fraction(ra[i][t]) * Fraction(rb[t][j]) for t in range(a.cols)), Fraction(0))
          for j in range(b.cols)]
         for i in range(a.rows)
     ]
     canon = [[x.numerator if x.denominator == 1 else x for x in row] for row in ref]
-    assert _typed((a @ b).row_list()) == _typed(canon)
+    assert _typed(row_list(a @ b)) == _typed(canon)
     ints = ExactMatrix(a.rows, a.cols, [[int(x) for x in row] for row in ra])
-    assert _typed((ints @ ints.transpose()).row_list()) == _typed(
+    assert _typed(row_list(ints @ ints.transpose())) == _typed(
         [[sum(int(x) * int(y) for x, y in zip(r, s)) for s in ra] for r in ra]
     )
 
@@ -550,7 +588,7 @@ def _loop_kernel(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices(q=None), st.sampled_from((2, 101, 2**61 - 1)))
 def test_rref_and_kernel_match_reference_loops(m, q):
-    mq = from_rows(m.row_list(), q=q)
+    mq = from_rows(row_list(m), q=q)
     rr, pivots = mq._rref()
     ref_rr, ref_pivots = _whole_row_rref(mq)
     assert pivots == ref_pivots
@@ -563,8 +601,8 @@ def test_rref_and_kernel_match_reference_loops(m, q):
 @settings(max_examples=40, deadline=None)
 @given(matrices(q=None), st.sampled_from((101, 2**61 - 1, None)))
 def test_rank_same_before_and_after_rref_cache(m, q):
-    fresh = from_rows(m.row_list(), q=q)
-    cached = from_rows(m.row_list(), q=q)
+    fresh = from_rows(row_list(m), q=q)
+    cached = from_rows(row_list(m), q=q)
     cached._rref()
     r = fresh.rank()
     assert cached.rank() == r == fresh.rank()
@@ -576,7 +614,7 @@ def test_bareiss_updates_rows_with_zero_pivot_entry():
     # desynchronizes the exact division and once underreported this rank.
     m = qq([[3, 3, -2], [0, -2, -1], [-2, 0, 2]])
     assert m.rank() == 3
-    assert m._rank_bareiss(m._integer_rows()) == 3
+    assert m._rank_bareiss(m._integer_matrix().tolist()) == 3
     assert m.kernel_basis().shape == (3, 0)
 
 
@@ -825,7 +863,7 @@ def _assert_canonical_storage(m):
 def test_canonical_wraps_equal_constructed_matrices(m):
     from twistforms.maxrank import eval_matrix, random_points
 
-    rows = m.row_list()
+    rows = row_list(m)
     gram = m @ m.transpose()
     sol = m.solve(gram)  # consistent: m.transpose() is one solution
     ker = m.kernel_basis()
@@ -834,20 +872,20 @@ def test_canonical_wraps_equal_constructed_matrices(m):
         (m.transpose(), ExactMatrix(m.cols, m.rows, [[r[j] for r in rows] for j in range(m.cols)])),
         (m.augment(m), ExactMatrix(m.rows, 2 * m.cols, [r + r for r in rows])),
         (gram, from_rows([[sum(map(mul, r, v)) for v in rows] for r in rows])),
-        (sol, ExactMatrix(sol.rows, sol.cols, sol.row_list())),
-        (ker, ExactMatrix(ker.rows, ker.cols, ker.row_list())),
+        (sol, ExactMatrix(sol.rows, sol.cols, row_list(sol))),
+        (ker, ExactMatrix(ker.rows, ker.cols, row_list(ker))),
         (ExactMatrix.zeros(m.rows, m.cols), ExactMatrix(m.rows, m.cols, [[0] * m.cols] * m.rows)),
         (ExactMatrix.identity(m.rows), from_rows(np.eye(m.rows, dtype=int).tolist())),
-        (ev, ExactMatrix(ev.rows, ev.cols, ev.row_list())),
+        (ev, ExactMatrix(ev.rows, ev.cols, row_list(ev))),
     ):
         _assert_canonical_storage(x)
         _assert_canonical_storage(ref)
         assert x == ref and x.shape == ref.shape
-        assert _typed(x.row_list()) == _typed(ref.row_list())
+        assert _typed(row_list(x)) == _typed(row_list(ref))
     assert m @ sol == gram
     for n, p, d in ((1, 1, 2), (2, 1, 3), (3, 2, 2), (2, 3, 3)):
         c = contraction_matrix(n, p, d, q=None)
-        ref = ExactMatrix(c.rows, c.cols, c.row_list())
+        ref = ExactMatrix(c.rows, c.cols, row_list(c))
         _assert_canonical_storage(c)
         assert c == ref and c.shape == ref.shape
 

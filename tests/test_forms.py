@@ -40,6 +40,12 @@ from twistforms.maxrank import (
 )
 
 
+def row_list(m):
+    """Entries of an ExactMatrix as a list of row lists (Python ints over
+    GF(q), ints and Fractions over Q)."""
+    return m._a.tolist()
+
+
 def test_monomial_order_is_graded_lex():
     assert monomials(2, 2) == ((2, 0), (1, 1), (0, 2))
     assert monomials(3, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -49,7 +55,7 @@ def test_monomial_order_is_graded_lex():
 def test_contraction_112_explicit():
     # Domain: x0 dx0, x1 dx0, x0 dx1, x1 dx1; codomain: x0^2, x0 x1, x1^2.
     m = contraction_matrix(1, 1, 2, q=None)
-    assert m.row_list() == [
+    assert row_list(m) == [
         [1, 0, 0, 0],
         [0, 1, 1, 0],
         [0, 0, 0, 1],
@@ -61,7 +67,7 @@ def test_contraction_222_sign_rule():
     m = contraction_matrix(2, 2, 2, q=None)
     src = h0_basis(2, 2, 2, q=None)
     assert len(src.key) == 3
-    col0 = [row[0] for row in m.row_list()]
+    col0 = [row[0] for row in row_list(m)]
     # Codomain key: (dx0, x0), (dx0, x1), (dx0, x2), (dx1, x0), ...
     assert col0[1] == -1  # -x1 dx0
     assert col0[3] == 1  # +x0 dx1
@@ -109,7 +115,7 @@ def test_rational_and_modular_ranks_agree_on_forms_matrices():
                     continue
                 r = m.rank()
                 for q in (101, 10007, 2):
-                    mq = ExactMatrix(m.rows, m.cols, m.row_list(), q=q)
+                    mq = ExactMatrix(m.rows, m.cols, row_list(m), q=q)
                     assert mq.rank() == r, (n, p, d, q)
 
 
@@ -218,10 +224,20 @@ def test_contraction_matches_list_built(q):
                     assert _contraction(*args) == _list_contraction(*args), args
 
 
+def _image_matrix(image, nrows, ncols, q):
+    """The term image {(row, column): value} of ``_ambient_map`` as a
+    matrix, through the checking constructor."""
+    rows = [[0] * ncols for _ in range(nrows)]
+    for (i, c), v in image.items():
+        rows[i][c] = v
+    return ExactMatrix(nrows, ncols, rows, q=q)
+
+
 @pytest.mark.parametrize("q", [2, 101, 2**61 - 1, None])
 def test_ambient_map_matches_list_built(q):
-    # The image of a section basis, against the list-built ambient matrix
-    # times that basis: entry for entry, in dtype and in Python entry type.
+    # The image of a section basis, assembled from its terms, against the
+    # list-built ambient matrix times that basis: entry for entry, in dtype
+    # and in Python entry type.
     # Up to two distinct targets per source pair, with coefficients that
     # are negative, zero or larger than q; then one target repeated, with
     # coefficients that are zero or cancel at some pairs.
@@ -239,7 +255,9 @@ def test_ambient_map_matches_list_built(q):
         return [(((), m), 2), (((), m), I[0] - 2), (((), m), 0)]
 
     for rule in (entries, repeated):
-        amb = _ambient_map(src, tgt, rule)
+        image = _ambient_map(src, tgt, rule)
+        assert all(type(v) is int for v in image.values())
+        amb = _image_matrix(image, len(tgt), src.dim, q)
         want = _list_ambient_map(src.key, tgt, rule, q) @ src.basis
         assert amb == want and amb.shape == (len(tgt), src.dim)
         assert amb._a.dtype == want._a.dtype
@@ -357,7 +375,9 @@ FIELDS = [2, 3, 101, 2**31 - 1, 2**61 - 1, None]
 @pytest.mark.parametrize("q", FIELDS)
 def test_free_rows_carry_the_identity(q):
     # On its free rows each basis is the identity over GF(q) and a +/-1
-    # diagonal over Q, empty spaces included.
+    # diagonal over Q, empty spaces included.  Each space's column terms
+    # reassemble to its basis, entry for entry, and each column's term on
+    # its free row, its first, is that diagonal entry.
     spaces = []
     for n in range(5):
         spaces += [free_sections(n, d, r, q) for d in range(-1, 4) for r in range(3)]
@@ -376,6 +396,14 @@ def test_free_rows_carry_the_identity(q):
             assert all(x in (1, -1) for x in diag), case
         else:
             assert (diag == 1).all(), case
+        assert len(space.terms) == space.dim, case
+        cells = {(i, c): v for c, column in enumerate(space.terms) for i, v in column}
+        assert len(cells) == sum(map(len, space.terms)), case
+        assert all(v != 0 and type(v) is int for v in cells.values()), case
+        rebuilt = _image_matrix(cells, len(space.key), space.dim, q)
+        assert rebuilt == space.basis and rebuilt._a.dtype == space.basis._a.dtype, case
+        for column, f, x in zip(space.terms, space.free, diag.tolist()):
+            assert column[0] == (f, x), case
 
 
 @pytest.mark.parametrize("q", FIELDS)
@@ -390,7 +418,7 @@ def test_section_maps_equal_the_solve_against_the_basis(monkeypatch, q):
     def checked(src, tgt, entries, what):
         got = _section_map(src, tgt, entries, what)
         image = _ambient_map(src, tgt.key, entries)
-        want = tgt.basis.solve(image)
+        want = tgt.basis.solve(_image_matrix(image, len(tgt.key), src.dim, q))
         assert got == want and got.shape == want.shape, what
         assert got._a.dtype == want._a.dtype, what
         assert [type(x) for x in got._a.ravel()] == [type(x) for x in want._a.ravel()], what
@@ -413,12 +441,14 @@ def test_section_maps_equal_the_solve_against_the_basis(monkeypatch, q):
     }
 
 
-@pytest.mark.parametrize("q", [2, 101, None])
+@pytest.mark.parametrize("q", FIELDS)
 def test_section_map_rejects_an_image_outside_the_target(q):
     # The x_n twist of Omega^1(2) into Omega^1(3) on P^2, with one term of
-    # a section dropped: the image no longer contracts to zero.
+    # a section dropped: the image no longer contracts to zero.  Then with
+    # one term added on a row that is not free in the target: the image
+    # differs from the span there only, and its free rows are untouched.
     top, middle = h0_basis(2, 1, 2, q), h0_basis(2, 1, 3, q)
-    dropped = next(pair for pair, row in zip(top.key, top.basis.row_list()) if any(row))
+    dropped = next(pair for pair, row in zip(top.key, row_list(top.basis)) if any(row))
 
     def twist(pair):
         I, m = pair
@@ -427,6 +457,14 @@ def test_section_map_rejects_an_image_outside_the_target(q):
     def entries(pair):
         return () if pair == dropped else twist(pair)
 
+    non_free = next(i for i in range(len(middle.key)) if i not in middle.free)
+
+    def added(pair):
+        extra = ((middle.key[non_free], 1),) if pair == dropped else ()
+        return twist(pair) + extra
+
     assert _section_map(top, middle, twist, "twist").shape == (middle.dim, top.dim)
     with pytest.raises(ConsistencyError, match="twist with a dropped term"):
         _section_map(top, middle, entries, "twist with a dropped term")
+    with pytest.raises(ConsistencyError, match="twist with an added term"):
+        _section_map(top, middle, added, "twist with an added term")

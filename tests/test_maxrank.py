@@ -31,6 +31,12 @@ from twistforms.maxrank import (
 )
 
 
+def row_list(m):
+    """Entries of an ExactMatrix as a list of row lists (Python ints over
+    GF(q), ints and Fractions over Q)."""
+    return m._a.tolist()
+
+
 def test_projpoint_normalizes_last_nonzero_to_one():
     pt = ProjPoint.make([3, 6], q=101)
     assert pt.coords[1] == 1
@@ -88,7 +94,7 @@ def naive_eval_matrix(n, p, d, pts, pivots=None):
     a rational point at its primitive integer representative."""
     q = pts.q
     space = h0_basis(n, p + 1, d + p + 1, q)
-    cols = space.basis.row_list()
+    cols = row_list(space.basis)
     sections = [[cols[i][j] for i in range(len(space.key))] for j in range(space.dim)]
     rows = []
     for k, pt in enumerate(pts.points):
@@ -154,7 +160,7 @@ def test_eval_matrix_invariant_one_form():
     # H^0(Omega^1(2)) on P^1 is spanned by x1 dx0 - x0 dx1; at (1:1) the
     # chart drops the pivot component dx1, leaving x1 = 1.
     space = h0_basis(1, 1, 2, None)
-    assert dict(zip(space.key, space.basis.transpose().row_list()[0])) == {
+    assert dict(zip(space.key, row_list(space.basis.transpose())[0])) == {
         ((0,), (1, 0)): 0,
         ((0,), (0, 1)): 1,
         ((1,), (1, 0)): -1,
@@ -402,7 +408,7 @@ def fraction_prefix_ranks(n, p, d, pts, counts):
     the Fraction evaluation, multiplied back to integer rows."""
     m = fraction_eval_matrix(n, p, d, pts)
     fiber = comb(n, p + 1)
-    pivots = _mod_cert_prime(m._integer_rows(), m.shape).transpose()._rref_mod(full=False)[1]
+    pivots = _mod_cert_prime(m._integer_matrix()).transpose()._rref_mod(full=False)[1]
     ranks = {}
     for s in counts:
         k = s * fiber
