@@ -51,6 +51,16 @@ The RREF and its pivot columns are unique, so every path gives the same
 kernels and solutions.  A rank needs only the pivot columns: it eliminates
 below each pivot and never above it, and it does not fill the cached RREF.
 
+A rank of a sparse matrix (at most ``_SPARSE_DENSITY`` nonzeros, over
+either field) is peeled before any elimination, by the first step of
+structured Gaussian elimination (LaMacchia and Odlyzko 1990): every column
+with one nonzero adds 1 to the rank and deletes that nonzero's row, every
+row with one nonzero does the same for its column, and the two steps
+repeat until neither deletes anything.  Only the core that is left is
+eliminated, by the paths above; no sparse rank of the display up to
+n = 5 leaves one.  So ``_echelon_sparse`` serves RREFs (kernels and
+solves) and cores.
+
 A rational product of two matrices with only integer entries, such as
 section bases, display maps and point evaluations, is an exact integer
 product: through float64 BLAS, cast back to integers with no reduction,
@@ -73,6 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 import numpy as np
@@ -99,10 +110,11 @@ _CERT_PRIME = 3037000493
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+@lru_cache(maxsize=None)
 def is_prime(q: int) -> bool:
     """Miller-Rabin to the bases 2..41: deterministic for every
     q < 3317044064679887385961981 (about 3.3e24), a probable-prime test
-    above it."""
+    above it.  Memoized: a run checks the same few moduli many times."""
     if q < 2:
         return False
     for sp in _MR_BASES:
@@ -208,7 +220,8 @@ def _mulmod(a, b, q: int | None):
 
 
 #: GF(q) matrices with at most this share of nonzero entries are eliminated
-#: on sparse rows, denser ones as numpy arrays.
+#: on sparse rows, denser ones as numpy arrays; ranks of matrices of either
+#: field this sparse are peeled first.
 _SPARSE_DENSITY = 0.1
 
 #: A sparse elimination that makes more than this many entry updates per
@@ -269,7 +282,7 @@ def _echelon_dense(a, q: int, full: bool, b: int):
             i = k + int(nz[0])
             if i != k:
                 rows[[k, i]] = rows[[i, k]]
-            inv = pow(int(panel[k, c]), q - 2, q)
+            inv = pow(int(panel[k, c]), -1, q)
             u = panel[k, c + 1 :]
             if lag > 1:
                 u %= q
@@ -351,7 +364,7 @@ def _echelon_sparse(a, q: int, full: bool, budget: int):
         p = min(cands, key=lambda i: (len(rows[i]), i))
         used[p] = True
         prow = rows[p]
-        inv = pow(prow[c], q - 2, q)
+        inv = pow(prow[c], -1, q)
         if inv != 1:
             for j in prow:
                 prow[j] = prow[j] * inv % q
@@ -385,6 +398,39 @@ def _echelon_sparse(a, q: int, full: bool, budget: int):
         vals += rows[p].values()
     out[ri, ci] = vals
     return out, pivots
+
+
+def _peel(a):
+    """(r, core): the first step of structured Gaussian elimination
+    (LaMacchia and Odlyzko, CRYPTO 1990) on the nonzero pattern of ``a``,
+    with rank a = r + rank core.
+
+    A column with one nonzero, c * e_i, puts e_i in the column space, so
+    rank a = 1 + the rank of ``a`` without row i and that column; row i is
+    deleted once however many such columns hit it, as the others become
+    zero with it.  Rows with one nonzero are the same on the transpose.
+    The two steps alternate until neither deletes anything; the core is
+    what is left of ``a`` on the rows and columns that still hold nonzeros.
+    """
+    m, n = a.shape
+    # numpy finds the nonzeros of a boolean array several times faster.
+    i, j = np.divmod(np.flatnonzero(a.astype(bool)), n)
+    # Each step peels lines along x (columns, then rows) and deletes the
+    # crossing lines along y that they hit; x and y swap after every step.
+    x, y, t = j, i, 0
+    r, idle = 0, 0
+    while idle < 2 and x.size:
+        hit = np.zeros((m, n)[t % 2], dtype=bool)
+        hit[y[np.bincount(x)[x] == 1]] = True
+        k = int(np.count_nonzero(hit))
+        r += k
+        idle = 0 if k else idle + 1
+        keep = ~hit[y]
+        x, y, t = y[keep], x[keep], t + 1
+    if not x.size:
+        return r, a[:0, :0]
+    rows, cols = (x, y) if t % 2 else (y, x)
+    return r, a[np.ix_(np.unique(rows), np.unique(cols))]
 
 
 class ExactMatrix:
@@ -434,10 +480,6 @@ class ExactMatrix:
         a.setflags(write=False)
         m._a = a
         return m
-
-    @classmethod
-    def zeros(cls, rows, cols, q=None):
-        return cls(rows, cols, np.zeros((rows, cols), dtype=residue_dtype(q)), q=q)
 
     @classmethod
     def identity(cls, n, q=None):
@@ -558,23 +600,35 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank over the matrix's field.
 
-        GF(q) uses forward elimination (below the pivots only), by the
-        same paths as the RREF.  Over Q the
-        rank modulo ``_CERT_PRIME`` of the row-wise integer matrix is taken
-        first, the same way; when it is min(rows, cols) it is the rational
-        rank, and otherwise fraction-free (Bareiss) elimination of its rows
-        computes the rank exactly.
+        A matrix with at most ``_SPARSE_DENSITY`` nonzeros is first peeled
+        (``_peel``): its singleton columns and rows are counted and deleted,
+        exactly over every field, and only the core that is left is
+        eliminated.  GF(q) uses forward elimination (below the pivots
+        only), by the same paths as the RREF.  Over Q the rank modulo
+        ``_CERT_PRIME`` of the row-wise integer matrix is taken first, the
+        same way; when it is min(rows, cols) it is the rational rank, and
+        otherwise fraction-free (Bareiss) elimination of its rows computes
+        the rank exactly.
         """
         if self._rank is None:
             if self._rr is not None:
                 self._rank = len(self._rr[1])
-            elif self.q is not None:
-                self._rank = len(self._rref_mod(full=False)[1])
             else:
-                a = self._integer_matrix()
-                r = len(_mod_cert_prime(a)._rref_mod(full=False)[1])
-                self._rank = r if r == min(self.shape) else self._rank_bareiss(a.tolist())
+                a, r = self._a, 0
+                if np.count_nonzero(a) <= _SPARSE_DENSITY * a.size:
+                    r, a = _peel(a)
+                if a.size:
+                    r += ExactMatrix._wrap(a, self.q)._eliminated_rank()
+                self._rank = r
         return self._rank
+
+    def _eliminated_rank(self) -> int:
+        """Rank by elimination alone, not cached (``rank``'s last step)."""
+        if self.q is not None:
+            return len(self._rref_mod(full=False)[1])
+        a = self._integer_matrix()
+        r = len(_mod_cert_prime(a)._rref_mod(full=False)[1])
+        return r if r == min(self.shape) else self._rank_bareiss(a.tolist())
 
     def _integer_matrix(self):
         """An object array of Python ints with the rank of this rational

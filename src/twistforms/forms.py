@@ -109,7 +109,8 @@ class SectionSpace:
     value) pairs, values as ``basis`` stores them, the first on the
     column's free row.  ``free`` has one ambient row per column, the only
     row of ``free`` where that column is nonzero; there its entry is 1 over
-    GF(q) and +/-1 over Q.
+    GF(q) and +/-1 over Q.  ``index`` maps each pair of ``key`` to its
+    row, so maps into the space look rows up without rebuilding it.
     """
 
     descriptor: object
@@ -117,6 +118,7 @@ class SectionSpace:
     key: tuple
     free: tuple
     terms: tuple = field(repr=False)
+    index: dict = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -257,7 +259,7 @@ def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
         free.append(row)
         columns.append(tuple(terms))
     basis = _assemble(len(key), len(free), rows, cols, vals, q)
-    return SectionSpace(desc, basis, key, tuple(free), tuple(columns))
+    return SectionSpace(desc, basis, key, tuple(free), tuple(columns), index)
 
 
 @lru_cache(maxsize=None)
@@ -299,11 +301,14 @@ def free_sections(n: int, d: int, r: int, q=DEFAULT_PRIME) -> SectionSpace:
     key = tuple((j, m) for j in range(r) for m in mons)
     basis = ExactMatrix.identity(len(key), q=q)
     rows = range(len(key))
-    return SectionSpace(FreeSum(n, d, r), basis, key, tuple(rows), tuple(((i, 1),) for i in rows))
+    index = {pair: i for i, pair in enumerate(key)}
+    return SectionSpace(
+        FreeSum(n, d, r), basis, key, tuple(rows), tuple(((i, 1),) for i in rows), index
+    )
 
 
-def _ambient_map(src: SectionSpace, tgt_key, entries) -> dict:
-    """Image of ``src.basis`` in the ambient coordinates ``tgt_key``,
+def _ambient_map(src: SectionSpace, tgt: SectionSpace, entries) -> dict:
+    """Image of ``src.basis`` in the ambient coordinates of ``tgt``,
     composed on terms: {(target row, column): value}, values Python ints
     not reduced modulo q.
 
@@ -313,7 +318,7 @@ def _ambient_map(src: SectionSpace, tgt_key, entries) -> dict:
     summed per (target row, column), so no ambient-to-ambient matrix and
     no dense image is built.
     """
-    index = {pair: i for i, pair in enumerate(tgt_key)}
+    index = tgt.index
     image = {}
     for c, column in enumerate(src.terms):
         for r, v in column:
@@ -338,7 +343,7 @@ def _section_map(src: SectionSpace, tgt: SectionSpace, entries, what: str) -> Ex
     so the check is exact and complete.
     """
     q = tgt.basis.q
-    image = _ambient_map(src, tgt.key, entries)
+    image = _ambient_map(src, tgt, entries)
     # free row -> (its column of B, the diagonal entry there)
     diag = {i: (k, column[0][1]) for k, (i, column) in enumerate(zip(tgt.free, tgt.terms))}
     coords = {}

@@ -100,7 +100,7 @@ def _point(coords, q) -> ProjPoint:
         raise ValueError("projective point needs a nonzero coordinate")
     lead = coords[pivot]
     if q is not None:
-        inv = pow(lead, q - 2, q)
+        inv = pow(lead, -1, q)
         coords = [c * inv % q for c in coords]
     else:
         coords = [Fraction(c, lead) for c in coords]
@@ -297,15 +297,23 @@ def _entry(doc, key: str, kind: type):
 
 
 def _parse_point(pt, n: int, q) -> tuple:
-    """One replay point: n+1 coordinate strings, integers over GF(q)."""
+    """One replay point: n+1 coordinate strings.  Over GF(q) each must be
+    an integer written as ``to_json`` writes it (``str(int(c)) == c``);
+    over Q any string ``Fraction`` reads."""
     if not isinstance(pt, list) or len(pt) != n + 1 or not all(isinstance(c, str) for c in pt):
         raise CertificateError("each point must be a list of %d coordinate strings" % (n + 1))
+    if q is not None:
+        try:
+            coords = [int(c) for c in pt]
+        except ValueError:
+            coords = None
+        if coords is None or [str(c) for c in coords] != pt:
+            raise CertificateError("point coordinates over GF(%d) must be integers" % q)
+        return tuple(coords)
     try:
         coords = [Fraction(c) for c in pt]
     except (ValueError, ZeroDivisionError) as exc:
         raise CertificateError("bad point coordinate: %s" % exc) from exc
-    if q is not None and any(c.denominator != 1 for c in coords):
-        raise CertificateError("point coordinates over GF(%d) must be integers" % q)
     return tuple(int(c) if c.denominator == 1 else c for c in coords)
 
 

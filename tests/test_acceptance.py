@@ -126,7 +126,7 @@ def test_criterion_6_horace_consistency():
 def test_criterion_7_snake_suite():
     i = ExactMatrix(2, 1, [[1], [0]])
     q = ExactMatrix(1, 2, [[0, 1]])
-    f1 = ExactMatrix.zeros(1, 1)
+    f1 = ExactMatrix(1, 1, [[0]])
     f2 = ExactMatrix(2, 2, [[0, 0], [0, 1]])
     f3 = ExactMatrix.identity(1)
     ledger = snake_check(i, q, i, q, f1, f2, f3)

@@ -127,6 +127,11 @@ def test_maxrank_witnessed_and_not(capsys, tmp_path):
         # A form degree p >= n, named as p and not as p+1.
         lambda doc: doc["problem"].update(p=5),
         lambda doc: doc["problem"].update(p=2),
+        # Over GF(q) a coordinate must read as to_json writes an integer.
+        *(
+            (lambda doc, c=c: doc["points"][0].__setitem__(0, c))
+            for c in ("6/2", "3.0", "1e3", " 7 ", "1_0", "+3", "03", "")
+        ),
     ],
 )
 def test_maxrank_verify_rejects_malformed_certificate(capsys, tmp_path, edit):

@@ -67,7 +67,7 @@ def test_negative_twists_meet_the_h1_of_their_kernels():
 
 def test_cokernel_short_of_h1_fails_when_the_middle_h1_vanishes():
     # 0 -> 0 -> k -> k^2: exact at the left and middle, cokernel 1.
-    f, g = ExactMatrix.zeros(1, 0, q=101), ExactMatrix(2, 1, [[1], [0]], q=101)
+    f, g = ExactMatrix(1, 0, [[]], q=101), ExactMatrix(2, 1, [[1], [0]], q=101)
     assert _check_sequence("s", f, g, 2).verdict == "exact-with-known-h1-obstruction"
     assert _check_sequence("s", f, g, 2, 0).verdict == "failed"
     assert _check_sequence("s", f, g, 1, 0).verdict == "exact-with-known-h1-obstruction"

@@ -33,6 +33,11 @@ def from_rows(rows, q=None):
     return ExactMatrix(len(rows), len(rows[0]) if rows else 0, rows, q=q)
 
 
+def zeros(rows, cols, q=None):
+    """The zero matrix, through the checking constructor."""
+    return ExactMatrix(rows, cols, np.zeros((rows, cols), dtype=residue_dtype(q)), q=q)
+
+
 def gf(rows, q=101):
     return from_rows(rows, q=q)
 
@@ -43,8 +48,8 @@ def qq(rows):
 
 def test_rank_identity_and_zero():
     assert ExactMatrix.identity(2, q=101).rank() == 2
-    assert ExactMatrix.zeros(3, 5, q=101).rank() == 0
-    assert ExactMatrix.zeros(3, 5, q=None).rank() == 0
+    assert zeros(3, 5, q=101).rank() == 0
+    assert zeros(3, 5, q=None).rank() == 0
 
 
 def test_rank_euler_contraction_112():
@@ -59,7 +64,7 @@ def test_kernel_of_identity_is_empty():
 
 
 def test_kernel_of_zero_map_is_everything():
-    k = ExactMatrix.zeros(2, 3, q=None).kernel_basis()
+    k = zeros(2, 3, q=None).kernel_basis()
     assert k.shape == (3, 3)
     assert k.rank() == 3
 
@@ -471,10 +476,10 @@ def test_product_past_the_float_bound():
 
 def test_product_with_empty_inner_dimension():
     for q in PRODUCT_PRIMES:
-        prod = ExactMatrix.zeros(3, 0, q=q) @ ExactMatrix.zeros(0, 2, q=q)
+        prod = zeros(3, 0, q=q) @ zeros(0, 2, q=q)
         assert prod.shape == (3, 2) and prod.is_zero()
         assert prod._a.dtype == residue_dtype(q)
-    prod = ExactMatrix.zeros(3, 0) @ ExactMatrix.zeros(0, 2)
+    prod = zeros(3, 0) @ zeros(0, 2)
     assert row_list(prod) == [[0, 0]] * 3
 
 
@@ -706,6 +711,100 @@ def test_fill_heavy_matrix_exhausts_budget_and_matches_reference():
     assert m.rank() == len(ref_pivots)
 
 
+# -- ranks by peeling -------------------------------------------------------------
+
+peel_value = st.sampled_from((1, -1, 2, 3, -7, 100, CERT_PRIME, 2 * CERT_PRIME, 2**64 + 1))
+
+
+@st.composite
+def peel_cases(draw):
+    """(rows, cols, [(i, j, value, denominator)]): a matrix with at most
+    ``_SPARSE_DENSITY`` nonzeros, so ``rank`` peels it, with planted lines
+    numbered as they are planted and then permuted:
+
+    * a dense core, rank deficient when its last row repeats its first;
+    * a row hit by several singleton columns, and a column hit by several
+      singleton rows;
+    * a staircase, each row on two adjacent columns, that peels over
+      several steps;
+    * a few random entries anywhere, then zero rows and columns until the
+      density bound holds (no entries and no padding is an empty shape).
+    """
+    cells = {}
+    k, l = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    core = [[draw(peel_value) for _ in range(l)] for _ in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        core[-1] = core[0]
+    cells.update(((i, j), v) for i, row in enumerate(core) for j, v in enumerate(row))
+    r, c = k, l
+    s = draw(st.integers(0, 3))
+    cells.update(((r, c + t), draw(peel_value)) for t in range(s))
+    r, c = r + (s > 0), c + s
+    s = draw(st.integers(0, 3))
+    cells.update(((r + t, c), draw(peel_value)) for t in range(s))
+    r, c = r + s, c + (s > 0)
+    s = draw(st.integers(0, 5))
+    for t in range(s):
+        cells[r + t, c + t] = draw(peel_value)
+        cells[r + t, c + t + 1] = draw(peel_value)
+    r, c = r + s, c + s + (s > 0)
+    m, n = r + draw(st.integers(0, 6)), c + draw(st.integers(0, 6))
+    if m and n:
+        for _ in range(draw(st.integers(0, 4))):
+            cells[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = draw(peel_value)
+    while len(cells) > exactalg._SPARSE_DENSITY * m * n:
+        m, n = (m + 1, n) if m <= n else (m, n + 1)
+    pr, pc = draw(st.permutations(range(m))), draw(st.permutations(range(n)))
+    den = st.sampled_from((1, 1, 2, 3))
+    return m, n, [(pr[i], pc[j], v, draw(den)) for (i, j), v in sorted(cells.items())]
+
+
+def _peel_matrix(case, q):
+    """The case over GF(q) (each value reduced, 1 where it vanishes, so the
+    planted pattern holds) or over Q (each value over its denominator)."""
+    m, n, entries = case
+    a = np.zeros((m, n), dtype=object)
+    for i, j, v, den in entries:
+        a[i, j] = Fraction(v, den) if q is None else v % q or 1
+    return ExactMatrix(m, n, a, q=q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 2**31 - 1, 2**61 - 1, None])
+@settings(max_examples=80, deadline=None)
+@given(peel_cases())
+# Two singleton columns on one row: rank 1, counted once.
+@example((3, 10, [(0, 0, 1, 1), (0, 1, 1, 1)]))
+# A 2x2 core of rank 1 that no singleton reaches.
+@example((5, 10, [(0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)]))
+# A core of full rank over Q that vanishes modulo the certifying prime.
+@example((5, 10, [(0, 0, CERT_PRIME, 1), (0, 1, CERT_PRIME, 1), (1, 0, CERT_PRIME, 1),
+                  (1, 1, 2 * CERT_PRIME, 1)]))
+# A staircase next to a 2x2 core.
+@example((6, 14, [(0, 0, 1, 1), (0, 1, 2, 1), (1, 1, 3, 1), (1, 2, 1, 1), (2, 3, 1, 1),
+                  (2, 4, 1, 1), (3, 3, 1, 1), (3, 4, -1, 1)]))
+# A square matrix whose core is left after an odd number of steps.
+@example((8, 8, [(0, 0, 1, 1), (0, 2, 1, 1), (1, 0, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1), (2, 3, 1, 1)]))
+@example((0, 4, []))
+@example((3, 0, []))
+def test_peeled_rank_equals_whole_matrix_elimination(q, case):
+    m = _peel_matrix(case, q)
+    assert np.count_nonzero(m._a) <= exactalg._SPARSE_DENSITY * m._a.size
+    if q is None:
+        want = _bareiss_rank(m)
+    else:
+        want = len(exactalg._echelon_dense(m._a, q, False, max(1, m.cols))[1])
+    assert m.rank() == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 2**31 - 1, 2**61 - 1, CERT_PRIME])
+def test_modular_inverse_equals_fermat(q):
+    # Eliminations and point normalisation invert by pow(x, -1, q).
+    xs = {1, 2 % q or 1, q - 1, (q + 1) // 2, q // 3 or 1, 12345 % q or 1}
+    for x in xs:
+        assert pow(x, -1, q) == pow(x, q - 2, q)
+        assert x * pow(x, -1, q) % q == 1
+
+
 def _record_paths(monkeypatch):
     """Patch both eliminations to log their path: "sparse" (or
     "sparse-exhausted" when it gives way), or the dense panel width."""
@@ -739,6 +838,18 @@ def test_display_maps_take_the_sparse_path_and_evaluations_the_dense(monkeypatch
     assert ev.rank() == ev.cols
     # Too small for panels: one panel as wide as the matrix, pivot by pivot.
     assert taken == [ev.cols]
+    # A sparse rank eliminates only what the peel leaves: nothing for the
+    # sparse maps of a display, and a sparse core for this contraction.
+    from twistforms.display import build_display
+
+    maps = build_display(4, 1, 0, 101).maps.values()
+    sparse = [f for f in maps if np.count_nonzero(f._a) <= exactalg._SPARSE_DENSITY * f._a.size]
+    assert len(sparse) >= 4
+    taken.clear()
+    for f in sparse:
+        f.rank()
+    assert contraction_matrix(4, 2, 5, q=101).rank() == 224
+    assert taken == ["sparse"]
 
 
 # -- blocked rank elimination ---------------------------------------------------
@@ -874,7 +985,7 @@ def test_canonical_wraps_equal_constructed_matrices(m):
         (gram, from_rows([[sum(map(mul, r, v)) for v in rows] for r in rows])),
         (sol, ExactMatrix(sol.rows, sol.cols, row_list(sol))),
         (ker, ExactMatrix(ker.rows, ker.cols, row_list(ker))),
-        (ExactMatrix.zeros(m.rows, m.cols), ExactMatrix(m.rows, m.cols, [[0] * m.cols] * m.rows)),
+        (zeros(m.rows, m.cols), ExactMatrix(m.rows, m.cols, [[0] * m.cols] * m.rows)),
         (ExactMatrix.identity(m.rows), from_rows(np.eye(m.rows, dtype=int).tolist())),
         (ev, ExactMatrix(ev.rows, ev.cols, row_list(ev))),
     ):
@@ -925,7 +1036,7 @@ def test_snake_isomorphism_case():
 
 def test_snake_worked_example():
     i, p = rows_k_k2_k()
-    f1 = ExactMatrix.zeros(1, 1)
+    f1 = zeros(1, 1)
     f2 = from_rows([[0, 0], [0, 1]])
     f3 = ExactMatrix.identity(1)
     ledger = snake_check(i, p, i, p, f1, f2, f3)
@@ -945,7 +1056,7 @@ def test_snake_worked_example():
 
 def test_snake_rejects_noncommuting_square():
     i, p = rows_k_k2_k()
-    f1 = ExactMatrix.zeros(1, 1)
+    f1 = zeros(1, 1)
     f2 = ExactMatrix.identity(2)
     f3 = ExactMatrix.identity(1)
     with pytest.raises(ValueError, match="left square"):
@@ -954,7 +1065,7 @@ def test_snake_rejects_noncommuting_square():
 
 def test_snake_rejects_non_exact_row():
     i = from_rows([[1], [0]])
-    not_surjective = ExactMatrix.zeros(1, 2)
+    not_surjective = zeros(1, 2)
     one = ExactMatrix.identity(1)
     two = ExactMatrix.identity(2)
     with pytest.raises(ValueError, match="quotient not surjective"):

@@ -241,7 +241,8 @@ def test_ambient_map_matches_list_built(q):
     # Up to two distinct targets per source pair, with coefficients that
     # are negative, zero or larger than q; then one target repeated, with
     # coefficients that are zero or cancel at some pairs.
-    src, tgt = h0_basis(2, 1, 3, q), _key(3, 3, 0, 2)
+    src, tgt = h0_basis(2, 1, 3, q), h0_basis(2, 0, 2, q)
+    assert tgt.key == _key(3, 3, 0, 2)
 
     def entries(pair):
         I, m = pair
@@ -257,9 +258,9 @@ def test_ambient_map_matches_list_built(q):
     for rule in (entries, repeated):
         image = _ambient_map(src, tgt, rule)
         assert all(type(v) is int for v in image.values())
-        amb = _image_matrix(image, len(tgt), src.dim, q)
-        want = _list_ambient_map(src.key, tgt, rule, q) @ src.basis
-        assert amb == want and amb.shape == (len(tgt), src.dim)
+        amb = _image_matrix(image, len(tgt.key), src.dim, q)
+        want = _list_ambient_map(src.key, tgt.key, rule, q) @ src.basis
+        assert amb == want and amb.shape == (len(tgt.key), src.dim)
         assert amb._a.dtype == want._a.dtype
         assert [type(x) for x in amb._a.ravel()] == [type(x) for x in want._a.ravel()]
         assert not amb.is_zero()
@@ -317,7 +318,6 @@ def test_section_spaces_reject_a_composite_modulus(p, d):
 # below it (``_assemble``, ``_no_small_hyperplane``) take q as checked.
 _ENTRY_POINTS = {
     "ExactMatrix": lambda q: ExactMatrix(1, 1, [[1]], q=q),
-    "ExactMatrix.zeros": lambda q: ExactMatrix.zeros(2, 2, q=q),
     "ExactMatrix.identity": lambda q: ExactMatrix.identity(2, q=q),
     "contraction_matrix": lambda q: contraction_matrix(2, 1, 2, q),
     "h0_basis": lambda q: h0_basis(2, 1, 3, q),
@@ -377,7 +377,8 @@ def test_free_rows_carry_the_identity(q):
     # On its free rows each basis is the identity over GF(q) and a +/-1
     # diagonal over Q, empty spaces included.  Each space's column terms
     # reassemble to its basis, entry for entry, and each column's term on
-    # its free row, its first, is that diagonal entry.
+    # its free row, its first, is that diagonal entry.  Each space's index
+    # maps its ambient pairs to their rows.
     spaces = []
     for n in range(5):
         spaces += [free_sections(n, d, r, q) for d in range(-1, 4) for r in range(3)]
@@ -404,6 +405,7 @@ def test_free_rows_carry_the_identity(q):
         assert rebuilt == space.basis and rebuilt._a.dtype == space.basis._a.dtype, case
         for column, f, x in zip(space.terms, space.free, diag.tolist()):
             assert column[0] == (f, x), case
+        assert space.index == {pair: i for i, pair in enumerate(space.key)}, case
 
 
 @pytest.mark.parametrize("q", FIELDS)
@@ -417,7 +419,7 @@ def test_section_maps_equal_the_solve_against_the_basis(monkeypatch, q):
 
     def checked(src, tgt, entries, what):
         got = _section_map(src, tgt, entries, what)
-        image = _ambient_map(src, tgt.key, entries)
+        image = _ambient_map(src, tgt, entries)
         want = tgt.basis.solve(_image_matrix(image, len(tgt.key), src.dim, q))
         assert got == want and got.shape == want.shape, what
         assert got._a.dtype == want._a.dtype, what

@@ -384,7 +384,7 @@ def fraction_eval_matrix(n, p, d, pts, pivots=None):
     space = h0_basis(n, p + 1, d + p + 1, None)
     s, h, fiber = len(pts.points), space.dim, comb(n, p + 1)
     if not s or not h:
-        return ExactMatrix.zeros(s * fiber, h)
+        return ExactMatrix(s * fiber, h, np.zeros((s * fiber, h), dtype=object))
     piv = [pt.pivot if pivots is None else pivots[k] for k, pt in enumerate(pts.points)]
     scales = [lcm(*(Fraction(c).denominator for c in pt.coords)) for pt in pts.points]
     rows = [[int(c * k) for c in pt.coords] for pt, k in zip(pts.points, scales)]
