@@ -270,7 +270,8 @@ def cmd_horace(args) -> int:
         text += "implication failures: %r\n" % (report.implication_failures,)
     if args.format == "json":
         _emit(horace.tree_to_json(report), args.out)
-        sys.stdout.write(text)
+        if args.out:
+            sys.stdout.write(text)
     else:
         _emit(text, args.out)
     ok = report.all_witnessed and report.consistent

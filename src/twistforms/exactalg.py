@@ -21,35 +21,34 @@ each exact:
   partial sum below 2^53; the three are reduced and recombined in int64.
 * Python integers (object dtype) otherwise.
 
-Eliminations over GF(q) all go through ``ExactMatrix._rref_mod``, on one of
-two paths with the same pivots:
+Eliminations over GF(q) all go through ``ExactMatrix._rref_mod``, and each
+of its two engines does one job:
 
-* Sparse matrices, with at most ``_SPARSE_DENSITY`` (10%) nonzero entries,
-  such as the Euler contraction and most display maps, are eliminated on
-  Python dict rows: Gauss-Jordan with a column -> rows index and the
-  sparsest candidate row as pivot (sparse elimination over finite fields as
-  in LaMacchia and Odlyzko, CRYPTO 1990).  The attempt counts its entry
-  updates; past ``_SPARSE_WORK`` times the input's nonzero count it is
-  filling in, and gives way to the dense path on the original matrix.
-* Dense matrices, such as point evaluations, are eliminated as numpy arrays
-  by right-looking blocked elimination (as in FFLAS-FFPACK, Dumas, Giorgi
-  and Pernet 2008; Jeannerod, Pernet and Storjohann, J. Symbolic Comput.
-  2013): each panel of columns is eliminated one pivot at a time on its own
-  columns, and the rows below are updated by one product per panel, the
-  Schur complement; an RREF then takes one upward pass.  Panels are
-  ``_PANEL`` (32) columns wide when the smaller side is at least
+* The RREF (for kernels and solves) is Gauss-Jordan on Python dict rows,
+  with a column -> rows index and the sparsest candidate row as pivot
+  (sparse elimination over finite fields as in LaMacchia and Odlyzko,
+  CRYPTO 1990).  Its inputs are sparse display maps and small matrices, on
+  which it is as fast as the dense engine or faster; a large dense RREF
+  would be slow, and none is taken.
+* A rank needs only the pivot columns, so it eliminates below each pivot
+  and never above it, as numpy arrays, by right-looking blocked
+  elimination (as in FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008;
+  Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 2013): each panel
+  of columns is eliminated one pivot at a time on its own columns, and the
+  rows below are updated by one product per panel, the Schur complement.
+  Panels are ``_PANEL`` (32) columns wide when the smaller side is at least
   ``_BLOCKED_MIN`` (128) and q is on the float64 product tier for an inner
   dimension of 32; otherwise one panel spans the matrix, which is the
   per-pivot loop.  On a 2-core x86_64 VM (Python 3.11, numpy 2.4,
   OpenBLAS, one BLAS thread) the two widths tie on random half-dense square
   matrices over GF(101) up to about 128; on a 315 x 315 point evaluation
-  panels take the rank in 14-17 ms against 25-29 ms, and the RREF in 27-33
-  ms against 37-42 ms.  On the 16-bit-limb tier (q = 2^31-1) they still tie
-  at 160; no workload has such a matrix, so those primes keep one panel.
+  panels take the rank in 14-17 ms against 25-29 ms.  On the 16-bit-limb
+  tier (q = 2^31-1) they still tie at 160; no workload has such a matrix,
+  so those primes keep one panel.
 
-The RREF and its pivot columns are unique, so every path gives the same
-kernels and solutions.  A rank needs only the pivot columns: it eliminates
-below each pivot and never above it, and it does not fill the cached RREF.
+The RREF and its pivot columns are unique, so kernels and solutions do not
+depend on the order in which the sparse engine picks its pivot rows, and
+both engines find the same pivot columns.
 
 A rank of a sparse matrix (at most ``_SPARSE_DENSITY`` nonzeros, over
 either field) is peeled before any elimination, by the first step of
@@ -57,9 +56,8 @@ structured Gaussian elimination (LaMacchia and Odlyzko 1990): every column
 with one nonzero adds 1 to the rank and deletes that nonzero's row, every
 row with one nonzero does the same for its column, and the two steps
 repeat until neither deletes anything.  Only the core that is left is
-eliminated, by the paths above; no sparse rank of the display up to
-n = 5 leaves one.  So ``_echelon_sparse`` serves RREFs (kernels and
-solves) and cores.
+eliminated, by the dense engine; no sparse rank of the display up to
+n = 5 leaves one.
 
 A rational product of two matrices with only integer entries, such as
 section bases, display maps and point evaluations, is an exact integer
@@ -219,38 +217,31 @@ def _mulmod(a, b, q: int | None):
     return prod.astype(residue_dtype(q))
 
 
-#: GF(q) matrices with at most this share of nonzero entries are eliminated
-#: on sparse rows, denser ones as numpy arrays; ranks of matrices of either
-#: field this sparse are peeled first.
+#: Ranks of matrices, over either field, with at most this share of nonzero
+#: entries are peeled before any elimination.
 _SPARSE_DENSITY = 0.1
 
-#: A sparse elimination that makes more than this many entry updates per
-#: nonzero entry of its input is filling in: it stops, and the dense
-#: elimination runs instead.
-_SPARSE_WORK = 4
-
 #: Panel width of the dense elimination, and the smaller side from which a
-#: dense matrix takes it (when q is on ``_mulmod``'s float64 tier for an
-#: inner dimension of ``_PANEL``; otherwise one panel spans the matrix):
-#: below 128 it gains nothing.
+#: matrix takes it (when q is on ``_mulmod``'s float64 tier for an inner
+#: dimension of ``_PANEL``; otherwise one panel spans the matrix): below 128
+#: it gains nothing.
 _PANEL = 32
 _BLOCKED_MIN = 128
 
 
-def _echelon_dense(a, q: int, full: bool, b: int):
-    """Row reduction of a copy of the reduced residue array ``a`` by panels
-    of ``b`` columns: the first nonzero entry of each column, top to bottom,
-    is the pivot.  Returns (rows, pivot columns): the RREF when ``full``,
-    otherwise a row echelon form with the same pivots, eliminated below them
-    only.  With ``b`` at least the column count this is the per-pivot loop.
+def _echelon_dense(a, q: int, b: int):
+    """Forward elimination of a copy of the reduced residue array ``a`` by
+    panels of ``b`` columns, for ranks: the first nonzero entry of each
+    column, top to bottom, is the pivot.  Returns (rows, pivot columns), a
+    row echelon form eliminated below its pivots only.  With ``b`` at least
+    the column count this is the per-pivot loop.
 
     Each panel is eliminated one pivot at a time on its own columns, and
     every eliminated entry keeps its multiplier (the rows are P A = L U
     restricted to the panel).  The k pivot rows' trailing part is then
     forward-substituted through L11, giving U12, and the other rows'
     trailing part becomes the Schur complement A22 - L21 U12: one product,
-    in place of k rank-1 updates.  With ``full``, one upward pass, last
-    pivot first, then clears each pivot column above its pivot.
+    in place of k rank-1 updates.
     """
     a = a.copy()
     m, n = a.shape
@@ -320,30 +311,18 @@ def _echelon_dense(a, q: int, full: bool, b: int):
             panel[k:] = 0
         pivots += [c0 + c for c in piv]
         r += k
-    if full:
-        # A pivot column is zero in every later pivot row, so its entries
-        # above the pivot are still reduced when their turn comes; each
-        # pivot row is final once reduced, and the rows above take the lag.
-        for t in range(r - 1, -1, -1):
-            c = pivots[t]
-            u = a[t, c:]
-            u %= q
-            above = a[:t, c:]
-            above -= a[:t, c, None] * u
-            if (r - t) % lag == 0:
-                _reduce(above, q)
     return a, pivots
 
 
-def _echelon_sparse(a, q: int, full: bool, budget: int):
-    """``_echelon_dense`` on dict rows, for a sparse ``a``; None once more
-    than ``budget`` entry updates have been made.
+def _echelon_sparse(a, q: int):
+    """(RREF, pivot columns) of the reduced residue array ``a``, by
+    Gauss-Jordan elimination on dict rows, for kernels and solves.
 
     Pivot columns go left to right, and each pivot is the candidate row
-    with the fewest nonzeros, the lowest index breaking ties; a column ->
-    rows index finds the rows to eliminate.  The RREF and the
-    pivot columns do not depend on which rows are pivots, so with ``full``
-    the result equals ``_echelon_dense``'s entry for entry.
+    (one not yet a pivot, nonzero in the column) with the fewest nonzeros,
+    the lowest index breaking ties; a column -> rows index finds every
+    other row to eliminate, above the pivot or below.  The RREF and its
+    pivot columns do not depend on which rows are pivots.
     """
     m, n = a.shape
     rows = [{} for _ in range(m)]
@@ -368,7 +347,7 @@ def _echelon_sparse(a, q: int, full: bool, budget: int):
         if inv != 1:
             for j in prow:
                 prow[j] = prow[j] * inv % q
-        for i in list(where[c]) if full else cands:
+        for i in list(where[c]):
             if i == p:
                 continue
             row = rows[i]
@@ -385,9 +364,6 @@ def _echelon_sparse(a, q: int, full: bool, budget: int):
                     else:
                         del row[j]
                         where[j].discard(i)
-            budget -= len(prow)
-            if budget < 0:
-                return None
         order.append(p)
         pivots.append(c)
     out = np.zeros((m, n), dtype=a.dtype)
@@ -439,13 +415,12 @@ class ExactMatrix:
     reduced residues over GF(q), canonical entries (ints, and Fractions
     whose denominator is not 1) over Q."""
 
-    __slots__ = ("rows", "cols", "q", "_a", "_rr", "_rank")
+    __slots__ = ("rows", "cols", "q", "_a", "_rank")
 
     def __init__(self, rows, cols, data, q=None):
         self.rows = int(rows)
         self.cols = int(cols)
         self.q = q
-        self._rr = None  # cached (rref, pivot columns)
         self._rank = None  # cached rank
         _check_modulus(q)
         try:
@@ -475,7 +450,6 @@ class ExactMatrix:
         m = cls.__new__(cls)
         m.rows, m.cols = a.shape
         m.q = q
-        m._rr = None
         m._rank = None
         a.setflags(write=False)
         m._a = a
@@ -535,34 +509,22 @@ class ExactMatrix:
     # -- elimination ---------------------------------------------------------
 
     def _rref(self):
-        """Fully reduced row echelon form and pivot columns (cached)."""
-        if self._rr is not None:
-            return self._rr
-        if self.q is not None:
-            r = self._rref_mod()
-        else:
-            r = self._rref_rational()
-        self._rr = r
-        return r
+        """Fully reduced row echelon form and pivot columns."""
+        return self._rref_mod() if self.q is not None else self._rref_rational()
 
     def _rref_mod(self, full=True):
-        """The one GF(q) elimination: (RREF, pivot columns), or with
-        ``full=False`` (for ranks) a row echelon form with the same pivots.
-
-        Matrices with at most ``_SPARSE_DENSITY`` nonzeros are eliminated on
-        sparse rows within a work budget; denser ones, and sparse ones that
-        exceed it, by panels: ``_PANEL`` columns wide for large matrices at
-        a small enough q, else one panel as wide as the matrix.
+        """Every GF(q) elimination: (RREF, pivot columns) on sparse rows
+        (``_echelon_sparse``), or with ``full=False`` (for ranks) a row
+        echelon form with the same pivots, by panels (``_echelon_dense``):
+        ``_PANEL`` columns wide for large matrices at a small enough q, else
+        one panel as wide as the matrix.
         """
         a, q = self._a, self.q
-        nnz = np.count_nonzero(a)
-        if nnz <= _SPARSE_DENSITY * a.size:
-            r = _echelon_sparse(a, q, full, _SPARSE_WORK * nnz)
-            if r is not None:
-                return r
+        if full:
+            return _echelon_sparse(a, q)
         if min(a.shape) >= _BLOCKED_MIN and (q - 1) ** 2 * _PANEL <= _FLOAT_EXACT:
-            return _echelon_dense(a, q, full, _PANEL)
-        return _echelon_dense(a, q, full, max(1, a.shape[1]))
+            return _echelon_dense(a, q, _PANEL)
+        return _echelon_dense(a, q, max(1, a.shape[1]))
 
     def _rref_rational(self):
         a = self._a.tolist()
@@ -603,23 +565,20 @@ class ExactMatrix:
         A matrix with at most ``_SPARSE_DENSITY`` nonzeros is first peeled
         (``_peel``): its singleton columns and rows are counted and deleted,
         exactly over every field, and only the core that is left is
-        eliminated.  GF(q) uses forward elimination (below the pivots
-        only), by the same paths as the RREF.  Over Q the rank modulo
+        eliminated.  GF(q) takes the dense engine's forward elimination
+        (below the pivots only), never an RREF.  Over Q the rank modulo
         ``_CERT_PRIME`` of the row-wise integer matrix is taken first, the
         same way; when it is min(rows, cols) it is the rational rank, and
         otherwise fraction-free (Bareiss) elimination of its rows computes
         the rank exactly.
         """
         if self._rank is None:
-            if self._rr is not None:
-                self._rank = len(self._rr[1])
-            else:
-                a, r = self._a, 0
-                if np.count_nonzero(a) <= _SPARSE_DENSITY * a.size:
-                    r, a = _peel(a)
-                if a.size:
-                    r += ExactMatrix._wrap(a, self.q)._eliminated_rank()
-                self._rank = r
+            a, r = self._a, 0
+            if np.count_nonzero(a) <= _SPARSE_DENSITY * a.size:
+                r, a = _peel(a)
+            if a.size:
+                r += ExactMatrix._wrap(a, self.q)._eliminated_rank()
+            self._rank = r
         return self._rank
 
     def _eliminated_rank(self) -> int:

@@ -107,16 +107,18 @@ class SectionSpace:
     per basis section, expressed in those coordinates.  ``terms`` holds the
     same columns as terms: per column, its nonzero entries as (ambient row,
     value) pairs, values as ``basis`` stores them, the first on the
-    column's free row.  ``free`` has one ambient row per column, the only
-    row of ``free`` where that column is nonzero; there its entry is 1 over
-    GF(q) and +/-1 over Q.  ``index`` maps each pair of ``key`` to its
-    row, so maps into the space look rows up without rebuilding it.
+    column's free row.  ``free`` maps one ambient row per column, in column
+    order, to (that column, its entry there): the only row of ``free``
+    where the column is nonzero, with entry 1 over GF(q) and +/-1 over Q.
+    It is read off ``terms``, so it takes no part in comparisons.
+    ``index`` maps each pair of ``key`` to its row, so maps into the space
+    look rows up without rebuilding it.
     """
 
     descriptor: object
     basis: ExactMatrix
     key: tuple
-    free: tuple
+    free: dict = field(compare=False)
     terms: tuple = field(repr=False)
     index: dict = field(repr=False, compare=False)
 
@@ -228,13 +230,14 @@ def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
     left, as every entry is +/-1.  A column with no v0 (restricted p = 1,
     J = (n,), m = 0) is zero, and its kernel vector is itself; at p = 0
     every column is free and the basis is the identity.  The free rows
-    (J, m) are recorded as the space's ``free``, and each column's terms,
-    its free row first, as its ``terms``.
+    (J, m), each with its column and its entry there, are recorded as the
+    space's ``free``, and each column's terms, its free row first, as its
+    ``terms``.
     """
     n, p, d = desc.n, desc.p, desc.d
     key = _key(n + 1, nvar, p, d)
     index = {pair: i for i, pair in enumerate(key)}
-    rows, cols, vals, free, columns = [], [], [], [], []
+    rows, cols, vals, free, columns = [], [], [], {}, []
     for row, (J, m) in enumerate(key):
         v0 = next((j for j in range(nvar) if m[j] or j in J), None)
         if v0 is not None and v0 in J:
@@ -256,10 +259,10 @@ def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
             rows.append(i)
             cols.append(len(free))
             vals.append(v)
-        free.append(row)
+        free[row] = len(free), terms[0][1]
         columns.append(tuple(terms))
     basis = _assemble(len(key), len(free), rows, cols, vals, q)
-    return SectionSpace(desc, basis, key, tuple(free), tuple(columns), index)
+    return SectionSpace(desc, basis, key, free, tuple(columns), index)
 
 
 @lru_cache(maxsize=None)
@@ -302,9 +305,8 @@ def free_sections(n: int, d: int, r: int, q=DEFAULT_PRIME) -> SectionSpace:
     basis = ExactMatrix.identity(len(key), q=q)
     rows = range(len(key))
     index = {pair: i for i, pair in enumerate(key)}
-    return SectionSpace(
-        FreeSum(n, d, r), basis, key, tuple(rows), tuple(((i, 1),) for i in rows), index
-    )
+    free = {i: (i, 1) for i in rows}
+    return SectionSpace(FreeSum(n, d, r), basis, key, free, tuple(((i, 1),) for i in rows), index)
 
 
 def _ambient_map(src: SectionSpace, tgt: SectionSpace, entries) -> dict:
@@ -344,12 +346,10 @@ def _section_map(src: SectionSpace, tgt: SectionSpace, entries, what: str) -> Ex
     """
     q = tgt.basis.q
     image = _ambient_map(src, tgt, entries)
-    # free row -> (its column of B, the diagonal entry there)
-    diag = {i: (k, column[0][1]) for k, (i, column) in enumerate(zip(tgt.free, tgt.terms))}
     coords = {}
     for (i, c), v in image.items():
-        if i in diag:
-            k, s = diag[i]
+        if i in tgt.free:
+            k, s = tgt.free[i]
             coords[k, c] = v * s if q is None else v * s % q
     residual = dict(image)
     for (k, c), y in coords.items():

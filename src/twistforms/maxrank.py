@@ -298,8 +298,8 @@ def _entry(doc, key: str, kind: type):
 
 def _parse_point(pt, n: int, q) -> tuple:
     """One replay point: n+1 coordinate strings.  Over GF(q) each must be
-    an integer written as ``to_json`` writes it (``str(int(c)) == c``);
-    over Q any string ``Fraction`` reads."""
+    a residue in 0..q-1 written as ``to_json`` writes it
+    (``str(int(c)) == c``); over Q any string ``Fraction`` reads."""
     if not isinstance(pt, list) or len(pt) != n + 1 or not all(isinstance(c, str) for c in pt):
         raise CertificateError("each point must be a list of %d coordinate strings" % (n + 1))
     if q is not None:
@@ -309,6 +309,8 @@ def _parse_point(pt, n: int, q) -> tuple:
             coords = None
         if coords is None or [str(c) for c in coords] != pt:
             raise CertificateError("point coordinates over GF(%d) must be integers" % q)
+        if not all(0 <= c < q for c in coords):
+            raise CertificateError("point coordinates over GF(%d) must lie in 0..%d" % (q, q - 1))
         return tuple(coords)
     try:
         coords = [Fraction(c) for c in pt]

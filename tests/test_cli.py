@@ -127,10 +127,11 @@ def test_maxrank_witnessed_and_not(capsys, tmp_path):
         # A form degree p >= n, named as p and not as p+1.
         lambda doc: doc["problem"].update(p=5),
         lambda doc: doc["problem"].update(p=2),
-        # Over GF(q) a coordinate must read as to_json writes an integer.
+        # Over GF(q) a coordinate must read as to_json writes an integer,
+        # and be a residue in 0..q-1.
         *(
             (lambda doc, c=c: doc["points"][0].__setitem__(0, c))
-            for c in ("6/2", "3.0", "1e3", " 7 ", "1_0", "+3", "03", "")
+            for c in ("6/2", "3.0", "1e3", " 7 ", "1_0", "+3", "03", "", "-41", "161")
         ),
     ],
 )
@@ -270,14 +271,27 @@ def test_horace_run(capsys):
 
 
 def test_horace_json_to_file(capsys, tmp_path):
+    # The tree goes to the file, and the table to stdout.
     path = tmp_path / "tree.json"
-    code, _, _ = run(
+    code, out, _ = run(
         capsys,
         "horace", "--n", "2", "--p", "0", "--d", "2", "--s", "3",
         "--format", "json", "--out", str(path),
     )
     assert code == 0
     doc = json.loads(path.read_text())
+    assert doc["problem"]["s"] == 3
+    assert doc["implication_failures"] == []
+    assert "[+] root" in out
+
+
+def test_horace_json_to_stdout_is_only_json(capsys):
+    code, out, _ = run(
+        capsys,
+        "horace", "--n", "2", "--p", "0", "--d", "2", "--s", "3", "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
     assert doc["problem"]["s"] == 3
     assert doc["implication_failures"] == []
 

@@ -3,7 +3,6 @@
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -605,12 +604,12 @@ def test_rref_and_kernel_match_reference_loops(m, q):
 
 @settings(max_examples=40, deadline=None)
 @given(matrices(q=None), st.sampled_from((101, 2**61 - 1, None)))
-def test_rank_same_before_and_after_rref_cache(m, q):
+def test_rank_same_before_and_after_rref(m, q):
     fresh = from_rows(row_list(m), q=q)
-    cached = from_rows(row_list(m), q=q)
-    cached._rref()
+    reduced = from_rows(row_list(m), q=q)
+    reduced._rref()
     r = fresh.rank()
-    assert cached.rank() == r == fresh.rank()
+    assert reduced.rank() == r == fresh.rank()
     assert fresh._rref() is not None and fresh.rank() == r
 
 
@@ -655,26 +654,17 @@ def test_elimination_paths_match_per_pivot_reference(case):
     q, a = case
     m = ExactMatrix._wrap(a, q)
     ref_rr, ref_pivots = _whole_row_rref(m)
-    unbounded = 1 << 30
-    # The routed entry point, each path on its own, and the budget fallback.
-    with mock.patch.object(exactalg, "_SPARSE_WORK", 0):
-        fallback = ExactMatrix._wrap(a, q)._rref_mod()
-    # Panels of 1, 2, 3 and 32 columns, and one panel as wide as the matrix.
-    widths = (1, 2, 3, 32, max(1, a.shape[1]))
-    for rr, pivots in (
-        m._rref_mod(),
-        exactalg._echelon_sparse(a, q, True, unbounded),
-        *(exactalg._echelon_dense(a, q, True, b) for b in widths),
-        fallback,
-    ):
+    # The routed RREF, and the sparse engine on its own.
+    for rr, pivots in (m._rref_mod(), exactalg._echelon_sparse(a, q)):
         assert pivots == ref_pivots
         assert _same_array(rr, ref_rr)
     # Forward-only elimination keeps the pivots, and its rows span the same
-    # space: their RREF is the full one.
+    # space: their RREF is the full one.  The routed rank elimination, and
+    # panels of 1, 2, 3 and 32 columns and one panel as wide as the matrix.
+    widths = (1, 2, 3, 32, max(1, a.shape[1]))
     for ech, pivots in (
         m._rref_mod(full=False),
-        exactalg._echelon_sparse(a, q, False, unbounded),
-        *(exactalg._echelon_dense(a, q, False, b) for b in widths),
+        *(exactalg._echelon_dense(a, q, b) for b in widths),
     ):
         assert pivots == ref_pivots
         assert ech.dtype == ref_rr.dtype
@@ -682,28 +672,27 @@ def test_elimination_paths_match_per_pivot_reference(case):
     assert ExactMatrix._wrap(a, q).rank() == len(ref_pivots)
 
 
-def test_rank_takes_forward_elimination_and_leaves_rref_uncached(monkeypatch):
+def test_rank_takes_forward_elimination(monkeypatch):
     calls = []
     rref_mod = ExactMatrix._rref_mod
     monkeypatch.setattr(
         ExactMatrix, "_rref_mod", lambda self, **kw: calls.append(kw) or rref_mod(self, **kw)
     )
     m = gf([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert m.rank() == 2 and m._rr is None
+    assert m.rank() == 2
     assert qq([[1, Fraction(1, 2)], [3, 4]]).rank() == 2
     assert calls == [{"full": False}, {"full": False}]
 
 
-def test_fill_heavy_matrix_exhausts_budget_and_matches_reference():
-    # A random 60x60 matrix at exactly 10% density over GF(101).
+def test_fill_heavy_matrix_matches_reference():
+    # A random 60x60 matrix at exactly 10% density over GF(101): its rank is
+    # peeled first, and its RREF fills in on sparse rows.
     q, rng = 101, np.random.default_rng(0)
     a = np.zeros(3600, dtype=np.int64)
     a[rng.choice(3600, size=360, replace=False)] = rng.integers(1, q, size=360)
     a = a.reshape(60, 60)
     nnz = np.count_nonzero(a)
     assert nnz <= exactalg._SPARSE_DENSITY * a.size
-    assert exactalg._echelon_sparse(a, q, True, exactalg._SPARSE_WORK * nnz) is None
-    assert exactalg._echelon_sparse(a, q, False, exactalg._SPARSE_WORK * nnz) is None
     m = ExactMatrix._wrap(a, q)
     rr, pivots = m._rref_mod()
     ref_rr, ref_pivots = _whole_row_rref(m)
@@ -792,7 +781,7 @@ def test_peeled_rank_equals_whole_matrix_elimination(q, case):
     if q is None:
         want = _bareiss_rank(m)
     else:
-        want = len(exactalg._echelon_dense(m._a, q, False, max(1, m.cols))[1])
+        want = len(exactalg._echelon_dense(m._a, q, max(1, m.cols))[1])
     assert m.rank() == want
 
 
@@ -806,19 +795,18 @@ def test_modular_inverse_equals_fermat(q):
 
 
 def _record_paths(monkeypatch):
-    """Patch both eliminations to log their path: "sparse" (or
-    "sparse-exhausted" when it gives way), or the dense panel width."""
+    """Patch both eliminations to log their path: "sparse", or the dense
+    panel width."""
     taken = []
     sparse, dense = exactalg._echelon_sparse, exactalg._echelon_dense
 
-    def count_sparse(*args):
-        r = sparse(*args)
-        taken.append("sparse" if r is not None else "sparse-exhausted")
-        return r
+    def count_sparse(a, q):
+        taken.append("sparse")
+        return sparse(a, q)
 
-    def count_dense(a, q, full, b):
+    def count_dense(a, q, b):
         taken.append(b)
-        return dense(a, q, full, b)
+        return dense(a, q, b)
 
     monkeypatch.setattr(exactalg, "_echelon_sparse", count_sparse)
     monkeypatch.setattr(exactalg, "_echelon_dense", count_dense)
@@ -839,7 +827,8 @@ def test_display_maps_take_the_sparse_path_and_evaluations_the_dense(monkeypatch
     # Too small for panels: one panel as wide as the matrix, pivot by pivot.
     assert taken == [ev.cols]
     # A sparse rank eliminates only what the peel leaves: nothing for the
-    # sparse maps of a display, and a sparse core for this contraction.
+    # sparse maps of a display, and for this contraction a 265 x 310 core,
+    # by panels.
     from twistforms.display import build_display
 
     maps = build_display(4, 1, 0, 101).maps.values()
@@ -849,7 +838,7 @@ def test_display_maps_take_the_sparse_path_and_evaluations_the_dense(monkeypatch
     for f in sparse:
         f.rank()
     assert contraction_matrix(4, 2, 5, q=101).rank() == 224
-    assert taken == ["sparse"]
+    assert taken == [32]
 
 
 # -- blocked rank elimination ---------------------------------------------------
@@ -914,9 +903,7 @@ def test_blocked_elimination_matches_per_pivot_reference(case, b):
     q, a = case
     b = b or max(1, a.shape[1])  # None: one panel, the per-pivot loop
     ref_rr, ref_pivots = _whole_row_rref(ExactMatrix._wrap(a, q))
-    rr, pivots = exactalg._echelon_dense(a, q, True, b)
-    assert pivots == ref_pivots and _same_array(rr, ref_rr)
-    ech, pivots = exactalg._echelon_dense(a, q, False, b)
+    ech, pivots = exactalg._echelon_dense(a, q, b)
     assert pivots == ref_pivots
     assert ech.dtype == a.dtype and _is_echelon(ech, pivots)
     # Its rows span the same space: their RREF is the full one.
@@ -943,18 +930,18 @@ def test_large_dense_ranks_take_the_blocked_path(monkeypatch):
     ev = eval_matrix(3, 0, 7, random_points(3, 105, q=101, seed=1))
     assert ev.shape == (315, 315) and path(ev) == [32]
     assert path(rank_one(128, 200, 101)) == [32]
-    # Too small, sparse, or a prime past the float64 tier for a panel: one
-    # panel as wide as the matrix.
+    # Too small, or a prime past the float64 tier for a panel: one panel as
+    # wide as the matrix.  A sparse matrix's peeled core takes panels too.
     assert path(rank_one(127, 200, 101)) == [200]
     assert path(ExactMatrix._wrap(rng.integers(0, 101, (90, 84)), 101)) == [84]
-    assert path(contraction_matrix(4, 2, 5, q=101)) == ["sparse"]
+    assert path(contraction_matrix(4, 2, 5, q=101)) == [32]
     assert path(rank_one(128, 128, 2**31 - 1)) == [128]
     assert path(rank_one(128, 128, 2**61 - 1)) == [128]
-    # A full RREF takes panels too, and back-substitutes to the same RREF.
+    # A full RREF, dense or not, takes the sparse engine, to the same RREF.
     taken.clear()
-    m = ExactMatrix._wrap(ev._a, 101)
+    m = ExactMatrix._wrap(ev._a[:12, :15].copy(), 101)
     rr, pivots = m._rref()
-    assert taken == [32]
+    assert taken == ["sparse"]
     ref_rr, ref_pivots = _whole_row_rref(m)
     assert pivots == ref_pivots and _same_array(rr, ref_rr)
 

@@ -377,8 +377,9 @@ def test_free_rows_carry_the_identity(q):
     # On its free rows each basis is the identity over GF(q) and a +/-1
     # diagonal over Q, empty spaces included.  Each space's column terms
     # reassemble to its basis, entry for entry, and each column's term on
-    # its free row, its first, is that diagonal entry.  Each space's index
-    # maps its ambient pairs to their rows.
+    # its free row, its first, is that diagonal entry, which ``free`` keeps
+    # with the column.  Each space's index maps its ambient pairs to their
+    # rows.
     spaces = []
     for n in range(5):
         spaces += [free_sections(n, d, r, q) for d in range(-1, 4) for r in range(3)]
@@ -403,8 +404,9 @@ def test_free_rows_carry_the_identity(q):
         assert all(v != 0 and type(v) is int for v in cells.values()), case
         rebuilt = _image_matrix(cells, len(space.key), space.dim, q)
         assert rebuilt == space.basis and rebuilt._a.dtype == space.basis._a.dtype, case
-        for column, f, x in zip(space.terms, space.free, diag.tolist()):
+        for k, (column, f, x) in enumerate(zip(space.terms, space.free, diag.tolist())):
             assert column[0] == (f, x), case
+            assert space.free[f] == (k, x) and type(x) is int, case
         assert space.index == {pair: i for i, pair in enumerate(space.key)}, case
 
 
