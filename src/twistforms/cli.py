@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -23,7 +24,7 @@ EXIT_ERROR = 1
 EXIT_NOT_WITNESSED = 2
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -48,25 +49,6 @@ def parse_range(text: str, lo=None, hi=None):
         raise UsageError("bad integer %r" % text) from exc
 
 
-def _render_table(header, rows):
-    widths = [len(h) for h in header]
-    srows = [[str(x) for x in row] for row in rows]
-    for row in srows:
-        widths = [max(w, len(x)) for w, x in zip(widths, row)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    for row in srows:
-        lines.append("  ".join(x.rjust(w) for x, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -75,10 +57,32 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _check_dimension(args) -> None:
-    """Tables of P^n need n >= 0; P^0 is a point, with h0 = 1."""
-    if args.n < 0:
-        raise UsageError("projective space needs n >= 0, got n=%d" % args.n)
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _write_rows(args, header, rows, doc=None):
+    """Write rows in args.format: an aligned table, CSV, or JSON of doc,
+    which defaults to one object per row keyed by the header."""
+    if args.format == "json":
+        text = _json([dict(zip(header, row)) for row in rows] if doc is None else doc)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+        text = buf.getvalue()
+    else:
+        cells = [[str(x) for x in row] for row in [header] + rows]
+        widths = [max(map(len, col)) for col in zip(*cells)]
+        text = "".join("  ".join(x.rjust(w) for x, w in zip(row, widths)) + "\n" for row in cells)
+    _emit(text, args.out)
+
+
+def _checked_degrees(ps, hi, where):
+    """Yield each form degree p of ps, failing at the first outside 0..hi."""
+    for p in ps:
+        if not 0 <= p <= hi:
+            raise UsageError("p=%d out of range for %s" % (p, where))
+        yield p
 
 
 def _check_form_degree(args) -> None:
@@ -89,64 +93,45 @@ def _check_form_degree(args) -> None:
         raise UsageError("--p %d is out of range for --n %d: need p <= n-1" % (args.p, args.n))
 
 
-def cmd_bott(args) -> int:
-    _check_dimension(args)
+def _table_ranges(args):
+    """The --p and --d ranges of a table on P^n, with p checked as it is read.
+    Tables need n >= 0; P^0 is a point, with h0 = 1."""
+    if args.n < 0:
+        raise UsageError("projective space needs n >= 0, got n=%d" % args.n)
     ps = parse_range(args.p, 0, args.n)
     ds = parse_range(args.d)
-    for p in ps:
-        if not 0 <= p <= args.n:
-            raise UsageError("p=%d out of range for n=%d" % (p, args.n))
-    header = ["d"] + ["h%d(p=%d)" % (i, p) for p in ps for i in range(args.n + 1)]
-    rows = [
-        [d] + [bott.h_omega(args.n, p, d, i) for p in ps for i in range(args.n + 1)]
-        for d in ds
-    ]
-    if args.format == "json":
-        doc = [
-            {
-                "n": args.n,
-                "p": p,
-                "d": d,
-                "dims": [bott.h_omega(args.n, p, d, i) for i in range(args.n + 1)],
-            }
-            for p in ps
-            for d in ds
-        ]
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(_render_csv(header, rows), args.out)
-    else:
-        _emit(_render_table(header, rows), args.out)
+    return _checked_degrees(ps, args.n, "n=%d" % args.n), ds
+
+
+def cmd_bott(args) -> int:
+    ps, ds = _table_ranges(args)
+    ps, degrees = list(ps), range(args.n + 1)
+    dims = {(p, d): [bott.h_omega(args.n, p, d, i) for i in degrees] for p in ps for d in ds}
+    header = ["d"] + ["h%d(p=%d)" % (i, p) for p in ps for i in degrees]
+    rows = [[d] + [h for p in ps for h in dims[p, d]] for d in ds]
+    doc = [{"n": args.n, "p": p, "d": d, "dims": dims[p, d]} for p, d in dims]
+    _write_rows(args, header, rows, doc)
     return EXIT_OK
 
 
 def cmd_h0(args) -> int:
-    _check_dimension(args)
-    ps = parse_range(args.p, 0, args.n)
-    ds = parse_range(args.d)
-    header = ["p", "d", "h0_formula", "h0_koszul"]
-    rows = []
-    for p in ps:
-        if not 0 <= p <= args.n:
-            raise UsageError("p=%d out of range for n=%d" % (p, args.n))
-        for d in ds:
-            rows.append(
-                [
-                    p,
-                    d,
-                    bott.h_omega(args.n, p, d, 0),
-                    forms.h0_basis(args.n, p, d, args.q).dim,
-                ]
-            )
-    mismatches = [r for r in rows if r[2] != r[3]]
-    if args.format == "json":
-        doc = [dict(zip(["p", "d", "h0_formula", "h0_koszul"], r)) for r in rows]
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(_render_csv(header, rows), args.out)
-    else:
-        _emit(_render_table(header, rows), args.out)
-    return EXIT_OK if not mismatches else EXIT_ERROR
+    ps, ds = _table_ranges(args)
+    rows = [
+        [p, d, bott.h_omega(args.n, p, d, 0), forms.h0_basis(args.n, p, d, args.q).dim]
+        for p in ps
+        for d in ds
+    ]
+    _write_rows(args, ["p", "d", "h0_formula", "h0_koszul"], rows)
+    return EXIT_OK if all(r[2] == r[3] for r in rows) else EXIT_ERROR
+
+
+def _display_record(led) -> dict:
+    """A ledger as JSON: its fields, squares and sequences keyed by name, and the verdict."""
+    rec = dataclasses.asdict(led)
+    rec["squares"] = dict(led.squares)
+    rec["sequences"] = {seq.pop("name"): seq for seq in rec["sequences"]}
+    rec["passed"] = led.passed
+    return rec
 
 
 def cmd_verify_display(args) -> int:
@@ -154,64 +139,21 @@ def cmd_verify_display(args) -> int:
     ts = parse_range(args.t)
     if min(ns) < 1:
         raise UsageError("a display needs n >= 1, got n=%d" % min(ns))
-    all_ok = True
-    out_lines = []
-    records = []
+    ledgers = []
     for n in sorted(ns):
-        ps = parse_range(args.p, 0, n - 1)
-        for p in sorted(ps):
-            if not 0 <= p <= n - 1:
-                raise UsageError("p=%d out of range for a display on P^%d" % (p, n))
-            ledgers = display.verify_display(n, p, min(ts), max(ts), args.q)
-            for led in ledgers:
-                ok = led.passed
-                all_ok = all_ok and ok
-                dims = led.node_dims
-                out_lines.append(
-                    "n=%d p=%d t=%d  nodes=%s  %s"
-                    % (
-                        n,
-                        p,
-                        led.t,
-                        "/".join(str(dims[k]) for k in display.NODE_NAMES),
-                        "ok" if ok else "FAILED: " + _failure_names(led),
-                    )
-                )
-                records.append(
-                    {
-                        "n": n,
-                        "p": p,
-                        "t": led.t,
-                        "node_dims": dims,
-                        "squares": {name: c for name, c in led.squares},
-                        "sequences": {
-                            s.name: {
-                                "dims": list(s.dims),
-                                "rank_in": s.rank_in,
-                                "rank_out": s.rank_out,
-                                "coker": s.coker,
-                                "h1_obstruction": s.h1_obstruction,
-                                "verdict": s.verdict,
-                            }
-                            for s in led.sequences
-                        },
-                        "snake_ok": led.snake_ok,
-                        "passed": led.passed,
-                    }
-                )
+        ps = sorted(parse_range(args.p, 0, n - 1))
+        for p in _checked_degrees(ps, n - 1, "a display on P^%d" % n):
+            ledgers += display.verify_display(n, p, min(ts), max(ts), args.q)
     if args.format == "json":
-        _emit(json.dumps(records, indent=2) + "\n", args.out)
+        _emit(_json([_display_record(led) for led in ledgers]), args.out)
     else:
-        _emit("\n".join(out_lines) + "\n", args.out)
-    return EXIT_OK if all_ok else EXIT_ERROR
-
-
-def _failure_names(led) -> str:
-    bad = [name for name, ok in led.squares if not ok]
-    bad += [s.name for s in led.sequences if not s.ok]
-    if not led.snake_ok:
-        bad.append("snake")
-    return ", ".join(bad) or "unknown"
+        text = ""
+        for led in ledgers:
+            nodes = "/".join(str(led.node_dims[k]) for k in display.NODE_NAMES)
+            verdict = "FAILED: " + ", ".join(led.failures) if led.failures else "ok"
+            text += "n=%d p=%d t=%d  nodes=%s  %s\n" % (led.n, led.p, led.t, nodes, verdict)
+        _emit(text, args.out)
+    return EXIT_OK if all(led.passed for led in ledgers) else EXIT_ERROR
 
 
 def cmd_maxrank(args) -> int:
@@ -221,25 +163,16 @@ def cmd_maxrank(args) -> int:
         ok = maxrank.verify_certificate(cert)
         sys.stdout.write(
             "replay %s: shape %dx%d rank %d %s\n"
-            % (
-                args.verify,
-                cert.shape[0],
-                cert.shape[1],
-                cert.rank,
-                "verified" if ok else "MISMATCH",
-            )
+            % (args.verify, *cert.shape, cert.rank, "verified" if ok else "MISMATCH")
         )
         return EXIT_OK if ok else EXIT_ERROR
     for name in ("n", "p", "d", "s"):
         if getattr(args, name) is None:
             raise UsageError("--%s is required unless --verify is given" % name)
     _check_form_degree(args)
-    cert = maxrank.maxrank_test(
-        args.n, args.p, args.d, args.s, args.q, args.trials, args.seed
-    )
+    cert = maxrank.maxrank_test(args.n, args.p, args.d, args.s, args.q, args.trials, args.seed)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(cert.to_json())
+        _emit(cert.to_json(), args.out)
     ledger = maxrank.BettiLedger.from_certificate(cert)
     sys.stdout.write(
         "n=%d p=%d d=%d s=%d  shape %dx%d  rank %d  %s  ker %d coker %d\n"
@@ -248,8 +181,7 @@ def cmd_maxrank(args) -> int:
             cert.p,
             cert.d,
             cert.s,
-            cert.shape[0],
-            cert.shape[1],
+            *cert.shape,
             cert.rank,
             "maximal" if cert.maximal else "not witnessed",
             ledger.kernel_dim,
@@ -278,13 +210,63 @@ def cmd_horace(args) -> int:
     return EXIT_OK if ok else EXIT_NOT_WITNESSED
 
 
-def _field_arg(parser):
-    parser.add_argument(
-        "--q",
-        type=lambda s: None if s == "rational" else int(s),
-        default=forms.DEFAULT_PRIME,
-        help="prime modulus, or 'rational' for exact rational arithmetic",
-    )
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+_FIELD = {
+    "q": {
+        "type": lambda s: None if s == "rational" else int(s),
+        "default": forms.DEFAULT_PRIME,
+        "help": "prime modulus, or 'rational' for exact rational arithmetic",
+    }
+}
+_SAMPLING = {"trials": {"type": int, "default": 5}, "seed": {"type": int, "default": 0}}
+_TEXT = {"format": {"choices": ("table", "json"), "default": "table"}, "out": {}}
+_TABLE = {
+    "n": _REQUIRED_INT,
+    "p": {"default": "all"},
+    "d": {"required": True},
+    "format": {"choices": ("table", "json", "csv"), "default": "table"},
+    "out": {},
+}
+
+#: Each subcommand's help, handler, and options in --help order.
+_COMMANDS = {
+    "bott": ("cohomology dimension tables", cmd_bott, _TABLE),
+    "h0": ("formula vs Koszul-kernel section dimensions", cmd_h0, {**_TABLE, **_FIELD}),
+    "verify-display": (
+        "verify the 3x3 display",
+        cmd_verify_display,
+        {
+            "n": {"required": True},
+            "p": {"default": "all"},
+            "t": {"default": "0..3"},
+            **_TEXT,
+            **_FIELD,
+        },
+    ),
+    "maxrank": (
+        "maximal-rank certificate for point evaluation",
+        cmd_maxrank,
+        {
+            **dict.fromkeys(("n", "p", "d", "s"), _INT),
+            **_SAMPLING,
+            "out": {},
+            "verify": {"help": "replay and re-verify a certificate file"},
+            **_FIELD,
+        },
+    ),
+    "horace": (
+        "plan and verify a Horace induction tree",
+        cmd_horace,
+        {
+            **dict.fromkeys(("n", "p", "d", "s"), _REQUIRED_INT),
+            "base": {"type": int, "default": 1},
+            **_SAMPLING,
+            **_TEXT,
+            **_FIELD,
+        },
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,58 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
         "maps for twisted forms on projective space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bott = sub.add_parser("bott", help="cohomology dimension tables")
-    p_bott.add_argument("--n", type=int, required=True)
-    p_bott.add_argument("--p", default="all")
-    p_bott.add_argument("--d", required=True)
-    p_bott.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_bott.add_argument("--out")
-    p_bott.set_defaults(func=cmd_bott)
-
-    p_h0 = sub.add_parser("h0", help="formula vs Koszul-kernel section dimensions")
-    p_h0.add_argument("--n", type=int, required=True)
-    p_h0.add_argument("--p", default="all")
-    p_h0.add_argument("--d", required=True)
-    p_h0.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_h0.add_argument("--out")
-    _field_arg(p_h0)
-    p_h0.set_defaults(func=cmd_h0)
-
-    p_vd = sub.add_parser("verify-display", help="verify the 3x3 display")
-    p_vd.add_argument("--n", required=True)
-    p_vd.add_argument("--p", default="all")
-    p_vd.add_argument("--t", default="0..3")
-    p_vd.add_argument("--format", choices=("table", "json"), default="table")
-    p_vd.add_argument("--out")
-    _field_arg(p_vd)
-    p_vd.set_defaults(func=cmd_verify_display)
-
-    p_mr = sub.add_parser("maxrank", help="maximal-rank certificate for point evaluation")
-    p_mr.add_argument("--n", type=int)
-    p_mr.add_argument("--p", type=int)
-    p_mr.add_argument("--d", type=int)
-    p_mr.add_argument("--s", type=int)
-    p_mr.add_argument("--trials", type=int, default=5)
-    p_mr.add_argument("--seed", type=int, default=0)
-    p_mr.add_argument("--out")
-    p_mr.add_argument("--verify", help="replay and re-verify a certificate file")
-    _field_arg(p_mr)
-    p_mr.set_defaults(func=cmd_maxrank)
-
-    p_h = sub.add_parser("horace", help="plan and verify a Horace induction tree")
-    p_h.add_argument("--n", type=int, required=True)
-    p_h.add_argument("--p", type=int, required=True)
-    p_h.add_argument("--d", type=int, required=True)
-    p_h.add_argument("--s", type=int, required=True)
-    p_h.add_argument("--base", type=int, default=1)
-    p_h.add_argument("--trials", type=int, default=5)
-    p_h.add_argument("--seed", type=int, default=0)
-    p_h.add_argument("--format", choices=("table", "json"), default="table")
-    p_h.add_argument("--out")
-    _field_arg(p_h)
-    p_h.set_defaults(func=cmd_horace)
-
+    for name, (summary, func, options) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=summary)
+        for option, kwargs in options.items():
+            cmd.add_argument("--" + option, **kwargs)
+        cmd.set_defaults(func=func)
     return parser
 
 
@@ -356,33 +291,23 @@ _RANGE_FLAGS = {"--n", "--p", "--d", "--s", "--t"}
 def _merge_negative_values(argv):
     """Join '--d -4..4' into '--d=-4..4' so argparse accepts negatives."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _RANGE_FLAGS and nxt and len(nxt) > 1 and nxt[0] == "-" and nxt[1].isdigit():
-            out.append(tok + "=" + nxt)
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] in _RANGE_FLAGS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_negative_values(list(argv))
+    argv = _merge_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_ERROR
     except (ValueError, OSError, maxrank.FieldTooSmallError, forms.ConsistencyError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_ERROR

@@ -84,8 +84,15 @@ class ExactnessLedger:
     snake_ok: bool
 
     @property
+    def failures(self) -> tuple:
+        """Names of the failing squares, then sequences, then "snake"."""
+        bad = [name for name, ok in self.squares if not ok]
+        bad += [s.name for s in self.sequences if not s.ok]
+        return tuple(bad) + (() if self.snake_ok else ("snake",))
+
+    @property
     def passed(self) -> bool:
-        return all(ok for _, ok in self.squares) and all(s.ok for s in self.sequences) and self.snake_ok
+        return not self.failures
 
 
 @dataclass
@@ -257,13 +264,9 @@ def verify_display(n: int, p: int, t_min: int, t_max: int, q=DEFAULT_PRIME) -> l
     for t in range(t_min, t_max + 1):
         inst = build_display(n, p, t, q)
         ledgers.append(ledger_for(inst))
-        if t == 0 and not ledgers[-1].passed:
-            bad = [name for name, ok in ledgers[-1].squares if not ok]
-            bad += [s.name for s in ledgers[-1].sequences if not s.ok]
-            if not ledgers[-1].snake_ok:
-                bad.append("snake consistency")
+        if t == 0 and ledgers[-1].failures:
             raise ConsistencyError(
-                "display(%d,%d,t=0) failed at: %s" % (n, p, ", ".join(bad))
+                "display(%d,%d,t=0) failed at: %s" % (n, p, ", ".join(ledgers[-1].failures))
             )
     return ledgers
 

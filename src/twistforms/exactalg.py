@@ -104,15 +104,20 @@ WORD_MODULUS_MAX = isqrt(2**63 - 1)
 _CERT_PRIME = 3037000493
 
 #: The first 13 primes: as Miller-Rabin bases they decide primality of
-#: every q < 3317044064679887385961981 (OEIS A014233).
+#: every q < _MR_BOUND (OEIS A014233).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: 1287836182261 * 2575672364521, the least strong pseudoprime to every base
+#: in _MR_BASES: from here on a True from is_prime is not a proof.
+_MR_BOUND = 3317044064679887385961981
 
 
 @lru_cache(maxsize=None)
 def is_prime(q: int) -> bool:
-    """Miller-Rabin to the bases 2..41: deterministic for every
-    q < 3317044064679887385961981 (about 3.3e24), a probable-prime test
-    above it.  Memoized: a run checks the same few moduli many times."""
+    """Miller-Rabin to the bases 2..41: a proof for every q < _MR_BOUND
+    (about 3.3e24), and only a probable-prime test from the bound on, which
+    _MR_BOUND itself passes.  _check_modulus refuses those moduli.
+    Memoized: a run checks the same few moduli many times."""
     if q < 2:
         return False
     for sp in _MR_BASES:
@@ -136,10 +141,17 @@ def is_prime(q: int) -> bool:
 
 
 def _check_modulus(q) -> None:
-    """Raise ValueError unless q is None (the rationals) or a prime.  Each
-    public entry point that takes q checks it once; the private paths it
-    calls take q as checked."""
-    if q is not None and not is_prime(q):
+    """Raise ValueError unless q is None (the rationals) or a proven prime,
+    one below _MR_BOUND: from the bound on is_prime proves nothing, so q is
+    refused there with its own message.  Each public entry point that takes
+    q checks it once; the private paths it calls take q as checked."""
+    if q is None:
+        return
+    if q >= _MR_BOUND:
+        raise ValueError(
+            "modulus %d is not proven prime: primality is proven only below %d" % (q, _MR_BOUND)
+        )
+    if not is_prime(q):
         raise ValueError("modulus %r is not prime" % (q,))
 
 
@@ -732,7 +744,8 @@ def snake_check(i_x, q_x, i_y, q_y, f1, f2, f3) -> SnakeLedger:
     _require(i_y.rank() + q_y.rank() == i_y.rows, "bottom row: not exact at the middle term")
 
     _require(f2 @ i_x == i_y @ f1, "left square does not commute")
-    _require(f3 @ q_x == q_y @ f2, "right square does not commute")
+    f3_qx = f3 @ q_x
+    _require(f3_qx == q_y @ f2, "right square does not commute")
 
     r1, r2, r3 = f1.rank(), f2.rank(), f3.rank()
     k1, k2, k3 = f1.cols - r1, f2.cols - r2, f3.cols - r3
@@ -745,7 +758,7 @@ def snake_check(i_x, q_x, i_y, q_y, f1, f2, f3) -> SnakeLedger:
 
     # Image of the connecting map: lift ker(f3) through q_x, push by f2,
     # pull back through i_y, measure modulo im(f1).
-    lifted = (f3 @ q_x).kernel_basis()
+    lifted = f3_qx.kernel_basis()
     pushed = f2 @ lifted
     pulled = i_y.solve(pushed)
     _require(pulled is not None, "pushforward of lifted kernel escapes the bottom inclusion")

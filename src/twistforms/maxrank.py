@@ -34,7 +34,6 @@ from .exactalg import (
     _check_modulus,
     _mod_cert_prime,
     _mulmod,
-    is_prime,
     residue_dtype,
 )
 from .forms import DEFAULT_PRIME, h0_basis, index_sets, monomials
@@ -273,8 +272,13 @@ class RankCertificate:
             raise CertificateError("problem needs p <= n-1, got p=%d for n=%d" % (p, n))
         kind = _entry(field, "kind", str)
         q = _entry(field, "modulus", int) if kind == "prime" else None
-        if kind not in ("prime", "rational") or (q is not None and not is_prime(q)):
-            raise CertificateError("field must be rational or have a prime modulus")
+        field_error = "field must be rational or have a prime modulus"
+        if kind not in ("prime", "rational"):
+            raise CertificateError(field_error)
+        try:
+            _check_modulus(q)
+        except ValueError as exc:
+            raise CertificateError("%s: %s" % (field_error, exc)) from None
         shape = _entry(doc, "shape", list)
         if len(shape) != 2 or not all(type(x) is int for x in shape):
             raise CertificateError("certificate entry 'shape' must be two integers")

@@ -83,7 +83,45 @@ def test_verify_display_fault_injection(capsys, monkeypatch):
     monkeypatch.setattr(display, "verify_display", faulted)
     code, out, _ = run(capsys, "verify-display", "--n", "2", "--p", "0", "--t", "0")
     assert code == 1
-    assert "FAILED" in out
+    assert out == "n=2 p=0 t=0  nodes=0/2/3/1/2/3  FAILED: bottom-left square, snake\n"
+    code, out, _ = run(
+        capsys, "verify-display", "--n", "2", "--p", "0", "--t", "0", "--format", "json"
+    )
+    assert code == 1
+    (record,) = json.loads(out)
+    assert (record["passed"], record["snake_ok"]) == (False, False)
+    assert record["squares"] == {
+        "top square": True,
+        "bottom-left square": False,
+        "bottom-right square": True,
+    }
+    assert all(seq["verdict"] != "failed" for seq in record["sequences"].values())
+
+
+def test_verify_display_json_schema(capsys):
+    code, out, _ = run(
+        capsys, "verify-display", "--n", "3", "--p", "0..1", "--t", "-1..1", "--format", "json"
+    )
+    assert code == 0
+    records = json.loads(out)
+    assert [(r["n"], r["p"], r["t"]) for r in records] == [
+        (3, p, t) for p in (0, 1) for t in (-1, 0, 1)
+    ]
+    for record in records:
+        assert list(record) == [
+            "n", "p", "t", "node_dims", "squares", "sequences", "snake_ok", "passed"
+        ]
+        assert list(record["node_dims"]) == list(display.NODE_NAMES)
+        assert list(record["squares"]) == [
+            "top square", "bottom-left square", "bottom-right square"
+        ]
+        assert list(record["sequences"]) == ["row 2", "row 3", "left column", "middle column"]
+        for seq in record["sequences"].values():
+            assert list(seq) == [
+                "dims", "rank_in", "rank_out", "coker", "h1_obstruction", "verdict"
+            ]
+            assert len(seq["dims"]) == 3
+        assert record["passed"] is True
 
 
 def test_maxrank_witnessed_and_not(capsys, tmp_path):
@@ -259,6 +297,35 @@ def test_maxrank_rejects_strong_pseudoprime_modulus(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not prime" in err
+
+
+# The least strong pseudoprime to the bases 2..41, which is_prime passes,
+# and a Mersenne prime above it: neither is a proven prime.
+UNPROVEN_MODULI = (3317044064679887385961981, 2**89 - 1)
+
+
+@pytest.mark.parametrize("q", UNPROVEN_MODULI)
+def test_moduli_without_a_primality_proof_are_rejected(capsys, tmp_path, q):
+    assert 3317044064679887385961981 == 1287836182261 * 2575672364521
+    for argv in (
+        ("maxrank", "--n", "2", "--p", "0", "--d", "2", "--s", "3"),
+        ("verify-display", "--n", "2", "--t", "0"),
+    ):
+        code, out, err = run(capsys, *argv, "--q", str(q))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not proven prime" in err
+    cert_file = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys,
+        "maxrank", "--n", "2", "--p", "0", "--d", "2", "--s", "3",
+        "--out", str(cert_file),
+    )
+    assert code == 0
+    doc = json.loads(cert_file.read_text())
+    doc["field"]["modulus"] = q
+    with pytest.raises(CertificateError, match="not proven prime"):
+        RankCertificate.from_json(json.dumps(doc))
 
 
 def test_horace_run(capsys):

@@ -3,7 +3,14 @@
 import pytest
 
 from twistforms.bott import binom, h_O
-from twistforms.display import _check_sequence, build_display, ledger_for, verify_display
+from twistforms.display import (
+    ExactnessLedger,
+    SequenceCheck,
+    _check_sequence,
+    build_display,
+    ledger_for,
+    verify_display,
+)
 from twistforms.exactalg import ExactMatrix, snake_check
 from twistforms.forms import ConsistencyError
 
@@ -147,6 +154,44 @@ def test_verify_display_raises_on_a_changed_left_map(monkeypatch):
     )
     with pytest.raises(ConsistencyError, match="bottom-left square"):
         verify_display(3, 1, 0, 0)
+
+
+def test_ledger_failures_list_squares_then_sequences_then_snake():
+    def seq(name, verdict):
+        return SequenceCheck(name, (1, 2, 1), 1, 1, 0, 0, verdict)
+
+    sequences = (
+        seq("row 2", "exact-at-sections"),
+        seq("row 3", "failed"),
+        seq("left column", "exact-with-known-h1-obstruction"),
+        seq("middle column", "failed"),
+    )
+    squares = (("top square", True), ("bottom-left square", False), ("bottom-right square", False))
+    led = ExactnessLedger(2, 0, 1, {}, squares, sequences, False)
+    assert led.failures == (
+        "bottom-left square", "bottom-right square", "row 3", "middle column", "snake"
+    )
+    assert not led.passed
+    sound = ExactnessLedger(2, 0, 1, {}, squares[:1], sequences[:1], True)
+    assert sound.failures == () and sound.passed
+    snake_only = ExactnessLedger(2, 0, 1, {}, squares[:1], sequences[:1], False)
+    assert snake_only.failures == ("snake",) and not snake_only.passed
+    # A real ledger, and the t = 0 error, which names the same failures.
+    changed = _changed(build_display(3, 1, 1), "left_top")
+    assert ledger_for(changed).failures == ("top square", "left column")
+    assert all(not ledger_for(build_display(2, p, 1)).failures for p in (0, 1))
+
+
+def test_verify_display_error_names_the_ledger_failures(monkeypatch):
+    from twistforms import display
+
+    monkeypatch.setattr(
+        display, "build_display", lambda *args: _changed(build_display(*args), "left_bottom")
+    )
+    with pytest.raises(ConsistencyError) as info:
+        verify_display(3, 1, 0, 0)
+    want = "display(3,1,t=0) failed at: bottom-left square, left column, snake"
+    assert str(info.value) == want
 
 
 def test_commutativity_is_exact_matrix_equality():

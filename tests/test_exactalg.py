@@ -376,10 +376,12 @@ def test_full_rank_mod_cert_prime_skips_bareiss(monkeypatch):
         qq([[1, 2], [2, 4]]).rank()
 
 
-# One prime just above the int64-safe bound, one below 2^63, one above it.
-# Minors of a 5x5 matrix with entries in [-9, 9] are below (9*sqrt(5))^5 < 4e6
-# in size, far under each prime, so the rank mod q must equal the rank over Q.
-LARGE_PRIMES = (4294967311, 2**61 - 1, 2**89 - 1)
+# One prime just above the int64-safe bound, one below 2^63, one above it
+# (2^80 - 65, the largest prime below 2^80: above 2^63 and below the bound
+# where primality stops being proven).  Minors of a 5x5 matrix with entries
+# in [-9, 9] are below (9*sqrt(5))^5 < 4e6 in size, far under each prime, so
+# the rank mod q must equal the rank over Q.
+LARGE_PRIMES = (4294967311, 2**61 - 1, 2**80 - 65)
 
 
 @settings(max_examples=40, deadline=None)
