@@ -158,6 +158,9 @@ def cmd_verify_display(args) -> int:
 
 def cmd_maxrank(args) -> int:
     if args.verify:
+        for name, kwargs in _COMMANDS["maxrank"][2].items():
+            if name != "verify" and getattr(args, name) != kwargs.get("default"):
+                raise UsageError("--%s cannot be combined with --verify" % name)
         with open(args.verify) as fh:
             cert = maxrank.RankCertificate.from_json(fh.read())
         ok = maxrank.verify_certificate(cert)

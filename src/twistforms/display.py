@@ -28,10 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .bott import binom, h_omega
-from .exactalg import ExactMatrix, residue_dtype, snake_check
+from .exactalg import ExactMatrix, snake_check
 from .forms import (
     DEFAULT_PRIME,
     ConsistencyError,
@@ -236,8 +234,7 @@ def _check_sequence(name, f, g, h1, h1_mid=None) -> SequenceCheck:
 def _snake_on_lower_rows(inst: DisplayInstance) -> bool:
     """Apply the snake checker to rows two and three with the vertical maps."""
     m = inst.maps
-    dim_r = inst.nodes["right"].dim
-    ident = ExactMatrix._wrap(np.eye(dim_r, dtype=residue_dtype(inst.q)), inst.q)
+    ident = ExactMatrix.identity(inst.nodes["right"].dim, inst.q)
     try:
         ledger = snake_check(
             m["free_incl"],

@@ -18,16 +18,17 @@ h = dx_{v0} ^ (.) / x_{v0}.  These are the vectors the RREF gives, so each
 basis is the one ``ExactMatrix.kernel_basis`` of ``contraction_matrix``
 would return, entry for entry; the tests check this against the matrix.
 
-Each section space keeps its basis also as terms, the (ambient row,
-coefficient) pairs of each column, and names its free rows, one ambient
-row per basis column: the free forms above, and every row of a free sum.
-On those rows the basis is the identity over GF(q) and a diagonal of +/-1
-over Q.  A map between section spaces is given by its rule on terms
-x^m dx_I; the image of a basis is composed on the basis's terms, its
+Each section space stores its basis once, as terms: the (ambient row,
+coefficient) pairs of each column, the first on the column's free row, one
+ambient row per column (the free forms above, and every row of a free
+sum).  On those rows the basis is the identity over GF(q) and a diagonal
+of +/-1 over Q.  A map between section spaces is given by its rule on
+terms x^m dx_I; the image of a basis is composed on the basis's terms, its
 coordinates are read off the target's free rows, with no elimination, and
 the target's terms rebuild the image from them, which checks that it lies
 in the span.  No matrix between the two ambient spaces, and no dense
-image, is built.
+image, is built; the dense basis is assembled from the terms only when
+point evaluation asks for it.
 
 Index sets are ordered lexicographically and monomials in graded-lex order
 with x_0 > x_1 > ... > x_n, so all matrices are reproducible across runs.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,30 +102,39 @@ class RestrictedOmega:
 
 @dataclass(frozen=True)
 class SectionSpace:
-    """An explicit basis of global sections.
+    """An explicit basis of global sections over GF(q), or Q for q None.
 
-    ``key`` lists the ambient coordinate pairs; ``basis`` has one column
-    per basis section, expressed in those coordinates.  ``terms`` holds the
-    same columns as terms: per column, its nonzero entries as (ambient row,
-    value) pairs, values as ``basis`` stores them, the first on the
-    column's free row.  ``free`` maps one ambient row per column, in column
-    order, to (that column, its entry there): the only row of ``free``
-    where the column is nonzero, with entry 1 over GF(q) and +/-1 over Q.
-    It is read off ``terms``, so it takes no part in comparisons.
-    ``index`` maps each pair of ``key`` to its row, so maps into the space
-    look rows up without rebuilding it.
+    ``key`` lists the ambient coordinate pairs, and ``index`` maps each to
+    its row, so maps into the space look rows up without rebuilding it.
+    ``terms`` is the basis: per column, its nonzero entries as (ambient
+    row, value) pairs, values reduced residues over GF(q) and +/-1 over Q,
+    the first on the column's free row, where no other column is nonzero.
+    ``free`` maps each free row to (its column, the entry there: 1 over
+    GF(q), +/-1 over Q), and ``basis`` is the dense len(key) x dim matrix;
+    both are read off ``terms`` on first use and kept, and neither takes
+    part in comparisons.
     """
 
     descriptor: object
-    basis: ExactMatrix
+    q: int | None
     key: tuple
-    free: dict = field(compare=False)
     terms: tuple = field(repr=False)
     index: dict = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.terms)
+
+    @cached_property
+    def free(self) -> dict:
+        return {column[0][0]: (k, column[0][1]) for k, column in enumerate(self.terms)}
+
+    @cached_property
+    def basis(self) -> ExactMatrix:
+        rows = [i for column in self.terms for i, _ in column]
+        cols = [c for c, column in enumerate(self.terms) for _ in column]
+        vals = [v for column in self.terms for _, v in column]
+        return _assemble(len(self.key), self.dim, rows, cols, vals, self.q)
 
 
 @lru_cache(maxsize=None)
@@ -229,15 +239,13 @@ def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
     ones and the pivot columns do not, and over Q only the sign rule is
     left, as every entry is +/-1.  A column with no v0 (restricted p = 1,
     J = (n,), m = 0) is zero, and its kernel vector is itself; at p = 0
-    every column is free and the basis is the identity.  The free rows
-    (J, m), each with its column and its entry there, are recorded as the
-    space's ``free``, and each column's terms, its free row first, as its
-    ``terms``.
+    every column is free and the basis is the identity.  Each column is
+    stored as its terms, its free row (J, m) first; nothing dense is built.
     """
     n, p, d = desc.n, desc.p, desc.d
     key = _key(n + 1, nvar, p, d)
     index = {pair: i for i, pair in enumerate(key)}
-    rows, cols, vals, free, columns = [], [], [], {}, []
+    columns = []
     for row, (J, m) in enumerate(key):
         v0 = next((j for j in range(nvar) if m[j] or j in J), None)
         if v0 is not None and v0 in J:
@@ -255,14 +263,8 @@ def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
         # Over Q, kernel_basis negates a column whose first nonzero is negative.
         elif min(terms)[1] < 0:
             terms = [(i, -v) for i, v in terms]
-        for i, v in terms:
-            rows.append(i)
-            cols.append(len(free))
-            vals.append(v)
-        free[row] = len(free), terms[0][1]
         columns.append(tuple(terms))
-    basis = _assemble(len(key), len(free), rows, cols, vals, q)
-    return SectionSpace(desc, basis, key, free, tuple(columns), index)
+    return SectionSpace(desc, q, key, tuple(columns), index)
 
 
 @lru_cache(maxsize=None)
@@ -297,16 +299,14 @@ def restricted_sections(n: int, p: int, d: int, q=DEFAULT_PRIME) -> SectionSpace
 
 @lru_cache(maxsize=None)
 def free_sections(n: int, d: int, r: int, q=DEFAULT_PRIME) -> SectionSpace:
-    """Sections of O(d)^{+r} on P^n: r stacked copies of the monomial basis."""
+    """Sections of O(d)^{+r} on P^n: r stacked monomial bases, each column one term 1."""
     if r < 0:
         raise ValueError("multiplicity must be nonnegative")
+    _check_modulus(q)
     mons = monomials(n + 1, d)
     key = tuple((j, m) for j in range(r) for m in mons)
-    basis = ExactMatrix.identity(len(key), q=q)
-    rows = range(len(key))
     index = {pair: i for i, pair in enumerate(key)}
-    free = {i: (i, 1) for i in rows}
-    return SectionSpace(FreeSum(n, d, r), basis, key, free, tuple(((i, 1),) for i in rows), index)
+    return SectionSpace(FreeSum(n, d, r), q, key, tuple(((i, 1),) for i in range(len(key))), index)
 
 
 def _ambient_map(src: SectionSpace, tgt: SectionSpace, entries) -> dict:
@@ -344,7 +344,7 @@ def _section_map(src: SectionSpace, tgt: SectionSpace, entries, what: str) -> Ex
     image outside the span differs from B times its selected coordinates,
     so the check is exact and complete.
     """
-    q = tgt.basis.q
+    q = tgt.q
     image = _ambient_map(src, tgt, entries)
     coords = {}
     for (i, c), v in image.items():

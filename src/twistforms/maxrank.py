@@ -240,7 +240,7 @@ class RankCertificate:
     shape: tuple
     rank: int
     maximal: bool
-    points: tuple | None = None  # replay list: coordinate tuples
+    points: tuple  # replay list: coordinate tuples
 
     def to_json(self) -> str:
         field = {"kind": "prime", "modulus": self.q} if self.q is not None else {"kind": "rational"}
@@ -252,9 +252,8 @@ class RankCertificate:
             "shape": [self.shape[0], self.shape[1]],
             "rank": self.rank,
             "maximal": self.maximal,
+            "points": [[str(c) for c in pt] for pt in self.points],
         }
-        if self.points is not None:
-            doc["points"] = [[str(c) for c in pt] for pt in self.points]
         return json.dumps(doc, indent=2) + "\n"
 
     @classmethod
@@ -416,8 +415,6 @@ def maxrank_test(
 
 def verify_certificate(cert: RankCertificate) -> bool:
     """Recompute rank and verdict from the certificate's replay list."""
-    if cert.points is None:
-        raise ValueError("certificate carries no replay list")
     _check_modulus(cert.q)
     pts = PointSet(cert.n, tuple(_point(c, cert.q) for c in cert.points), cert.q, cert.seed)
     m = eval_matrix(cert.n, cert.p, cert.d, pts)

@@ -191,6 +191,39 @@ def test_maxrank_verify_rejects_malformed_certificate(capsys, tmp_path, edit):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (("--q", "7", "--n", "3", "--out", "x.json", "--seed", "9"), "--n"),
+        *(((flag, "2"), flag) for flag in ("--n", "--p", "--d", "--s")),
+        (("--out", "x.json"), "--out"),
+        (("--q", "7"), "--q"),
+        (("--q", "rational"), "--q"),
+        (("--trials", "3"), "--trials"),
+        (("--seed", "9"), "--seed"),
+    ],
+)
+def test_maxrank_verify_with_another_option_is_a_usage_error(
+    capsys, tmp_path, monkeypatch, extra, named
+):
+    # A replay takes everything from the certificate, so any other option
+    # given with --verify is refused by name, and nothing is written.
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(
+        capsys, "maxrank", "--n", "2", "--p", "0", "--d", "2", "--s", "4", "--out", "c.json"
+    )
+    assert code == 0
+    code, out, err = run(capsys, "maxrank", "--verify", "c.json", *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s " % named) and err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
+    # Options left at their defaults are no conflict.
+    code, out, _ = run(
+        capsys, "maxrank", "--verify", "c.json", "--q", "101", "--trials", "5", "--seed", "0"
+    )
+    assert code == 0 and out.endswith(" verified\n")
+
+
 def test_maxrank_verify_rejects_non_json(capsys, tmp_path):
     path = tmp_path / "cert.json"
     path.write_text("[1, 2")

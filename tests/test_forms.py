@@ -410,6 +410,70 @@ def test_free_rows_carry_the_identity(q):
         assert space.index == {pair: i for i, pair in enumerate(space.key)}, case
 
 
+def _clear_section_caches():
+    for cached in (h0_basis, restricted_sections, free_sections):
+        cached.cache_clear()
+
+
+def test_the_display_builds_no_dense_section_basis():
+    # Display maps read only terms, so no node space assembles its basis.
+    _clear_section_caches()
+    for p in range(5):
+        verify_display(5, p, 0, 2)
+        for t in range(3):
+            for name, space in build_display(5, p, t).nodes.items():
+                assert "basis" not in vars(space), (p, t, name)
+
+
+@pytest.mark.parametrize("q", [101, None])
+def test_eval_matrix_assembles_its_basis_once(monkeypatch, q):
+    # The basis is assembled from the terms on first use and then kept:
+    # a second evaluation reuses the same matrix.
+    from twistforms import forms
+
+    _clear_section_caches()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return _assemble(*args)
+
+    monkeypatch.setattr(forms, "_assemble", counted)
+    pts = random_points(2, 4, q, seed=0)
+    space = h0_basis(2, 1, 3, q)
+    assert "basis" not in vars(space)
+    first = eval_matrix(2, 0, 2, pts)
+    basis = vars(space)["basis"]
+    assert eval_matrix(2, 0, 2, pts) == first
+    assert vars(space)["basis"] is basis and space.basis is basis
+    assert calls == [(len(space.key), space.dim)]
+
+
+@pytest.mark.parametrize("q", [2, 101, None])
+def test_rebuilt_section_spaces_compare_and_hash_equal(q):
+    # Equality and hash read descriptor, q, key and terms, so they do not
+    # depend on whether the dense basis or the free rows were built.
+    def spaces():
+        return [
+            h0_basis(3, 1, 3, q),
+            h0_basis(2, 0, 2, q),
+            h0_basis(2, 1, 1, q),
+            restricted_sections(3, 2, 4, q),
+            free_sections(2, 1, 3, q),
+        ]
+
+    _clear_section_caches()
+    before = spaces()
+    for space in before[::2]:
+        assert space.basis.cols == len(space.free) == space.dim
+    _clear_section_caches()
+    after = spaces()
+    for old, new in zip(before, after):
+        assert old is not new and "basis" not in vars(new)
+        assert old == new and hash(old) == hash(new), new.descriptor
+    assert len(set(before + after)) == len(before)
+
+
 @pytest.mark.parametrize("q", FIELDS)
 def test_section_maps_equal_the_solve_against_the_basis(monkeypatch, q):
     # Every user of _section_map (three in forms, five in the display)
