@@ -34,17 +34,24 @@ of its two engines does one job:
   and never above it, as numpy arrays, by right-looking blocked
   elimination (as in FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008;
   Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 2013): each panel
-  of columns is eliminated one pivot at a time on its own columns, and the
-  rows below are updated by one product per panel, the Schur complement.
+  of columns is copied out, reduced, and eliminated one pivot at a time on
+  that copy; the pivot rows' trailing part becomes U12 = L11^-1 A12, and
+  the rows below are updated by one product per panel, the Schur
+  complement A22 - L21 U12.  That product is taken in float64, cast to
+  int64 and never reduced: both factors are reduced residues, so it is
+  exact when (q - 1)^2 * b <= 2^53 - 1 for a panel width b, and each
+  pivot moves an entry by at most (q - 1)^2, so the trailing entries stay
+  in int64 while min(rows, cols) * (q - 1)^2 < 2^62 (delayed reduction as
+  in FFLAS-FFPACK, carried across panels; each panel is reduced when it is
+  copied out).  ``_echelon_dense`` takes panels only under both bounds.
   Panels are ``_PANEL`` (32) columns wide when the smaller side is at least
   ``_BLOCKED_MIN`` (128) and q is on the float64 product tier for an inner
-  dimension of 32; otherwise one panel spans the matrix, which is the
-  per-pivot loop.  On a 2-core x86_64 VM (Python 3.11, numpy 2.4,
-  OpenBLAS, one BLAS thread) the two widths tie on random half-dense square
-  matrices over GF(101) up to about 128; on a 315 x 315 point evaluation
-  panels take the rank in 14-17 ms against 25-29 ms.  On the 16-bit-limb
-  tier (q = 2^31-1) they still tie at 160; no workload has such a matrix,
-  so those primes keep one panel.
+  dimension of 32 (q <= 16777213); otherwise one panel spans the matrix,
+  which is the per-pivot loop.  On a 2-core x86_64 VM (Python 3.11, numpy
+  2.4, OpenBLAS, one BLAS thread) the two widths tie on random half-dense
+  square matrices over GF(101) up to about 128; on a 315 x 315 point
+  evaluation panels take the rank in about 12 ms against 28 ms (medians
+  of 15 interleaved runs).
 
 The RREF and its pivot columns are unique, so kernels and solutions do not
 depend on the order in which the sparse engine picks its pivot rows, and
@@ -235,8 +242,9 @@ _SPARSE_DENSITY = 0.1
 
 #: Panel width of the dense elimination, and the smaller side from which a
 #: matrix takes it (when q is on ``_mulmod``'s float64 tier for an inner
-#: dimension of ``_PANEL``; otherwise one panel spans the matrix): below 128
-#: it gains nothing.
+#: dimension of ``_PANEL``, q <= 16777213, so that a Schur complement of
+#: reduced factors is exact in float64; otherwise one panel spans the
+#: matrix): below 128 it gains nothing.
 _PANEL = 32
 _BLOCKED_MIN = 128
 
@@ -248,30 +256,41 @@ def _echelon_dense(a, q: int, b: int):
     row echelon form eliminated below its pivots only.  With ``b`` at least
     the column count this is the per-pivot loop.
 
-    Each panel is eliminated one pivot at a time on its own columns, and
-    every eliminated entry keeps its multiplier (the rows are P A = L U
-    restricted to the panel).  The k pivot rows' trailing part is then
-    forward-substituted through L11, giving U12, and the other rows'
-    trailing part becomes the Schur complement A22 - L21 U12: one product,
-    in place of k rank-1 updates.
+    Each panel is copied out of the rows left, reduced, and eliminated one
+    pivot at a time, swapping only the copy's rows and a permutation; every
+    eliminated entry keeps its multiplier, so the copy holds P A = L U
+    restricted to the panel.  One gather then permutes the trailing
+    columns, whose k pivot rows become U12 = L11^-1 A12 (one product) and
+    whose other rows become the Schur complement A22 - L21 U12: one float64
+    product, cast to int64 and never reduced.  Its factors are reduced
+    residues, so it is exact when (q - 1)^2 * b <= 2^53 - 1, and each pivot
+    moves an entry by at most (q - 1)^2, so no entry leaves int64 while
+    min(rows, cols) * (q - 1)^2 < 2^62; otherwise one panel spans the
+    matrix, and its copy is the result.
     """
-    a = a.copy()
     m, n = a.shape
+    if (q - 1) ** 2 * b > _FLOAT_EXACT or min(m, n) * (q - 1) ** 2 >= 2**62:
+        b = n
+    b = max(1, b)
     # Reduction is delayed: an entry takes up to ``lag`` updates, each
     # subtracting less than q^2, before it must be reduced to stay in int64.
     lag = max(1, 2**62 // q**2)
+    out = None  # the echelon form, once a panel leaves trailing columns
+    rest = a  # the rows left, from the panel's first column on
     pivots = []
     r = 0
     for c0 in range(0, n, b):
         if r == m:
             break
-        c1 = min(c0 + b, n)
-        rows = a[r:]
-        panel = rows[:, c0:c1]
-        piv, invs = [], []
+        w = min(b, n - c0)
+        panel = rest[:, :w].copy()
+        if c0:
+            _reduce(panel, q)
+        perm = list(range(len(panel)))
+        piv = []
         k = 0
-        for c in range(c1 - c0):
-            if k == len(rows):
+        for c in range(w):
+            if k == len(panel):
                 break
             # With ``lag`` 1 the block below and right of the last pivot was
             # reduced right after it (and the panel starts reduced), so the
@@ -279,12 +298,13 @@ def _echelon_dense(a, q: int, b: int):
             col = panel[k:, c]
             if lag > 1:
                 col %= q
-            nz = np.flatnonzero(col)
+            nz = col.nonzero()[0]
             if nz.size == 0:
                 continue
             i = k + int(nz[0])
             if i != k:
-                rows[[k, i]] = rows[[i, k]]
+                panel[[k, i]] = panel[[i, k]]
+                perm[k], perm[i] = perm[i], perm[k]
             inv = pow(int(panel[k, c]), -1, q)
             u = panel[k, c + 1 :]
             if lag > 1:
@@ -295,35 +315,51 @@ def _echelon_dense(a, q: int, b: int):
             below = panel[k + 1 :, c + 1 :]
             below -= panel[k + 1 :, c, None] * u
             piv.append(c)
-            invs.append(inv)
             k += 1
             if k % lag == 0:
                 _reduce(below, q)
-        if k:
-            if c1 < n:
-                low = panel[:, piv]  # [L11; L21], with the pivots on L11's diagonal
-                u12 = rows[:k, c1:]
-                for t in range(k):
-                    u = u12[t]
-                    u %= q
-                    u *= invs[t]
-                    u %= q
-                    rest = u12[t + 1 :]
-                    rest -= low[t + 1 : k, t, None] * u
-                    if (t + 1) % lag == 0:
-                        _reduce(rest, q)
-                schur = rows[k:, c1:]
-                schur -= _mulmod(low[k:], u12, q)
-                _reduce(schur, q)
-            # Clear L: each pivot row is zero left of its pivot, which is 1,
-            # and the rows below the pivots are zero.
-            top = panel[:k]
-            top[np.arange(c1 - c0) < np.asarray(piv)[:, None]] = 0
-            top[np.arange(k), piv] = 1
-            panel[k:] = 0
         pivots += [c0 + c for c in piv]
+        if w == n:
+            out = panel
+        elif out is None:
+            out = np.zeros(a.shape, dtype=a.dtype)
+        if k and c0 + w < n:
+            low = panel[:, piv]  # [L11; L21], with the pivots on L11's diagonal
+            trail = rest[perm, w:]
+            a12 = trail[:k]
+            _reduce(a12, q)
+            u12 = _mulmod(_lower_inverse(low[:k], q), a12, q)
+            out[r : r + k, c0 + w :] = u12
+            rest = trail[k:]
+            rest -= (low[k:].astype(np.float64) @ u12.astype(np.float64)).astype(np.int64)
+        else:
+            rest = rest[:, w:]
+        if k:
+            # Clear L: each pivot row is zero left of its pivot, which is 1.
+            top = panel[:k]
+            top[np.arange(w) < np.asarray(piv)[:, None]] = 0
+            top[np.arange(k), piv] = 1
+            if out is panel:
+                panel[k:] = 0
+            else:
+                out[r : r + k, c0 : c0 + w] = top
         r += k
-    return a, pivots
+    return (a.copy() if out is None else out), pivots
+
+
+def _lower_inverse(low, q: int):
+    """L^-1 mod q of the lower triangle of the k x k reduced residue array
+    ``low`` (its upper part is ignored), by forward substitution on the
+    identity, for q on the float64 product tier at k: each row is reduced
+    before it is scaled by the inverse of its diagonal entry, so no product
+    leaves int64."""
+    k = len(low)
+    x = np.zeros((k, k), dtype=np.int64)
+    for t in range(k):
+        row = -(low[t, :t] @ x[:t]) % q
+        row[t] = 1
+        x[t] = row * pow(int(low[t, t]), -1, q) % q
+    return x
 
 
 def _echelon_sparse(a, q: int):

@@ -27,8 +27,8 @@ terms x^m dx_I; the image of a basis is composed on the basis's terms, its
 coordinates are read off the target's free rows, with no elimination, and
 the target's terms rebuild the image from them, which checks that it lies
 in the span.  No matrix between the two ambient spaces, and no dense
-image, is built; the dense basis is assembled from the terms only when
-point evaluation asks for it.
+image, is built, and no dense basis either: point evaluation also reads
+the terms.
 
 Index sets are ordered lexicographically and monomials in graded-lex order
 with x_0 > x_1 > ... > x_n, so all matrices are reproducible across runs.
@@ -110,9 +110,9 @@ class SectionSpace:
     row, value) pairs, values reduced residues over GF(q) and +/-1 over Q,
     the first on the column's free row, where no other column is nonzero.
     ``free`` maps each free row to (its column, the entry there: 1 over
-    GF(q), +/-1 over Q), and ``basis`` is the dense len(key) x dim matrix;
-    both are read off ``terms`` on first use and kept, and neither takes
-    part in comparisons.
+    GF(q), +/-1 over Q); it is read off ``terms`` on first use and kept, and
+    takes no part in comparisons.  No dense basis is built: display maps and
+    point evaluation all read the terms.
     """
 
     descriptor: object
@@ -128,13 +128,6 @@ class SectionSpace:
     @cached_property
     def free(self) -> dict:
         return {column[0][0]: (k, column[0][1]) for k, column in enumerate(self.terms)}
-
-    @cached_property
-    def basis(self) -> ExactMatrix:
-        rows = [i for column in self.terms for i, _ in column]
-        cols = [c for c, column in enumerate(self.terms) for _ in column]
-        vals = [v for column in self.terms for _, v in column]
-        return _assemble(len(self.key), self.dim, rows, cols, vals, self.q)
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +303,7 @@ def free_sections(n: int, d: int, r: int, q=DEFAULT_PRIME) -> SectionSpace:
 
 
 def _ambient_map(src: SectionSpace, tgt: SectionSpace, entries) -> dict:
-    """Image of ``src.basis`` in the ambient coordinates of ``tgt``,
+    """Image of the basis of ``src`` in the ambient coordinates of ``tgt``,
     composed on terms: {(target row, column): value}, values Python ints
     not reduced modulo q.
 
@@ -335,14 +328,14 @@ def _section_map(src: SectionSpace, tgt: SectionSpace, entries, what: str) -> Ex
     term rule ``entries`` of ``_ambient_map``; ``what`` names it if an
     image does not lie in ``tgt``.
 
-    The image of ``src.basis`` is composed on terms, and its coordinates
-    are selected, not solved for.  On the rows ``tgt.free`` the target
-    basis B is a diagonal D of 1s over GF(q) and of +/-1s over Q, so an
-    image B @ Y has the rows D @ Y there, and Y is those rows times D.
-    The target's column terms then rebuild B @ Y, and it must equal the
-    image at every ambient row, modulo q over GF(q) and exactly over Q.  An
-    image outside the span differs from B times its selected coordinates,
-    so the check is exact and complete.
+    The image of the basis of ``src`` is composed on terms, and its
+    coordinates are selected, not solved for.  On the rows ``tgt.free``
+    the target basis B is a diagonal D of 1s over GF(q) and of +/-1s over
+    Q, so an image B @ Y has the rows D @ Y there, and Y is those rows
+    times D.  The target's column terms then rebuild B @ Y, and it must
+    equal the image at every ambient row, modulo q over GF(q) and exactly
+    over Q.  An image outside the span differs from B times its selected
+    coordinates, so the check is exact and complete.
     """
     q = tgt.q
     image = _ambient_map(src, tgt, entries)

@@ -1,15 +1,16 @@
 """Point sets, fiber evaluation of twisted forms, and maximal-rank certificates.
 
 The evaluation map sends a section of Omega^{p+1}(d+p+1) to its values in
-the fibers over s points; ``eval_matrix`` builds it as exact products of a
-table of monomial values at the points and each chart's slice of the
-section basis.  Over Q each point is evaluated at its primitive integer
-representative, so the matrix has integer entries; each point's block is
-the one at its stored coordinates times a nonzero scalar, so the ranks are
-those at the stored coordinates.  A witness point set achieving full rank
-certifies maximal rank for general points over the field's closure (the
-maximal-rank locus is open); failure of every trial is reported as "not
-witnessed", never as a disproof.
+the fibers over s points; ``eval_matrix`` composes it on the section
+basis's terms, a sparse product (as in Gustavson, ACM TOMS 1978) of a
+table of monomial values at the points and the basis's nonzeros, with no
+dense basis and no dense product.  Over Q each point is evaluated at its
+primitive integer representative, so the matrix has integer entries; each
+point's block is the one at its stored coordinates times a nonzero scalar,
+so the ranks are those at the stored coordinates.  A witness point set
+achieving full rank certifies maximal rank for general points over the
+field's closure (the maximal-rank locus is open); failure of every trial
+is reported as "not witnessed", never as a disproof.
 
 Certificates for several point counts of one (n, p, d) come from one point
 sequence per trial (``certify_counts``): a forward elimination of the
@@ -25,6 +26,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, lcm
 
 import numpy as np
@@ -33,7 +35,7 @@ from .exactalg import (
     ExactMatrix,
     _check_modulus,
     _mod_cert_prime,
-    _mulmod,
+    _reduce,
     residue_dtype,
 )
 from .forms import DEFAULT_PRIME, h0_basis, index_sets, monomials
@@ -192,13 +194,16 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
     Rows: s * binom(n, p+1), point by point, each block ordered by the index
     sets that avoid the point's chart pivot (its last nonzero coordinate, or
     the entry of ``pivots``); columns: h^0.  Each group of points with one
-    pivot is one product: the table of degree-d monomials at the points times
-    the chart's slice of the basis, viewed as (monomial, index set, section).
-    Over Q each point is evaluated at its primitive integer representative,
-    the stored coordinates times the lcm of their denominators, so the
-    entries are Python ints; each point's block is the one at the stored
-    coordinates times the nonzero scalar scale^d, so every rank is the one
-    at the stored coordinates.
+    pivot is composed on the basis's terms whose index set avoids the pivot:
+    each term's column of the table of degree-d monomials at the points,
+    times the term's value, is summed into its (fiber slot, section) entry
+    by one ``np.add.reduceat``, and the sums are reduced modulo q.  No dense
+    basis is assembled and no dense product is taken.  Over Q each point is
+    evaluated at its primitive integer representative, the stored
+    coordinates times the lcm of their denominators, so the entries are
+    Python ints; each point's block is the one at the stored coordinates
+    times the nonzero scalar scale^d, so every rank is the one at the stored
+    coordinates.
     """
     q = pts.q
     space = h0_basis(n, p + 1, d + p + 1, q)
@@ -207,8 +212,9 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
     piv = [pt.pivot if pivots is None else pivots[k] for k, pt in enumerate(pts.points)]
     if any(pt.coords[v] == 0 for pt, v in zip(pts.points, piv)):
         raise ValueError("pivot coordinate vanishes at the point")
+    out = np.zeros((s * fiber, h), dtype=residue_dtype(q))
     if not s or not h:
-        return ExactMatrix._wrap(np.zeros((s * fiber, h), dtype=residue_dtype(q)), q)
+        return ExactMatrix._wrap(out, q)
     if q is None:
         scales = [lcm(*(Fraction(c).denominator for c in pt.coords)) for pt in pts.points]
         rows = [[int(c * k) for c in pt.coords] for pt, k in zip(pts.points, scales)]
@@ -217,15 +223,36 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
         coords = np.array([pt.coords for pt in pts.points], dtype=residue_dtype(q))
     exps = np.array(monomials(n + 1, d), dtype=np.int64)
     sets = index_sets(n + 1, p + 1)
-    basis = space.basis._a.reshape(len(sets), len(exps), h).transpose(1, 0, 2)
-    out = np.zeros((s, fiber, h), dtype=basis.dtype)
+    # The basis's nonzeros, ordered by (index set, section): the ambient row
+    # (index set, monomial), section and value of each.
+    ambient, value = zip(*chain.from_iterable(space.terms))
+    section = np.repeat(np.arange(h), [len(column) for column in space.terms])
+    of_set, mon = np.divmod(np.array(ambient, dtype=np.int64), len(exps))
+    order = np.argsort(of_set * h + section, kind="stable")
+    of_set, mon, section = of_set[order], mon[order], section[order]
+    value = np.array(value, dtype=out.dtype)[order]
     for v in sorted(set(piv)):
         group = [k for k, w in enumerate(piv) if w == v]
-        chart = [j for j, I in enumerate(sets) if v not in I]
-        sections = basis[:, chart].reshape(len(exps), fiber * h)
-        table = _monomial_table(coords[group], exps, q)
-        out[group] = _mulmod(table, sections, q).reshape(len(group), fiber, h)
-    return ExactMatrix._wrap(out.reshape(s * fiber, h), q)
+        slot = np.full(len(sets), -1)
+        slot[[j for j, I in enumerate(sets) if v not in I]] = np.arange(fiber)
+        # Slots follow the index sets' order, so the chart's terms are
+        # ordered by cell, its (fiber slot, section) flattened.
+        cell = slot[of_set] * h + section
+        keep = cell >= 0
+        cell = cell[keep]
+        starts = np.flatnonzero(np.diff(cell, prepend=-1))
+        # One row per term and one column per point: each run of rows is
+        # summed into the row of its cell.
+        prods = _monomial_table(coords[group], exps, q).T[mon[keep]] * value[keep, None]
+        if q is not None:
+            _reduce(prods, q)
+        sums = np.add.reduceat(prods, starts)
+        if q is not None:
+            _reduce(sums, q)
+        block = np.zeros((fiber * h, len(group)), dtype=out.dtype)
+        block[cell[starts]] = sums
+        out.reshape(s, fiber * h)[group] = block.T
+    return ExactMatrix._wrap(out, q)
 
 
 @dataclass(frozen=True)

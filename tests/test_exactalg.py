@@ -851,7 +851,7 @@ def planted_arrays(draw):
     """A reduced residue array of 0..40 x 0..40 whose rank is planted: the
     product of an m x r and an r x n factor, with entries 0, q-1 or random,
     then some columns zeroed (possibly a whole panel) or copied from others."""
-    q = draw(st.sampled_from((101,) + ELIM_PRIMES))
+    q = draw(st.sampled_from((101, 16777213) + ELIM_PRIMES))
     # Half the arrays fill a 32-column panel with pivots.
     lo = 32 if draw(st.booleans()) else 0
     m, n = draw(st.integers(lo, 40)), draw(st.integers(lo, 40))
@@ -898,6 +898,7 @@ def _dense_example(q):
 @settings(max_examples=200, deadline=None)
 @given(planted_arrays(), st.sampled_from((32, 1, 2, 3, None)))
 @example(_dense_example(101), 32)
+@example(_dense_example(16777213), 32)
 @example(_dense_example(2**31 - 1), 32)
 @example(_dense_example(CERT_PRIME), 32)
 @example(_dense_example(CERT_PRIME), None)

@@ -46,6 +46,15 @@ def row_list(m):
     return m._a.tolist()
 
 
+def dense_basis(space):
+    """A section space's basis as a dense len(key) x dim matrix, assembled
+    from its column terms."""
+    rows = [i for column in space.terms for i, _ in column]
+    cols = [c for c, column in enumerate(space.terms) for _ in column]
+    vals = [v for column in space.terms for _, v in column]
+    return _assemble(len(space.key), space.dim, rows, cols, vals, space.q)
+
+
 def test_monomial_order_is_graded_lex():
     assert monomials(2, 2) == ((2, 0), (1, 1), (0, 2))
     assert monomials(3, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -101,7 +110,7 @@ def test_h0_basis_examples():
 def test_h0_empty_space_is_first_class():
     space = h0_basis(2, 1, 0)
     assert space.dim == 0
-    assert space.basis.cols == 0
+    assert dense_basis(space).cols == 0
 
 
 def test_rational_and_modular_ranks_agree_on_forms_matrices():
@@ -259,7 +268,7 @@ def test_ambient_map_matches_list_built(q):
         image = _ambient_map(src, tgt, rule)
         assert all(type(v) is int for v in image.values())
         amb = _image_matrix(image, len(tgt.key), src.dim, q)
-        want = _list_ambient_map(src.key, tgt.key, rule, q) @ src.basis
+        want = _list_ambient_map(src.key, tgt.key, rule, q) @ dense_basis(src)
         assert amb == want and amb.shape == (len(tgt.key), src.dim)
         assert amb._a.dtype == want._a.dtype
         assert [type(x) for x in amb._a.ravel()] == [type(x) for x in want._a.ravel()]
@@ -293,7 +302,7 @@ def test_closed_form_sections_equal_the_contraction_rref_kernel(q):
             desc = OmegaForms if nvar == n + 1 else RestrictedOmega
             for p in range(n + 2):
                 for d in range(p - 1, p + 4):
-                    got = _kernel_sections(desc(n, p, d), nvar, q).basis
+                    got = dense_basis(_kernel_sections(desc(n, p, d), nvar, q))
                     if p == 0:
                         want = ExactMatrix.identity(len(_key(n + 1, nvar, 0, d)), q=q)
                     else:
@@ -391,7 +400,8 @@ def test_free_rows_carry_the_identity(q):
     for space in spaces:
         case = space.descriptor
         assert len(space.free) == space.dim, case
-        block = space.basis._a[list(space.free)]
+        basis = dense_basis(space)
+        block = basis._a[list(space.free)]
         diag = block.diagonal()
         assert not (block - np.diag(diag)).any(), case
         if q is None:
@@ -403,7 +413,7 @@ def test_free_rows_carry_the_identity(q):
         assert len(cells) == sum(map(len, space.terms)), case
         assert all(v != 0 and type(v) is int for v in cells.values()), case
         rebuilt = _image_matrix(cells, len(space.key), space.dim, q)
-        assert rebuilt == space.basis and rebuilt._a.dtype == space.basis._a.dtype, case
+        assert rebuilt == basis and rebuilt._a.dtype == basis._a.dtype, case
         for k, (column, f, x) in enumerate(zip(space.terms, space.free, diag.tolist())):
             assert column[0] == (f, x), case
             assert space.free[f] == (k, x) and type(x) is int, case
@@ -426,9 +436,9 @@ def test_the_display_builds_no_dense_section_basis():
 
 
 @pytest.mark.parametrize("q", [101, None])
-def test_eval_matrix_assembles_its_basis_once(monkeypatch, q):
-    # The basis is assembled from the terms on first use and then kept:
-    # a second evaluation reuses the same matrix.
+def test_eval_matrix_assembles_no_dense_basis(monkeypatch, q):
+    # Point evaluation reads the basis's column terms: two evaluations
+    # assemble no matrix and leave no dense basis on the space.
     from twistforms import forms
 
     _clear_section_caches()
@@ -441,18 +451,15 @@ def test_eval_matrix_assembles_its_basis_once(monkeypatch, q):
     monkeypatch.setattr(forms, "_assemble", counted)
     pts = random_points(2, 4, q, seed=0)
     space = h0_basis(2, 1, 3, q)
-    assert "basis" not in vars(space)
     first = eval_matrix(2, 0, 2, pts)
-    basis = vars(space)["basis"]
     assert eval_matrix(2, 0, 2, pts) == first
-    assert vars(space)["basis"] is basis and space.basis is basis
-    assert calls == [(len(space.key), space.dim)]
+    assert calls == [] and "basis" not in vars(space)
 
 
 @pytest.mark.parametrize("q", [2, 101, None])
 def test_rebuilt_section_spaces_compare_and_hash_equal(q):
     # Equality and hash read descriptor, q, key and terms, so they do not
-    # depend on whether the dense basis or the free rows were built.
+    # depend on whether the free rows were built.
     def spaces():
         return [
             h0_basis(3, 1, 3, q),
@@ -465,7 +472,7 @@ def test_rebuilt_section_spaces_compare_and_hash_equal(q):
     _clear_section_caches()
     before = spaces()
     for space in before[::2]:
-        assert space.basis.cols == len(space.free) == space.dim
+        assert dense_basis(space).cols == len(space.free) == space.dim
     _clear_section_caches()
     after = spaces()
     for old, new in zip(before, after):
@@ -477,8 +484,8 @@ def test_rebuilt_section_spaces_compare_and_hash_equal(q):
 @pytest.mark.parametrize("q", FIELDS)
 def test_section_maps_equal_the_solve_against_the_basis(monkeypatch, q):
     # Every user of _section_map (three in forms, five in the display)
-    # against the old coordinates, tgt.basis.solve(image): entry for entry,
-    # in dtype and in Python entry type.
+    # against the old coordinates, the target's dense basis solved for the
+    # image: entry for entry, in dtype and in Python entry type.
     from twistforms import display, forms
 
     seen = set()
@@ -486,7 +493,7 @@ def test_section_maps_equal_the_solve_against_the_basis(monkeypatch, q):
     def checked(src, tgt, entries, what):
         got = _section_map(src, tgt, entries, what)
         image = _ambient_map(src, tgt, entries)
-        want = tgt.basis.solve(_image_matrix(image, len(tgt.key), src.dim, q))
+        want = dense_basis(tgt).solve(_image_matrix(image, len(tgt.key), src.dim, q))
         assert got == want and got.shape == want.shape, what
         assert got._a.dtype == want._a.dtype, what
         assert [type(x) for x in got._a.ravel()] == [type(x) for x in want._a.ravel()], what
@@ -516,7 +523,7 @@ def test_section_map_rejects_an_image_outside_the_target(q):
     # one term added on a row that is not free in the target: the image
     # differs from the span there only, and its free rows are untouched.
     top, middle = h0_basis(2, 1, 2, q), h0_basis(2, 1, 3, q)
-    dropped = next(pair for pair, row in zip(top.key, row_list(top.basis)) if any(row))
+    dropped = next(pair for pair, row in zip(top.key, row_list(dense_basis(top))) if any(row))
 
     def twist(pair):
         I, m = pair

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from twistforms.bott import binom, h_omega
 from twistforms import maxrank
 from twistforms.exactalg import _CERT_PRIME, ExactMatrix, _mod_cert_prime
-from twistforms.forms import h0_basis, index_sets, monomials
+from twistforms.forms import _assemble, h0_basis, index_sets, monomials
 from twistforms.maxrank import (
     BettiLedger,
     FieldTooSmallError,
@@ -35,6 +35,15 @@ def row_list(m):
     """Entries of an ExactMatrix as a list of row lists (Python ints over
     GF(q), ints and Fractions over Q)."""
     return m._a.tolist()
+
+
+def dense_basis(space):
+    """A section space's basis as a dense len(key) x dim matrix, assembled
+    from its column terms."""
+    rows = [i for column in space.terms for i, _ in column]
+    cols = [c for c, column in enumerate(space.terms) for _ in column]
+    vals = [v for column in space.terms for _, v in column]
+    return _assemble(len(space.key), space.dim, rows, cols, vals, space.q)
 
 
 def test_projpoint_normalizes_last_nonzero_to_one():
@@ -94,7 +103,7 @@ def naive_eval_matrix(n, p, d, pts, pivots=None):
     a rational point at its primitive integer representative."""
     q = pts.q
     space = h0_basis(n, p + 1, d + p + 1, q)
-    cols = row_list(space.basis)
+    cols = row_list(dense_basis(space))
     sections = [[cols[i][j] for i in range(len(space.key))] for j in range(space.dim)]
     rows = []
     for k, pt in enumerate(pts.points):
@@ -160,7 +169,7 @@ def test_eval_matrix_invariant_one_form():
     # H^0(Omega^1(2)) on P^1 is spanned by x1 dx0 - x0 dx1; at (1:1) the
     # chart drops the pivot component dx1, leaving x1 = 1.
     space = h0_basis(1, 1, 2, None)
-    assert dict(zip(space.key, row_list(space.basis.transpose())[0])) == {
+    assert dict(zip(space.key, row_list(dense_basis(space).transpose())[0])) == {
         ((0,), (1, 0)): 0,
         ((0,), (0, 1)): 1,
         ((1,), (1, 0)): -1,
@@ -391,7 +400,7 @@ def fraction_eval_matrix(n, p, d, pts, pivots=None):
     coords = np.array(rows, dtype=object)
     exps = np.array(monomials(n + 1, d), dtype=np.int64)
     sets = index_sets(n + 1, p + 1)
-    basis = space.basis._a.reshape(len(sets), len(exps), h).transpose(1, 0, 2)
+    basis = dense_basis(space)._a.reshape(len(sets), len(exps), h).transpose(1, 0, 2)
     out = np.zeros((s, fiber, h), dtype=object)
     for v in sorted(set(piv)):
         group = [k for k, w in enumerate(piv) if w == v]
