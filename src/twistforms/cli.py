@@ -196,8 +196,6 @@ def cmd_maxrank(args) -> int:
 
 def cmd_horace(args) -> int:
     _check_form_degree(args)
-    if args.d < args.base:
-        raise UsageError("need d >= base, got d=%d base=%d" % (args.d, args.base))
     tree = horace.plan(args.n, args.p, args.d, args.s, args.base)
     report = horace.verify_tree(tree, args.q, args.trials, args.seed)
     text = horace.render_tree(tree) + "\n"

@@ -12,29 +12,35 @@ are
 
 and the arrows are realized as matrices between the explicit section
 bases of the forms module.  All eight are maps of forms, each given by an
-explicit rule on terms (twist, free inclusion, restriction, restriction
+explicit rule on codes (twist, free inclusion, restriction, restriction
 to the hyperplane, wedge, drop, and the left column's top -> free and
-free -> bottom_left), and each reads its coordinates off the target
-basis's free rows, with no elimination and no solve.  An image outside
-its target aborts construction with a named diagnostic.  Nothing at
-construction checks that the squares commute: the ledger does, so a
-left map that does not commute fails its square there.  t = 0 is the
-theorem instance; larger twists are a faithfulness sweep with the same
-code.
+free -> bottom_left): lookups in the forms module's tables that send each
+ambient code (I, m) of the source to the signed codes of its image, each
+with a comment giving that (I, m) meaning.  Each map reads its
+coordinates off the target basis's free rows, with no elimination and no
+solve.  An image outside its target aborts construction with a named
+diagnostic.  Nothing at construction checks that the squares commute:
+the ledger does, so a left map that does not commute fails its square
+there.  t = 0 is the theorem instance; larger twists are a faithfulness
+sweep with the same code.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .bott import binom, h_omega
 from .exactalg import ExactMatrix, snake_check
 from .forms import (
     DEFAULT_PRIME,
     ConsistencyError,
-    _mult_var,
+    _code,
     _section_map,
+    _subsets,
+    _times,
+    _truncation,
     conormal_wedge,
     drop_last_differential,
     free_sections,
@@ -121,9 +127,8 @@ def build_display(n: int, p: int, t: int, q=DEFAULT_PRIME) -> DisplayInstance:
     if n < 1 or not 0 <= p <= n - 1:
         raise ValueError("display needs n >= 1 and 0 <= p <= n-1")
     inst = DisplayInstance(n, p, t, q)
-    subsets = list(itertools.combinations(range(n), p + 1))
     top = h0_basis(n, p + 1, p + 1 + t, q)
-    free = free_sections(n, t, len(subsets), q)
+    free = free_sections(n, t, binom(n, p + 1), q)
     middle = h0_basis(n, p + 1, p + 2 + t, q)
     right = h0_basis(n - 1, p + 1, p + 2 + t, q)
     bottom_left = h0_basis(n - 1, p, p + 1 + t, q)
@@ -138,62 +143,60 @@ def build_display(n: int, p: int, t: int, q=DEFAULT_PRIME) -> DisplayInstance:
         "bottom_mid": bottom_mid,
     }
     case = "(%d,%d,t=%d)" % (n, p, t)
+    # Rules on codes: J_j's elements, and the ranks of the sets one step
+    # from it (see forms._subsets); x_j times a degree-t monomial on P^n.
+    sub, sub_n = _subsets(n, p + 1), _subsets(n + 1, p + 1)
+    times = _times(n + 1, t)
+    positions = np.arange(p + 2)[:, None]
 
     # middle row left arrow: the kernel generators.
-    def generator_entries(pair):
-        j, m = pair
-        full = subsets[j] + (n,)
-        return [
-            ((full[:pos] + full[pos + 1 :], _mult_var(m, k)), -1 if pos % 2 else 1)
-            for pos, k in enumerate(full)
-        ]
+    # (j, m) -> sum over pos of (-1)^pos (J_j + (n,) - v, x_v m), v its pos-th element.
+    # J_j + (n,) - J_j[pos] is (J_j - J_j[pos]) + (n,), and without n it is J_j.
+    full = np.concatenate([sub.elements, np.full((len(sub.elements), 1), n)], axis=1)
+    full_minus = np.concatenate([sub_n.ended[sub.minus], sub_n.kept[:, None]], axis=1)
 
-    free_incl = _section_map(free, middle, generator_entries, "kernel generators " + case)
+    def generator_rule(sets, mons):
+        codes = full_minus[sets].T * middle.width + times[full[sets].T, mons]
+        return codes, np.where(positions % 2, -1, 1)
+
+    free_incl = _section_map(free, middle, generator_rule, "kernel generators " + case)
 
     # middle column top arrow: multiplication by x_n.
-    def xn_entries(pair):
-        I, m = pair
-        return ((I, _mult_var(m, n)), 1),
+    # (I, m) -> (I, x_n m).
+    def xn_rule(sets, mons):
+        return sets * middle.width + times[n, mons], 1
 
-    twist = _section_map(top, middle, xn_entries, "twist inclusion")
+    twist = _section_map(top, middle, xn_rule, "twist inclusion")
 
     restrict = restriction_of_forms(n, p + 1, p + 2 + t, q)
     wedge = conormal_wedge(n, p, p + 2 + t, q)
     drop = drop_last_differential(n, p + 1, p + 2 + t, q)
 
     # middle column bottom arrow: restrict coefficients mod x_n, keep dx_n.
-    def hyp_entries(pair):
-        I, m = pair
-        if m[n] > 0:
-            return ()
-        return ((I, m[:n]), 1),
+    # (I, m) -> (I, m|x_n=0), none if x_n divides m.
+    trunc = _truncation(n + 1, t + 1)
 
-    to_hyperplane = _section_map(middle, bottom_mid, hyp_entries, "restriction to hyperplane")
+    def hyp_rule(sets, mons):
+        return _code(sets, trunc[mons], bottom_mid.width), 1
+
+    to_hyperplane = _section_map(middle, bottom_mid, hyp_rule, "restriction to hyperplane")
 
     # left column top arrow: the coefficient of dx_{J_j}.
-    subset_index = {J: j for j, J in enumerate(subsets)}
-    top_sign = -1 if (p + 1) % 2 else 1
+    # (I, m) -> (j, m) with J_j = I, sign (-1)^(p+1), none if n in I.
+    def top_rule(sets, mons):
+        return _code(sub_n.lower[sets], mons, free.width), -1 if (p + 1) % 2 else 1
 
-    def top_entries(pair):
-        I, m = pair
-        if n in I:
-            return ()
-        return ((subset_index[I], m), top_sign),
-
-    left_top = _section_map(top, free, top_entries, "top to free " + case)
+    left_top = _section_map(top, free, top_rule, "top to free " + case)
 
     # left column bottom arrow: the Euler contraction on the hyperplane.
-    def bottom_entries(pair):
-        j, m = pair
-        if m[n] > 0:
-            return ()
-        J = subsets[j]
-        return [
-            ((J[:pos] + J[pos + 1 :], _mult_var(m, k)[:n]), -1 if (p + pos) % 2 else 1)
-            for pos, k in enumerate(J)
-        ]
+    # (j, m) -> sum over pos of (-1)^(p+pos) (J_j - v, (x_v m)|x_n=0), v its
+    # pos-th element; none if x_n divides m.
+    def bottom_rule(sets, mons):
+        mons = trunc[times[sub.elements[sets].T, mons]]
+        codes = _code(sub.minus[sets].T, mons, bottom_left.width)
+        return codes, np.where((p + positions[:-1]) % 2, -1, 1)
 
-    left_bottom = _section_map(free, bottom_left, bottom_entries, "free to bottom_left " + case)
+    left_bottom = _section_map(free, bottom_left, bottom_rule, "free to bottom_left " + case)
 
     inst.maps = {
         "twist": twist,  # top -> middle

@@ -564,15 +564,15 @@ class ExactMatrix:
         """Every GF(q) elimination: (RREF, pivot columns) on sparse rows
         (``_echelon_sparse``), or with ``full=False`` (for ranks) a row
         echelon form with the same pivots, by panels (``_echelon_dense``):
-        ``_PANEL`` columns wide for large matrices at a small enough q, else
-        one panel as wide as the matrix.
+        ``_PANEL`` columns wide for large matrices, else one panel as wide as
+        the matrix.  ``_echelon_dense`` itself falls back to one panel when q
+        is too large for an exact float64 Schur complement.
         """
         a, q = self._a, self.q
         if full:
             return _echelon_sparse(a, q)
-        if min(a.shape) >= _BLOCKED_MIN and (q - 1) ** 2 * _PANEL <= _FLOAT_EXACT:
-            return _echelon_dense(a, q, _PANEL)
-        return _echelon_dense(a, q, max(1, a.shape[1]))
+        wide = min(a.shape) >= _BLOCKED_MIN
+        return _echelon_dense(a, q, _PANEL if wide else max(1, a.shape[1]))
 
     def _rref_rational(self):
         a = self._a.tolist()

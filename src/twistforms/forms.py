@@ -18,17 +18,24 @@ h = dx_{v0} ^ (.) / x_{v0}.  These are the vectors the RREF gives, so each
 basis is the one ``ExactMatrix.kernel_basis`` of ``contraction_matrix``
 would return, entry for entry; the tests check this against the matrix.
 
-Each section space stores its basis once, as terms: the (ambient row,
-coefficient) pairs of each column, the first on the column's free row, one
-ambient row per column (the free forms above, and every row of a free
-sum).  On those rows the basis is the identity over GF(q) and a diagonal
-of +/-1 over Q.  A map between section spaces is given by its rule on
-terms x^m dx_I; the image of a basis is composed on the basis's terms, its
-coordinates are read off the target's free rows, with no elimination, and
-the target's terms rebuild the image from them, which checks that it lies
-in the span.  No matrix between the two ambient spaces, and no dense
-image, is built, and no dense basis either: point evaluation also reads
-the terms.
+Each pair (I, m) is coded as one integer, the rank of I among the
+p-subsets times the number of monomials, plus the rank of m: its row in
+the ambient space.  A few lookup tables per shape, each built once and
+kept in an ``lru_cache``, act on codes: the ranks of the index sets one
+step from each (an element removed, the last one dropped or added), and
+the monomial ranks of multiplication by x_j, of division by the least
+variable and of truncation at x_n = 0.  A section space stores its basis
+once, as three int64 arrays of its nonzeros (column, ambient row, sign
++/-1), sorted by column, the column's free row first.  The entry is the
+sign itself over Q and the sign modulo q over GF(q); on the free rows,
+where no other column is nonzero, the basis is the identity over GF(q)
+and a diagonal of +/-1 over Q.  A map between section spaces is given by
+its rule on codes; the image of a basis is composed on the basis's
+arrays, a sparse product as in Gustavson (ACM TOMS 1978), its coordinates
+are read off the target's free rows, with no elimination, and the
+target's arrays rebuild the image from them, which checks that it lies in
+the span.  No matrix between the two ambient spaces, and no dense basis,
+is built: point evaluation also reads the arrays.
 
 Index sets are ordered lexicographically and monomials in graded-lex order
 with x_0 > x_1 > ... > x_n, so all matrices are reproducible across runs.
@@ -38,7 +45,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,34 +109,67 @@ class RestrictedOmega:
     d: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectionSpace:
     """An explicit basis of global sections over GF(q), or Q for q None.
 
-    ``key`` lists the ambient coordinate pairs, and ``index`` maps each to
-    its row, so maps into the space look rows up without rebuilding it.
-    ``terms`` is the basis: per column, its nonzero entries as (ambient
-    row, value) pairs, values reduced residues over GF(q) and +/-1 over Q,
-    the first on the column's free row, where no other column is nonzero.
-    ``free`` maps each free row to (its column, the entry there: 1 over
-    GF(q), +/-1 over Q); it is read off ``terms`` on first use and kept, and
-    takes no part in comparisons.  No dense basis is built: display maps and
-    point evaluation all read the terms.
+    The ambient space has ``size`` rows, coded (I, m) -> rank(I) * ``width``
+    + rank(m) (for a free sum, copy j of O(d) in place of I).  The basis is
+    stored once, as its nonzeros: read-only int64 arrays ``col``, ``row``
+    and ``sign``, sorted by column, each column's free row first, where no
+    other column is nonzero.  Every entry is +/-1 over Q, and the sign
+    modulo q over GF(q), where each free entry is 1.  Equality and hash
+    read the descriptor, q, the shape and the three arrays.
+
+    Two views of the same basis are built with it.  ``_decoded`` is the
+    (set rank, monomial rank) of each nonzero's row, as maps out of the
+    space read it.  ``_target`` is (rows, signs) as maps into the space read
+    it: column k's entries padded to one row each, the free one first,
+    ``signs[k, i]`` on the ambient row ``rows[k, i] - 1``, and row 0 with
+    sign 0 where the column has no more entries.
     """
 
     descriptor: object
     q: int | None
-    key: tuple
-    terms: tuple = field(repr=False)
-    index: dict = field(repr=False, compare=False)
+    size: int
+    width: int
+    dim: int
+    col: np.ndarray
+    row: np.ndarray
+    sign: np.ndarray
+    _decoded: tuple = field(repr=False)
+    _target: tuple = field(repr=False)
 
-    @property
-    def dim(self) -> int:
-        return len(self.terms)
+    def _state(self) -> tuple:
+        arrays = (self.col.tobytes(), self.row.tobytes(), self.sign.tobytes())
+        return (self.descriptor, self.q, self.size, self.width) + arrays
 
-    @cached_property
-    def free(self) -> dict:
-        return {column[0][0]: (k, column[0][1]) for k, column in enumerate(self.terms)}
+    def __eq__(self, other):
+        if not isinstance(other, SectionSpace):
+            return NotImplemented
+        return self._state() == other._state()
+
+    def __hash__(self):
+        return hash(self._state())
+
+
+def _frozen(a):
+    """``a``, read-only: section spaces and tables are cached and shared."""
+    a.setflags(write=False)
+    return a
+
+
+def _space(descriptor, q, size: int, width: int, rows, signs) -> SectionSpace:
+    """The space whose column k has the entry ``signs[k, i]`` on the ambient
+    row ``rows[k, i]``: its free row at i = 0, and no entry where the sign
+    is 0."""
+    keep = signs != 0
+    col, at = keep.nonzero()
+    row = _frozen(rows[col, at])
+    decoded = tuple(_frozen(a) for a in np.divmod(row, width))
+    target = np.where(keep, rows + 1, 0), signs
+    arrays = _frozen(col), row, _frozen(signs[col, at])
+    return SectionSpace(descriptor, q, size, width, len(rows), *arrays, decoded, target)
 
 
 @lru_cache(maxsize=None)
@@ -149,39 +191,144 @@ def index_sets(nvars: int, p: int) -> tuple:
     return tuple(itertools.combinations(range(nvars), p))
 
 
+# -- lookup tables on codes ------------------------------------------------
+
+
 @lru_cache(maxsize=None)
-def _key(ndiff: int, nvar: int, p: int, d: int) -> tuple:
-    """Ambient coordinate key of p-forms of twist d in dx_0..dx_{ndiff-1}
-    with coefficients in x_0..x_{nvar-1}: the pairs (I, m) in order."""
-    if p < 0 or p > ndiff or d < p:
-        return ()
-    return tuple(
-        (I, m) for I in index_sets(ndiff, p) for m in monomials(nvar, d - p)
-    )
+def _binomials(top: int) -> np.ndarray:
+    """C(a, b) at [a, b] for a, b < top, clipped at 2^62 so that the table
+    fits int64.  No entry that a rank reads is clipped: each is at most the
+    number of sets or monomials ranked, which the arrays hold anyway."""
+    table = [[min(comb(a, b), 2**62) for b in range(top)] for a in range(top)]
+    return _frozen(np.array(table, dtype=np.int64).reshape(top, top))
 
 
-def _mult_var(m: tuple, j: int) -> tuple:
-    return m[:j] + (m[j] + 1,) + m[j + 1 :]
+class _Subsets(NamedTuple):
+    """The p-subsets of {0..ndiff-1}, in lex order, and the ranks of the
+    sets one step away from each, as ``_subsets`` gives them."""
+
+    elements: np.ndarray  # each one's sorted elements, a row each
+    least: np.ndarray  # its least element, ndiff + 1 for the empty set
+    minus: np.ndarray  # its rank without its pos-th element, as a (p-1)-subset
+    lower: np.ndarray  # as a subset of {0..ndiff-2}: its rank there, -1 if none
+    kept: np.ndarray  # the ranks of those without ndiff - 1, in order
+    ended: np.ndarray  # the ranks of those with ndiff - 1, in order
+
+
+@lru_cache(maxsize=None)
+def _subsets(ndiff: int, p: int) -> _Subsets:
+    """The p-subsets of {0..ndiff-1}.  Those without ndiff - 1 are the
+    p-subsets of {0..ndiff-2} in the same order, so ``kept`` is ``lower``
+    inverted; and those with it are the (p-1)-subsets T of {0..ndiff-2}, as
+    T + (ndiff - 1,), in the order of T.  No table is indexed by bitmask,
+    whose range grows as 2^ndiff: each has one row per set.
+
+    Reflected by t -> N - 1 - t, lex order is the reverse of colex order,
+    so a k-subset {t_1 < ... < t_k} of {0..N-1} has the lex rank
+    C(N, k) - 1 - sum_i C(N - 1 - t_i, k + 1 - i).  Without its pos-th
+    element, the elements before it keep their index i and those after it
+    move down by one, so ``minus`` is a prefix sum and a suffix sum."""
+    sets = index_sets(ndiff, p)
+    elements = np.array(sets, dtype=np.int64).reshape(len(sets), p)
+    least = elements[:, 0] if p else np.full(len(sets), ndiff + 1)
+    table, i = _binomials(max(ndiff, p) + 1), np.arange(1, p + 1)
+    before = table[ndiff - 1 - elements, p - i]
+    after = table[ndiff - 1 - elements, p + 1 - i]
+    lead = np.cumsum(before, axis=1) - before
+    tail = np.cumsum(after[:, ::-1], axis=1)[:, ::-1] - after
+    minus = comb(ndiff, p - 1) - 1 - lead - tail if p else np.zeros((len(sets), 0), dtype=np.int64)
+    inside = elements[:, -1] < ndiff - 1 if p else np.ones(len(sets), dtype=bool)
+    kept, ended = np.flatnonzero(inside), np.flatnonzero(~inside)
+    lower = np.full(len(sets), -1)
+    lower[kept] = np.arange(len(kept))
+    tables = elements, least, minus, lower, kept, ended
+    return _Subsets(*(_frozen(a) for a in tables))
+
+
+@lru_cache(maxsize=None)
+def _exponents(nvar: int, degree: int) -> np.ndarray:
+    """The exponent rows of ``monomials(nvar, degree)``, as an int64 array."""
+    mons = monomials(nvar, degree)
+    return _frozen(np.array(mons, dtype=np.int64).reshape(len(mons), nvar))
+
+
+@lru_cache(maxsize=None)
+def _times(nvar: int, degree: int) -> np.ndarray:
+    """Row j, entry m: the rank of x_j * m among monomials of degree + 1,
+    for m ranked among those of ``degree`` in x_0..x_{nvar-1}.
+
+    A monomial is preceded, at each position i, by those that agree with it
+    before i and are larger at i: C(a - 1 + v, v) of them, where a >= 1 is
+    its degree after i and v the number of variables after i.  x_j raises a
+    by one at each i < j, which adds C(a + v - 1, v - 1) there, and changes
+    nothing at the others, so x_0 * m keeps the rank of m."""
+    e = _exponents(nvar, degree)
+    if not nvar:
+        return _frozen(np.zeros((0, len(e)), dtype=np.int64))
+    after = np.cumsum(e[:, :0:-1], axis=1)[:, ::-1]
+    v = np.arange(nvar - 1, 0, -1)
+    gain = np.cumsum(_binomials(max(degree, 0) + nvar)[after + v - 1, v - 1], axis=1)
+    gain = np.concatenate([np.zeros((len(e), 1), dtype=np.int64), gain], axis=1)
+    return _frozen(gain.T + np.arange(len(e)))
+
+
+@lru_cache(maxsize=None)
+def _least_variable(nvar: int, degree: int) -> tuple:
+    """(least, quotient): for each monomial m of ``degree`` in
+    x_0..x_{nvar-1}, its least variable v (nvar for m = 1) and the rank of
+    m / x_v among monomials of degree - 1 (-1 for m = 1).  Multiplication
+    by x_v keeps the graded-lex order, so each row of ``_times`` increases
+    and m / x_v is found in row v by bisection."""
+    e = _exponents(nvar, degree)
+    if degree < 1 or not nvar:
+        return _frozen(np.full(len(e), nvar)), _frozen(np.full(len(e), -1))
+    least = e.astype(bool).argmax(axis=1)
+    times = _times(nvar, degree - 1)
+    # Row v offset by v * len(e) makes one increasing array of every row.
+    offset = np.arange(nvar)[:, None] * len(e)
+    found = np.searchsorted((times + offset).ravel(), np.arange(len(e)) + least * len(e))
+    return _frozen(least), _frozen(found - least * times.shape[1])
+
+
+@lru_cache(maxsize=None)
+def _truncation(nvar: int, degree: int) -> np.ndarray:
+    """Entry m: the rank of m among monomials in x_0..x_{nvar-2} once the
+    last variable is set to 0, -1 where it occurs in m.  The monomials
+    without it keep their graded-lex order."""
+    kept = _exponents(nvar, degree)[:, -1] == 0
+    return _frozen(np.where(kept, np.cumsum(kept) - 1, -1))
+
+
+def _code(sets, mons, width: int):
+    """Codes set * width + monomial, -1 wherever either is -1 (no term)."""
+    return np.where((sets | mons) < 0, -1, sets * width + mons)
+
+
+# -- matrices and section spaces -------------------------------------------
 
 
 def _contraction(p: int, d: int, ndiff: int, nvar: int, q) -> ExactMatrix:
     """Matrix of contraction with sum_{i < nvar} x_i d/dx_i.
 
-    Deleting different positions of an index set gives different index
-    sets, so each (row, column) is set at most once.
+    x^m dx_I goes to the sum over positions of I below nvar of
+    (-1)^pos x_{I[pos]} x^m dx_{I - I[pos]}; deleting different positions
+    of an index set gives different index sets, so each (row, column) is
+    set at most once.
     """
-    dom = _key(ndiff, nvar, p, d)
-    cod = _key(ndiff, nvar, p - 1, d)
-    cod_index = {pair: i for i, pair in enumerate(cod)}
-    rows, cols, vals = [], [], []
-    for col, (I, m) in enumerate(dom):
-        for pos, j in enumerate(I):
-            if j >= nvar:
-                continue
-            rows.append(cod_index[(I[:pos] + I[pos + 1 :], _mult_var(m, j))])
-            cols.append(col)
-            vals.append(-1 if pos % 2 else 1)
-    return _assemble(len(cod), len(dom), rows, cols, vals, q)
+    dom, cod = _subsets(ndiff, p), _subsets(ndiff, p - 1)
+    width, cod_width = len(_exponents(nvar, d - p)), len(_exponents(nvar, d - p + 1))
+    s, pos = np.nonzero(dom.elements < nvar)
+    rows = (dom.minus[s, pos] * cod_width)[:, None] + _times(nvar, d - p)[dom.elements[s, pos]]
+    cols = (s * width)[:, None] + np.arange(width)
+    vals = np.broadcast_to(np.where(pos % 2, -1, 1)[:, None], rows.shape)
+    return _assemble(
+        len(cod.elements) * cod_width,
+        len(dom.elements) * width,
+        rows.ravel().tolist(),
+        cols.ravel().tolist(),
+        vals.ravel().tolist(),
+        q,
+    )
 
 
 def _assemble(nrows: int, ncols: int, rows, cols, vals, q) -> ExactMatrix:
@@ -232,32 +379,50 @@ def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
     ones and the pivot columns do not, and over Q only the sign rule is
     left, as every entry is +/-1.  A column with no v0 (restricted p = 1,
     J = (n,), m = 0) is zero, and its kernel vector is itself; at p = 0
-    every column is free and the basis is the identity.  Each column is
-    stored as its terms, its free row (J, m) first; nothing dense is built.
+    every column is free and the basis is the identity.  All of it is
+    computed on codes, for every (J, m) at once.
     """
     n, p, d = desc.n, desc.p, desc.d
-    key = _key(n + 1, nvar, p, d)
-    index = {pair: i for i, pair in enumerate(key)}
-    columns = []
-    for row, (J, m) in enumerate(key):
-        v0 = next((j for j in range(nvar) if m[j] or j in J), None)
-        if v0 is not None and v0 in J:
-            continue  # a pivot column
-        terms = [(row, 1)]
-        for pos, j in enumerate(J):
-            if j < nvar:
-                shifted = list(m)
-                shifted[j] += 1
-                shifted[v0] -= 1
-                other = ((v0,) + J[:pos] + J[pos + 1 :], tuple(shifted))
-                terms.append((index[other], 1 if pos % 2 else -1))
-        if q is not None:
-            terms = [(i, v % q) for i, v in terms]
-        # Over Q, kernel_basis negates a column whose first nonzero is negative.
-        elif min(terms)[1] < 0:
-            terms = [(i, -v) for i, v in terms]
-        columns.append(tuple(terms))
-    return SectionSpace(desc, q, key, tuple(columns), index)
+    sub = _subsets(n + 1, p)
+    low_m, quotient = _least_variable(nvar, d - p)
+    width = len(low_m)
+    # v0 is the least of m's least variable (nvar for m = 1) and J's least
+    # element below nvar (above nvar for none: restricted forms have dx_n but
+    # no x_n); (J, m) is free when v0 is m's.
+    low_j = sub.least if nvar > n else np.where(sub.least < nvar, sub.least, nvar + 1)
+    fs, fm = np.nonzero(low_m < low_j[:, None])
+    # Column k as a row of 1 + p entries: its free row, then the homotopy
+    # term of each position of J, x^m dx_J -> x_j x^m / x_v0 dx_{(v0,) + J - j},
+    # where j = J[pos] is below nvar (a prefix of the positions).
+    js = sub.elements[fs]
+    below = js < nvar
+    # (v0,) + T, for T = J - j and v0 < min T, has the lex rank of T among
+    # the (p-1)-subsets plus C(n+1, p) - C(n+1, p-1) - C(n - v0, p), by the
+    # sum in _subsets.
+    sets = sub.minus[fs]
+    if p:
+        head = [comb(n + 1, p) - comb(n + 1, p - 1) - comb(max(n - v, 0), p) for v in range(n + 2)]
+        sets = sets + np.array(head)[low_m[fm]][:, None]
+    mons = 0  # m = 1: no j is below nvar
+    if d > p:
+        js = js if nvar > n else np.minimum(js, nvar - 1)
+        mons = _times(nvar, d - p - 1)[js, quotient[fm][:, None]]
+    rows = np.concatenate([(fs * width + fm)[:, None], sets * width + mons], axis=1)
+    signs = _homotopy_signs(p, q is None)[below.sum(axis=1)]
+    return _space(desc, q, len(sub.elements) * width, width, rows, signs)
+
+
+@lru_cache(maxsize=None)
+def _homotopy_signs(p: int, rational: bool) -> np.ndarray:
+    """Row v: the entries of a kernel column of p-forms whose index set has v
+    positions below nvar: 1 on its free row, then -(-1)^pos for pos < v, and
+    0 after.  Over Q, kernel_basis negates a column whose first nonzero is
+    negative.  Its least row is the term of position v - 1 (deleting a
+    later element gives an earlier set), negative when v is odd."""
+    rows = [[1] + [(-1) ** (pos + 1) if pos < v else 0 for pos in range(p)] for v in range(p + 1)]
+    if rational:
+        rows = [[(-1) ** v * x for x in row] for v, row in enumerate(rows)]
+    return _frozen(np.array(rows, dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -292,66 +457,69 @@ def restricted_sections(n: int, p: int, d: int, q=DEFAULT_PRIME) -> SectionSpace
 
 @lru_cache(maxsize=None)
 def free_sections(n: int, d: int, r: int, q=DEFAULT_PRIME) -> SectionSpace:
-    """Sections of O(d)^{+r} on P^n: r stacked monomial bases, each column one term 1."""
+    """Sections of O(d)^{+r} on P^n: r stacked monomial bases, each column
+    one term 1, coded copy * width + monomial."""
     if r < 0:
         raise ValueError("multiplicity must be nonnegative")
     _check_modulus(q)
-    mons = monomials(n + 1, d)
-    key = tuple((j, m) for j in range(r) for m in mons)
-    index = {pair: i for i, pair in enumerate(key)}
-    return SectionSpace(FreeSum(n, d, r), q, key, tuple(((i, 1),) for i in range(len(key))), index)
+    width = len(_exponents(n + 1, d))
+    every = np.arange(r * width)[:, None]
+    return _space(FreeSum(n, d, r), q, r * width, width, every, np.ones_like(every))
 
 
-def _ambient_map(src: SectionSpace, tgt: SectionSpace, entries) -> dict:
-    """Image of the basis of ``src`` in the ambient coordinates of ``tgt``,
-    composed on terms: {(target row, column): value}, values Python ints
-    not reduced modulo q.
+# -- maps between section spaces -------------------------------------------
 
-    ``entries(pair)`` yields (target pair, coefficient) terms for one
-    source coordinate; a target pair may repeat.  Each of ``src``'s column
-    terms is pushed through the terms of its row, and the products are
-    summed per (target row, column), so no ambient-to-ambient matrix and
-    no dense image is built.
+
+def _ambient_map(src: SectionSpace, rule) -> tuple:
+    """Image of the basis of ``src`` in the target's ambient codes,
+    composed on the basis's arrays: (codes, values), one entry per term
+    of the rule and nonzero of the basis, the last axis along ``src.row``.
+    A code is -1 where the rule gives no term; values are not summed or
+    reduced.
+
+    ``rule(sets, mons)`` takes the source rows' set ranks (copy indices
+    for a free sum) and monomial ranks, and returns target codes, shaped
+    (terms, rows) or (rows,), with signs that broadcast to them.  No
+    ambient-to-ambient matrix and no dense image is built.
     """
-    index = tgt.index
-    image = {}
-    for c, column in enumerate(src.terms):
-        for r, v in column:
-            for tgt, x in entries(src.key[r]):
-                cell = index[tgt], c
-                image[cell] = image.get(cell, 0) + x * v
-    return image
+    codes, signs = rule(*src._decoded)
+    return codes, signs * src.sign
 
 
-def _section_map(src: SectionSpace, tgt: SectionSpace, entries, what: str) -> ExactMatrix:
+def _section_map(src: SectionSpace, tgt: SectionSpace, rule, what: str) -> ExactMatrix:
     """Matrix, between the section bases, of the map of forms with the
-    term rule ``entries`` of ``_ambient_map``; ``what`` names it if an
-    image does not lie in ``tgt``.
+    code rule ``rule`` of ``_ambient_map``; ``what`` names it if an image
+    does not lie in ``tgt``.
 
-    The image of the basis of ``src`` is composed on terms, and its
-    coordinates are selected, not solved for.  On the rows ``tgt.free``
-    the target basis B is a diagonal D of 1s over GF(q) and of +/-1s over
-    Q, so an image B @ Y has the rows D @ Y there, and Y is those rows
-    times D.  The target's column terms then rebuild B @ Y, and it must
-    equal the image at every ambient row, modulo q over GF(q) and exactly
-    over Q.  An image outside the span differs from B times its selected
-    coordinates, so the check is exact and complete.
+    The image of the basis of ``src`` is summed once, per (row, column),
+    into a dense array over ``tgt``'s ambient rows, and its coordinates are
+    selected, not solved for.  On its free rows the target basis B is a
+    diagonal D of 1s over GF(q) and of +/-1s over Q, so an image B @ Y has
+    the rows D @ Y there, and Y is those rows times D.  B @ Y, built from
+    Y's nonzeros and their columns of ``tgt._target``, must then equal the
+    image: exactly over Z, or else modulo q over GF(q).  Every entry of B
+    is +/-1, so Y needs no reduction for this; an image outside the span
+    differs from B times its selected coordinates, so the check is exact
+    and complete.
     """
     q = tgt.q
-    image = _ambient_map(src, tgt, entries)
-    coords = {}
-    for (i, c), v in image.items():
-        if i in tgt.free:
-            k, s = tgt.free[i]
-            coords[k, c] = v * s if q is None else v * s % q
-    residual = dict(image)
-    for (k, c), y in coords.items():
-        for i, v in tgt.terms[k]:
-            residual[i, c] = residual.get((i, c), 0) - v * y
-    if any(residual.values()) if q is None else any(x % q for x in residual.values()):
+    codes, values = _ambient_map(src, rule)
+    rows, signs = tgt._target
+    cols = src.dim
+    # Row 0 of the image holds the rule's "no term", code -1.
+    keys = (codes + 1) * cols + src.col
+    image = np.bincount(keys.ravel(), values.ravel(), (tgt.size + 1) * cols)
+    image = image.reshape(tgt.size + 1, cols)
+    free = image[rows[:, 0]]
+    k, c = (free != 0).nonzero()
+    y = free[k, c] if q is not None else free[k, c] * signs[k, 0]
+    np.subtract.at(image, (rows[k], c[:, None]), signs[k] * y[:, None])
+    residual = image[1:]
+    if residual.any() and (q is None or (residual % q).any()):
         raise ConsistencyError("%s: image does not lie in %r" % (what, tgt.descriptor))
-    rows, cols = [k for k, _ in coords], [c for _, c in coords]
-    return _assemble(tgt.dim, src.dim, rows, cols, list(coords.values()), q)
+    out = np.zeros((tgt.dim, cols), dtype=residue_dtype(q))
+    out[k, c] = y.astype(np.int64) if q is None else np.remainder(y.astype(np.int64), q)
+    return ExactMatrix._wrap(out, q)
 
 
 def restriction_of_forms(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix:
@@ -364,14 +532,13 @@ def restriction_of_forms(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix
         raise ValueError("restriction needs n >= 1")
     src = h0_basis(n, p, d, q)
     tgt = h0_basis(n - 1, p, d, q)
+    lower, trunc = _subsets(n + 1, p).lower, _truncation(n + 1, d - p)
 
-    def entries(pair):
-        I, m = pair
-        if n in I or m[n] > 0:
-            return ()
-        return ((I, m[:n]), 1),
+    def rule(sets, mons):
+        # (I, m) -> (I, m|x_n=0), none if n in I or x_n divides m.
+        return _code(lower[sets], trunc[mons], tgt.width), 1
 
-    return _section_map(src, tgt, entries, "restriction_of_forms(%d,%d,%d)" % (n, p, d))
+    return _section_map(src, tgt, rule, "restriction_of_forms(%d,%d,%d)" % (n, p, d))
 
 
 def conormal_wedge(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix:
@@ -381,13 +548,13 @@ def conormal_wedge(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix:
         raise ValueError("conormal wedge needs n >= 1 and 0 <= p <= n-1")
     src = h0_basis(n - 1, p, d - 1, q)
     tgt = restricted_sections(n, p + 1, d, q)
-    sign = -1 if p % 2 else 1
+    ended = _subsets(n + 1, p + 1).ended
 
-    def entries(pair):
-        I, m = pair
-        return ((I + (n,), m), sign),
+    def rule(sets, mons):
+        # (I, m) -> (I + (n,), m), sign (-1)^p: dx_n moves past dx_I.
+        return ended[sets] * tgt.width + mons, -1 if p % 2 else 1
 
-    return _section_map(src, tgt, entries, "conormal_wedge(%d,%d,%d)" % (n, p, d))
+    return _section_map(src, tgt, rule, "conormal_wedge(%d,%d,%d)" % (n, p, d))
 
 
 def drop_last_differential(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix:
@@ -397,14 +564,13 @@ def drop_last_differential(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatr
         raise ValueError("needs n >= 1")
     src = restricted_sections(n, p, d, q)
     tgt = h0_basis(n - 1, p, d, q)
+    lower = _subsets(n + 1, p).lower
 
-    def entries(pair):
-        I, m = pair
-        if n in I:
-            return ()
-        return ((I, m), 1),
+    def rule(sets, mons):
+        # (I, m) -> (I, m), none if n in I.
+        return _code(lower[sets], mons, tgt.width), 1
 
-    return _section_map(src, tgt, entries, "drop_last_differential(%d,%d,%d)" % (n, p, d))
+    return _section_map(src, tgt, rule, "drop_last_differential(%d,%d,%d)" % (n, p, d))
 
 
 def claim_i_kernel_test(n: int, p: int, d: int, q=DEFAULT_PRIME) -> bool:

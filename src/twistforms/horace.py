@@ -94,7 +94,7 @@ def plan(n: int, p: int, d: int, s: int, d_base: int) -> HoraceNode:
     if n < 1:
         raise ValueError("need n >= 1")
     if d < d_base or d_base < 0:
-        raise ValueError("need d >= d_base >= 0, got d=%d, d_base=%d" % (d, d_base))
+        raise ValueError("need d >= base >= 0, got d=%d, base=%d" % (d, d_base))
     return _plan(n, p, d, s, d_base, "root")
 
 

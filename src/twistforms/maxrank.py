@@ -26,7 +26,6 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import comb, lcm
 
 import numpy as np
@@ -38,7 +37,7 @@ from .exactalg import (
     _reduce,
     residue_dtype,
 )
-from .forms import DEFAULT_PRIME, h0_basis, index_sets, monomials
+from .forms import DEFAULT_PRIME, _exponents, _subsets, h0_basis
 
 __all__ = [
     "BettiLedger",
@@ -194,11 +193,11 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
     Rows: s * binom(n, p+1), point by point, each block ordered by the index
     sets that avoid the point's chart pivot (its last nonzero coordinate, or
     the entry of ``pivots``); columns: h^0.  Each group of points with one
-    pivot is composed on the basis's terms whose index set avoids the pivot:
-    each term's column of the table of degree-d monomials at the points,
-    times the term's value, is summed into its (fiber slot, section) entry
-    by one ``np.add.reduceat``, and the sums are reduced modulo q.  No dense
-    basis is assembled and no dense product is taken.  Over Q each point is
+    pivot is composed on the basis's stored nonzeros whose index set avoids
+    the pivot: each one's column of the table of degree-d monomials at the
+    points, times its sign, reduced modulo q, is its (fiber slot, section)
+    entry, since no cell takes two nonzeros.  No dense basis is assembled
+    and no dense product is taken.  Over Q each point is
     evaluated at its primitive integer representative, the stored
     coordinates times the lcm of their denominators, so the entries are
     Python ints; each point's block is the one at the stored coordinates
@@ -221,37 +220,25 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
         coords = np.array(rows, dtype=object)
     else:
         coords = np.array([pt.coords for pt in pts.points], dtype=residue_dtype(q))
-    exps = np.array(monomials(n + 1, d), dtype=np.int64)
-    sets = index_sets(n + 1, p + 1)
-    # The basis's nonzeros, ordered by (index set, section): the ambient row
-    # (index set, monomial), section and value of each.
-    ambient, value = zip(*chain.from_iterable(space.terms))
-    section = np.repeat(np.arange(h), [len(column) for column in space.terms])
-    of_set, mon = np.divmod(np.array(ambient, dtype=np.int64), len(exps))
-    order = np.argsort(of_set * h + section, kind="stable")
-    of_set, mon, section = of_set[order], mon[order], section[order]
-    value = np.array(value, dtype=out.dtype)[order]
+    exps = _exponents(n + 1, d)
+    elements = _subsets(n + 1, p + 1).elements
+    # The basis's nonzeros: index set, monomial, section and value of each.
+    # A column's terms lie on distinct index sets (J and the (v0,) + J - j of
+    # its homotopy terms), so no (fiber slot, section) cell takes two.
+    of_set, mon = space._decoded
+    value = space.sign.astype(out.dtype)
+    cells = out.reshape(s, fiber, h)
     for v in sorted(set(piv)):
         group = [k for k, w in enumerate(piv) if w == v]
-        slot = np.full(len(sets), -1)
-        slot[[j for j, I in enumerate(sets) if v not in I]] = np.arange(fiber)
-        # Slots follow the index sets' order, so the chart's terms are
-        # ordered by cell, its (fiber slot, section) flattened.
-        cell = slot[of_set] * h + section
-        keep = cell >= 0
-        cell = cell[keep]
-        starts = np.flatnonzero(np.diff(cell, prepend=-1))
-        # One row per term and one column per point: each run of rows is
-        # summed into the row of its cell.
-        prods = _monomial_table(coords[group], exps, q).T[mon[keep]] * value[keep, None]
+        slot = np.full(len(elements), -1)
+        slot[(elements != v).all(axis=1)] = np.arange(fiber)
+        at = slot[of_set]
+        keep = at >= 0
+        # One row per point and one column per term of the chart.
+        prods = _monomial_table(coords[group], exps, q)[:, mon[keep]] * value[keep]
         if q is not None:
             _reduce(prods, q)
-        sums = np.add.reduceat(prods, starts)
-        if q is not None:
-            _reduce(sums, q)
-        block = np.zeros((fiber * h, len(group)), dtype=out.dtype)
-        block[cell[starts]] = sums
-        out.reshape(s, fiber * h)[group] = block.T
+        cells[np.array(group)[:, None], at[keep], space.col[keep]] = prods
     return ExactMatrix._wrap(out, q)
 
 

@@ -404,6 +404,17 @@ def test_horace_bad_base(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("base", ["1", "-1"])
+def test_horace_base_is_checked_once(capsys, base):
+    # A base above d, or below 0, is refused by the plan alone: one error
+    # line, naming the base.
+    code, out, err = run(
+        capsys, "horace", "--n", "2", "--p", "0", "--d", "0", "--s", "2", "--base", base
+    )
+    assert code == 1 and out == ""
+    assert err == "error: need d >= base >= 0, got d=0, base=%s\n" % base
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 1
 

@@ -938,8 +938,21 @@ def test_large_dense_ranks_take_the_blocked_path(monkeypatch):
     assert path(rank_one(127, 200, 101)) == [200]
     assert path(ExactMatrix._wrap(rng.integers(0, 101, (90, 84)), 101)) == [84]
     assert path(contraction_matrix(4, 2, 5, q=101)) == [32]
-    assert path(rank_one(128, 128, 2**31 - 1)) == [128]
-    assert path(rank_one(128, 128, 2**61 - 1)) == [128]
+    # Past the float64 tier the panel width is passed, and _echelon_dense
+    # spans the matrix with one panel: no panel is factorised, so L11 is
+    # never inverted.  At q = 101 a rank-one matrix inverts one L11.
+    inverses = []
+    lower_inverse = exactalg._lower_inverse
+
+    def counted(low, q):
+        inverses.append(len(low))
+        return lower_inverse(low, q)
+
+    monkeypatch.setattr(exactalg, "_lower_inverse", counted)
+    assert path(rank_one(128, 128, 101)) == [32] and inverses == [1]
+    inverses.clear()
+    assert path(rank_one(128, 128, 2**31 - 1)) == [32] and inverses == []
+    assert path(rank_one(128, 128, 2**61 - 1)) == [32] and inverses == []
     # A full RREF, dense or not, takes the sparse engine, to the same RREF.
     taken.clear()
     m = ExactMatrix._wrap(ev._a[:12, :15].copy(), 101)

@@ -1,28 +1,34 @@
 """Section spaces as Koszul-contraction kernels, and the maps between them."""
 
+import itertools
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistforms.bott import binom, h_O, h_omega
 from twistforms.display import build_display, verify_display
 from twistforms.exactalg import ExactMatrix
 from twistforms.forms import (
     ConsistencyError,
+    FreeSum,
     OmegaForms,
     RestrictedOmega,
     _ambient_map,
     _assemble,
     _contraction,
     _kernel_sections,
-    _key,
-    _mult_var,
     _section_map,
+    _times,
     claim_i_kernel_test,
     conormal_wedge,
     contraction_matrix,
     drop_last_differential,
     free_sections,
     h0_basis,
+    index_sets,
     monomials,
     restricted_sections,
     restriction_of_forms,
@@ -47,12 +53,47 @@ def row_list(m):
 
 
 def dense_basis(space):
-    """A section space's basis as a dense len(key) x dim matrix, assembled
-    from its column terms."""
-    rows = [i for column in space.terms for i, _ in column]
-    cols = [c for c, column in enumerate(space.terms) for _ in column]
-    vals = [v for column in space.terms for _, v in column]
-    return _assemble(len(space.key), space.dim, rows, cols, vals, space.q)
+    """A section space's basis as a dense size x dim matrix, assembled from
+    its stored nonzeros."""
+    rows, cols, vals = space.row.tolist(), space.col.tolist(), space.sign.tolist()
+    return _assemble(space.size, space.dim, rows, cols, vals, space.q)
+
+
+def pairs(ndiff, nvar, p, d):
+    """The ambient pairs (I, m) of p-forms of twist d in dx_0..dx_{ndiff-1}
+    with coefficients in x_0..x_{nvar-1}, in code order."""
+    if p < 0 or p > ndiff or d < p:
+        return []
+    return [(I, m) for I in index_sets(ndiff, p) for m in monomials(nvar, d - p)]
+
+
+def ambient_key(space):
+    """The pair of each ambient row of a section space, in code order: (j, m)
+    for copy j of a free sum."""
+    desc = space.descriptor
+    if isinstance(desc, FreeSum):
+        return [(j, m) for j in range(desc.r) for m in monomials(desc.n + 1, desc.d)]
+    nvar = desc.n if isinstance(desc, RestrictedOmega) else desc.n + 1
+    return pairs(desc.n + 1, nvar, desc.p, desc.d)
+
+
+def column_terms(space):
+    """The basis's nonzeros, column by column, as (ambient row, entry) pairs:
+    the sign over Q, the sign mod q over GF(q)."""
+    q = space.q
+    columns = [[] for _ in range(space.dim)]
+    for c, i, v in zip(space.col.tolist(), space.row.tolist(), space.sign.tolist()):
+        columns[c].append((i, v if q is None else v % q))
+    return columns
+
+
+def free_rows(space):
+    """{free row: (column, entry there)}, read off each column's first term."""
+    return {column[0][0]: (k, column[0][1]) for k, column in enumerate(column_terms(space))}
+
+
+def _mult_var(m, j):
+    return m[:j] + (m[j] + 1,) + m[j + 1 :]
 
 
 def test_monomial_order_is_graded_lex():
@@ -75,7 +116,7 @@ def test_contraction_222_sign_rule():
     # dx0^dx1 with constant coefficient maps to x0 dx1 - x1 dx0.
     m = contraction_matrix(2, 2, 2, q=None)
     src = h0_basis(2, 2, 2, q=None)
-    assert len(src.key) == 3
+    assert src.size == 3
     col0 = [row[0] for row in row_list(m)]
     # Codomain key: (dx0, x0), (dx0, x1), (dx0, x2), (dx1, x0), ...
     assert col0[1] == -1  # -x1 dx0
@@ -99,6 +140,20 @@ def test_h0_dimension_matches_formula_small_grid():
         for p in range(n + 1):
             for d in range(0, p + 4):
                 assert h0_basis(n, p, d).dim == h_omega(n, p, d, 0), (n, p, d)
+
+
+def test_sections_on_a_high_dimensional_space():
+    # Tables grow with the number of index sets, not with 2^n (a rank table
+    # over the bitmasks of 41 differentials would take 2^41 entries): spaces
+    # of low degree on P^40 build at once, with the dimension the formula
+    # gives, and so does a map between them.
+    for p, d in ((1, 2), (2, 3), (0, 1)):
+        assert h0_basis(40, p, d).dim == h_omega(40, p, d, 0), (p, d)
+    assert restriction_of_forms(40, 1, 2).shape == (h_omega(39, 1, 2, 0), h_omega(40, 1, 2, 0))
+    # On P^70 the binomials C(70, 35) > 2^63 of a full table cannot be held,
+    # and no rank of these small spaces needs them.
+    for p, d in ((1, 2), (69, 70), (70, 70)):
+        assert h0_basis(70, p, d).dim == h_omega(70, p, d, 0), (p, d)
 
 
 def test_h0_basis_examples():
@@ -202,7 +257,7 @@ def test_conormal_wedge_degenerate_hyperplane_is_a_point():
 
 
 def _list_contraction(p, d, ndiff, nvar, q):
-    dom, cod = _key(ndiff, nvar, p, d), _key(ndiff, nvar, p - 1, d)
+    dom, cod = pairs(ndiff, nvar, p, d), pairs(ndiff, nvar, p - 1, d)
     cod_index = {pair: i for i, pair in enumerate(cod)}
     rows = [[0] * len(dom) for _ in range(len(cod))]
     for col, (I, m) in enumerate(dom):
@@ -234,24 +289,57 @@ def test_contraction_matches_list_built(q):
 
 
 def _image_matrix(image, nrows, ncols, q):
-    """The term image {(row, column): value} of ``_ambient_map`` as a
-    matrix, through the checking constructor."""
+    """A term image {(row, column): value} as a matrix, through the
+    checking constructor."""
     rows = [[0] * ncols for _ in range(nrows)]
     for (i, c), v in image.items():
         rows[i][c] = v
     return ExactMatrix(nrows, ncols, rows, q=q)
 
 
+def coded(rule, src, tgt):
+    """A rule on pairs, pair -> [(target pair, coefficient)], as a rule on
+    codes for ``_ambient_map``: one row of target codes (-1 for none) and
+    coefficients per term."""
+    src_key = ambient_key(src)
+    tgt_index = {pair: i for i, pair in enumerate(ambient_key(tgt))}
+
+    def on_codes(sets, mons):
+        images = [list(rule(src_key[c])) for c in (sets * src.width + mons).tolist()]
+        k = max(map(len, images), default=0)
+        codes = np.full((k, len(images)), -1, dtype=np.int64)
+        coeffs = np.zeros((k, len(images)), dtype=np.int64)
+        for r, terms in enumerate(images):
+            for t, (pair, x) in enumerate(terms):
+                codes[t, r], coeffs[t, r] = tgt_index[pair], x
+        return codes, coeffs
+
+    return on_codes
+
+
+def image_matrix(src, tgt, rule):
+    """The image ``_ambient_map`` composes, summed per (row, column), as a
+    matrix through the checking constructor."""
+    codes, values = _ambient_map(src, rule)
+    cols = np.broadcast_to(src.col, codes.shape).ravel().tolist()
+    values = np.broadcast_to(values, codes.shape).ravel().tolist()
+    image = {}
+    for i, c, v in zip(codes.ravel().tolist(), cols, values):
+        if i >= 0:
+            image[i, c] = image.get((i, c), 0) + v
+    return _image_matrix(image, tgt.size, src.dim, tgt.q)
+
+
 @pytest.mark.parametrize("q", [2, 101, 2**61 - 1, None])
 def test_ambient_map_matches_list_built(q):
-    # The image of a section basis, assembled from its terms, against the
+    # The image of a section basis, composed on its arrays, against the
     # list-built ambient matrix times that basis: entry for entry, in dtype
     # and in Python entry type.
     # Up to two distinct targets per source pair, with coefficients that
     # are negative, zero or larger than q; then one target repeated, with
     # coefficients that are zero or cancel at some pairs.
     src, tgt = h0_basis(2, 1, 3, q), h0_basis(2, 0, 2, q)
-    assert tgt.key == _key(3, 3, 0, 2)
+    assert ambient_key(tgt) == pairs(3, 3, 0, 2) and tgt.size == tgt.width == 6
 
     def entries(pair):
         I, m = pair
@@ -265,11 +353,11 @@ def test_ambient_map_matches_list_built(q):
         return [(((), m), 2), (((), m), I[0] - 2), (((), m), 0)]
 
     for rule in (entries, repeated):
-        image = _ambient_map(src, tgt, rule)
-        assert all(type(v) is int for v in image.values())
-        amb = _image_matrix(image, len(tgt.key), src.dim, q)
-        want = _list_ambient_map(src.key, tgt.key, rule, q) @ dense_basis(src)
-        assert amb == want and amb.shape == (len(tgt.key), src.dim)
+        codes, values = _ambient_map(src, coded(rule, src, tgt))
+        assert values.dtype == np.int64 and codes.shape[-1] == src.row.size
+        amb = image_matrix(src, tgt, coded(rule, src, tgt))
+        want = _list_ambient_map(ambient_key(src), ambient_key(tgt), rule, q) @ dense_basis(src)
+        assert amb == want and amb.shape == (tgt.size, src.dim)
         assert amb._a.dtype == want._a.dtype
         assert [type(x) for x in amb._a.ravel()] == [type(x) for x in want._a.ravel()]
         assert not amb.is_zero()
@@ -304,7 +392,7 @@ def test_closed_form_sections_equal_the_contraction_rref_kernel(q):
                 for d in range(p - 1, p + 4):
                     got = dense_basis(_kernel_sections(desc(n, p, d), nvar, q))
                     if p == 0:
-                        want = ExactMatrix.identity(len(_key(n + 1, nvar, 0, d)), q=q)
+                        want = ExactMatrix.identity(len(pairs(n + 1, nvar, 0, d)), q=q)
                     else:
                         want = _contraction(p, d, n + 1, nvar, q).kernel_basis()
                     case = (n, nvar, p, d)
@@ -384,11 +472,10 @@ FIELDS = [2, 3, 101, 2**31 - 1, 2**61 - 1, None]
 @pytest.mark.parametrize("q", FIELDS)
 def test_free_rows_carry_the_identity(q):
     # On its free rows each basis is the identity over GF(q) and a +/-1
-    # diagonal over Q, empty spaces included.  Each space's column terms
+    # diagonal over Q, empty spaces included.  Each space's stored nonzeros
     # reassemble to its basis, entry for entry, and each column's term on
-    # its free row, its first, is that diagonal entry, which ``free`` keeps
-    # with the column.  Each space's index maps its ambient pairs to their
-    # rows.
+    # its free row, its first, is that diagonal entry.  Each space's codes
+    # number its ambient pairs: size of them, width monomials per set.
     spaces = []
     for n in range(5):
         spaces += [free_sections(n, d, r, q) for d in range(-1, 4) for r in range(3)]
@@ -399,25 +486,33 @@ def test_free_rows_carry_the_identity(q):
                     spaces.append(restricted_sections(n, p, d, q))
     for space in spaces:
         case = space.descriptor
-        assert len(space.free) == space.dim, case
+        free, terms = free_rows(space), column_terms(space)
+        assert len(free) == space.dim, case
         basis = dense_basis(space)
-        block = basis._a[list(space.free)]
+        block = basis._a[list(free)]
         diag = block.diagonal()
         assert not (block - np.diag(diag)).any(), case
         if q is None:
             assert all(x in (1, -1) for x in diag), case
         else:
             assert (diag == 1).all(), case
-        assert len(space.terms) == space.dim, case
-        cells = {(i, c): v for c, column in enumerate(space.terms) for i, v in column}
-        assert len(cells) == sum(map(len, space.terms)), case
+        assert len(terms) == space.dim, case
+        cells = {(i, c): v for c, column in enumerate(terms) for i, v in column}
+        assert len(cells) == sum(map(len, terms)) == space.sign.size, case
         assert all(v != 0 and type(v) is int for v in cells.values()), case
-        rebuilt = _image_matrix(cells, len(space.key), space.dim, q)
+        assert set(space.sign.tolist()) <= {1, -1}, case
+        rebuilt = _image_matrix(cells, space.size, space.dim, q)
         assert rebuilt == basis and rebuilt._a.dtype == basis._a.dtype, case
-        for k, (column, f, x) in enumerate(zip(space.terms, space.free, diag.tolist())):
+        for k, (column, f, x) in enumerate(zip(terms, free, diag.tolist())):
             assert column[0] == (f, x), case
-            assert space.free[f] == (k, x) and type(x) is int, case
-        assert space.index == {pair: i for i, pair in enumerate(space.key)}, case
+            assert free[f] == (k, x) and type(x) is int, case
+        key = ambient_key(space)
+        assert space.size == len(key) and len(set(key)) == len(key), case
+        assert space.width * len({pair[0] for pair in key}) == len(key), case
+        # A column's nonzeros lie on distinct index sets, which point
+        # evaluation relies on when it scatters them.
+        cells = set(zip(space.col.tolist(), (space.row // max(space.width, 1)).tolist()))
+        assert len(cells) == space.col.size, case
 
 
 def _clear_section_caches():
@@ -458,8 +553,8 @@ def test_eval_matrix_assembles_no_dense_basis(monkeypatch, q):
 
 @pytest.mark.parametrize("q", [2, 101, None])
 def test_rebuilt_section_spaces_compare_and_hash_equal(q):
-    # Equality and hash read descriptor, q, key and terms, so they do not
-    # depend on whether the free rows were built.
+    # Equality and hash read descriptor, q, shape and the three arrays: the
+    # views built with them take no part.
     def spaces():
         return [
             h0_basis(3, 1, 3, q),
@@ -472,12 +567,13 @@ def test_rebuilt_section_spaces_compare_and_hash_equal(q):
     _clear_section_caches()
     before = spaces()
     for space in before[::2]:
-        assert dense_basis(space).cols == len(space.free) == space.dim
+        assert dense_basis(space).cols == len(free_rows(space)) == space.dim
     _clear_section_caches()
     after = spaces()
     for old, new in zip(before, after):
         assert old is not new and "basis" not in vars(new)
         assert old == new and hash(old) == hash(new), new.descriptor
+        assert replace(new, _decoded=(), _target=()) == old, new.descriptor
     assert len(set(before + after)) == len(before)
 
 
@@ -490,10 +586,9 @@ def test_section_maps_equal_the_solve_against_the_basis(monkeypatch, q):
 
     seen = set()
 
-    def checked(src, tgt, entries, what):
-        got = _section_map(src, tgt, entries, what)
-        image = _ambient_map(src, tgt, entries)
-        want = dense_basis(tgt).solve(_image_matrix(image, len(tgt.key), src.dim, q))
+    def checked(src, tgt, rule, what):
+        got = _section_map(src, tgt, rule, what)
+        want = dense_basis(tgt).solve(image_matrix(src, tgt, rule))
         assert got == want and got.shape == want.shape, what
         assert got._a.dtype == want._a.dtype, what
         assert [type(x) for x in got._a.ravel()] == [type(x) for x in want._a.ravel()], what
@@ -523,7 +618,9 @@ def test_section_map_rejects_an_image_outside_the_target(q):
     # one term added on a row that is not free in the target: the image
     # differs from the span there only, and its free rows are untouched.
     top, middle = h0_basis(2, 1, 2, q), h0_basis(2, 1, 3, q)
-    dropped = next(pair for pair, row in zip(top.key, row_list(dense_basis(top))) if any(row))
+    dropped = next(
+        pair for pair, row in zip(ambient_key(top), row_list(dense_basis(top))) if any(row)
+    )
 
     def twist(pair):
         I, m = pair
@@ -532,14 +629,191 @@ def test_section_map_rejects_an_image_outside_the_target(q):
     def entries(pair):
         return () if pair == dropped else twist(pair)
 
-    non_free = next(i for i in range(len(middle.key)) if i not in middle.free)
+    non_free = next(i for i in range(middle.size) if i not in free_rows(middle))
 
     def added(pair):
-        extra = ((middle.key[non_free], 1),) if pair == dropped else ()
+        extra = ((ambient_key(middle)[non_free], 1),) if pair == dropped else ()
         return twist(pair) + extra
 
-    assert _section_map(top, middle, twist, "twist").shape == (middle.dim, top.dim)
+    def twist_on_codes(sets, mons):
+        return sets * middle.width + _times(3, 1)[2, mons], 1
+
+    native = _section_map(top, middle, twist_on_codes, "twist")
+    assert native.shape == (middle.dim, top.dim)
+    assert _section_map(top, middle, coded(twist, top, middle), "twist") == native
     with pytest.raises(ConsistencyError, match="twist with a dropped term"):
-        _section_map(top, middle, entries, "twist with a dropped term")
+        _section_map(top, middle, coded(entries, top, middle), "twist with a dropped term")
     with pytest.raises(ConsistencyError, match="twist with an added term"):
-        _section_map(top, middle, added, "twist with an added term")
+        _section_map(top, middle, coded(added, top, middle), "twist with an added term")
+
+
+# -- code rules against the tuple rules they replaced ---------------------------
+
+
+def tuple_space(space):
+    """A section space as the tuple composition reads it: ambient pairs,
+    column terms and free rows."""
+    key = ambient_key(space)
+    return SimpleNamespace(
+        descriptor=space.descriptor,
+        q=space.q,
+        dim=space.dim,
+        key=key,
+        index={pair: i for i, pair in enumerate(key)},
+        terms=column_terms(space),
+        free=free_rows(space),
+    )
+
+
+def tuple_ambient_map(src, tgt, entries):
+    """The image of src's basis, pushed term by term through a pair rule:
+    {(target row, column): value}."""
+    image = {}
+    for c, column in enumerate(src.terms):
+        for r, v in column:
+            for pair, x in entries(src.key[r]):
+                cell = tgt.index[pair], c
+                image[cell] = image.get(cell, 0) + x * v
+    return image
+
+
+def tuple_section_map(src, tgt, entries, what):
+    """Coordinates read off the target's free rows, checked on its terms."""
+    q = tgt.q
+    image = tuple_ambient_map(src, tgt, entries)
+    coords = {}
+    for (i, c), v in image.items():
+        if i in tgt.free:
+            k, s = tgt.free[i]
+            coords[k, c] = v * s if q is None else v * s % q
+    residual = dict(image)
+    for (k, c), y in coords.items():
+        for i, v in tgt.terms[k]:
+            residual[i, c] = residual.get((i, c), 0) - v * y
+    if any(residual.values()) if q is None else any(x % q for x in residual.values()):
+        raise ConsistencyError("%s: image does not lie in %r" % (what, tgt.descriptor))
+    rows, cols = [k for k, _ in coords], [c for _, c in coords]
+    return _assemble(tgt.dim, src.dim, rows, cols, list(coords.values()), q)
+
+
+def tuple_public_maps(n, p, d, q):
+    """restriction_of_forms, conormal_wedge and drop_last_differential by
+    their pair rules, where (n, p, d) allows each."""
+    maps = {}
+    if p <= n:
+        src, tgt = tuple_space(h0_basis(n, p, d, q)), tuple_space(h0_basis(n - 1, p, d, q))
+
+        def restriction(pair):
+            I, m = pair
+            return () if n in I or m[n] > 0 else (((I, m[:n]), 1),)
+
+        maps["restriction_of_forms"] = tuple_section_map(src, tgt, restriction, "restriction")
+        src = tuple_space(restricted_sections(n, p, d, q))
+
+        def drop(pair):
+            I, m = pair
+            return () if n in I else (((I, m), 1),)
+
+        maps["drop_last_differential"] = tuple_section_map(src, tgt, drop, "drop")
+    if p <= n - 1:
+        src = tuple_space(h0_basis(n - 1, p, d - 1, q))
+        tgt = tuple_space(restricted_sections(n, p + 1, d, q))
+        sign = -1 if p % 2 else 1
+
+        def wedge(pair):
+            I, m = pair
+            return (((I + (n,), m), sign),)
+
+        maps["conormal_wedge"] = tuple_section_map(src, tgt, wedge, "wedge")
+    return maps
+
+
+def tuple_display_maps(n, p, t, q):
+    """The eight display maps by the pair rules of build_display."""
+    subsets = list(itertools.combinations(range(n), p + 1))
+    top = tuple_space(h0_basis(n, p + 1, p + 1 + t, q))
+    free = tuple_space(free_sections(n, t, len(subsets), q))
+    middle = tuple_space(h0_basis(n, p + 1, p + 2 + t, q))
+    bottom_left = tuple_space(h0_basis(n - 1, p, p + 1 + t, q))
+    bottom_mid = tuple_space(restricted_sections(n, p + 1, p + 2 + t, q))
+
+    def generator_entries(pair):
+        j, m = pair
+        full = subsets[j] + (n,)
+        return [
+            ((full[:pos] + full[pos + 1 :], _mult_var(m, k)), -1 if pos % 2 else 1)
+            for pos, k in enumerate(full)
+        ]
+
+    def xn_entries(pair):
+        I, m = pair
+        return (((I, _mult_var(m, n)), 1),)
+
+    def hyp_entries(pair):
+        I, m = pair
+        return () if m[n] > 0 else (((I, m[:n]), 1),)
+
+    subset_index = {J: j for j, J in enumerate(subsets)}
+    top_sign = -1 if (p + 1) % 2 else 1
+
+    def top_entries(pair):
+        I, m = pair
+        return () if n in I else (((subset_index[I], m), top_sign),)
+
+    def bottom_entries(pair):
+        j, m = pair
+        if m[n] > 0:
+            return ()
+        J = subsets[j]
+        return [
+            ((J[:pos] + J[pos + 1 :], _mult_var(m, k)[:n]), -1 if (p + pos) % 2 else 1)
+            for pos, k in enumerate(J)
+        ]
+
+    public = tuple_public_maps(n, p + 1, p + 2 + t, q)
+    return {
+        "twist": tuple_section_map(top, middle, xn_entries, "twist"),
+        "free_incl": tuple_section_map(free, middle, generator_entries, "generators"),
+        "restrict": public["restriction_of_forms"],
+        "to_hyperplane": tuple_section_map(middle, bottom_mid, hyp_entries, "hyperplane"),
+        "wedge": tuple_public_maps(n, p, p + 2 + t, q)["conormal_wedge"],
+        "drop": public["drop_last_differential"],
+        "left_top": tuple_section_map(top, free, top_entries, "top to free"),
+        "left_bottom": tuple_section_map(free, bottom_left, bottom_entries, "free to bottom_left"),
+    }
+
+
+def assert_same_matrix(got, want, case):
+    assert got.shape == want.shape and got == want, case
+    assert got._a.dtype == want._a.dtype, case
+    assert [type(x) for x in got._a.ravel()] == [type(x) for x in want._a.ravel()], case
+
+
+@st.composite
+def display_cases(draw):
+    q = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(min_value=1, max_value=5))
+    p = draw(st.integers(min_value=0, max_value=n - 1))
+    t = draw(st.integers(min_value=-3, max_value=3))
+    return n, p, t, q
+
+
+@settings(max_examples=40, deadline=None)
+@given(display_cases())
+def test_code_rules_equal_the_tuple_rules(case):
+    # Each display map, and each public map at a second twist, against the
+    # same map composed term by term through its rule on (I, m) pairs:
+    # entry for entry, in dtype and in Python entry type.
+    n, p, t, q = case
+    got = build_display(n, p, t, q).maps
+    want = tuple_display_maps(n, p, t, q)
+    assert set(got) == set(want)
+    for name in want:
+        assert_same_matrix(got[name], want[name], (name,) + case)
+    public = {
+        "restriction_of_forms": restriction_of_forms,
+        "conormal_wedge": conormal_wedge,
+        "drop_last_differential": drop_last_differential,
+    }
+    for name, matrix in tuple_public_maps(n, p, p + 1 + t, q).items():
+        assert_same_matrix(public[name](n, p, p + 1 + t, q), matrix, (name,) + case)

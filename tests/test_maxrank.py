@@ -38,12 +38,17 @@ def row_list(m):
 
 
 def dense_basis(space):
-    """A section space's basis as a dense len(key) x dim matrix, assembled
-    from its column terms."""
-    rows = [i for column in space.terms for i, _ in column]
-    cols = [c for c, column in enumerate(space.terms) for _ in column]
-    vals = [v for column in space.terms for _, v in column]
-    return _assemble(len(space.key), space.dim, rows, cols, vals, space.q)
+    """A section space's basis as a dense size x dim matrix, assembled from
+    its stored nonzeros."""
+    rows, cols, vals = space.row.tolist(), space.col.tolist(), space.sign.tolist()
+    return _assemble(space.size, space.dim, rows, cols, vals, space.q)
+
+
+def ambient_key(space):
+    """The (index set, monomial) pair of each ambient row of an h0 space, in
+    code order: index sets, then monomials, each in its order."""
+    n, p, d = space.descriptor.n, space.descriptor.p, space.descriptor.d
+    return [(I, m) for I in index_sets(n + 1, p) for m in monomials(n + 1, d - p)]
 
 
 def test_projpoint_normalizes_last_nonzero_to_one():
@@ -104,7 +109,8 @@ def naive_eval_matrix(n, p, d, pts, pivots=None):
     q = pts.q
     space = h0_basis(n, p + 1, d + p + 1, q)
     cols = row_list(dense_basis(space))
-    sections = [[cols[i][j] for i in range(len(space.key))] for j in range(space.dim)]
+    key = ambient_key(space)
+    sections = [[cols[i][j] for i in range(len(key))] for j in range(space.dim)]
     rows = []
     for k, pt in enumerate(pts.points):
         pivot = pt.pivot if pivots is None else pivots[k]
@@ -112,7 +118,7 @@ def naive_eval_matrix(n, p, d, pts, pivots=None):
         blocks = []
         for sec in sections:
             acc = {}
-            for (I, m), coeff in zip(space.key, sec):
+            for (I, m), coeff in zip(key, sec):
                 if coeff == 0 or pivot in I:
                     continue
                 val = coeff
@@ -169,7 +175,7 @@ def test_eval_matrix_invariant_one_form():
     # H^0(Omega^1(2)) on P^1 is spanned by x1 dx0 - x0 dx1; at (1:1) the
     # chart drops the pivot component dx1, leaving x1 = 1.
     space = h0_basis(1, 1, 2, None)
-    assert dict(zip(space.key, row_list(dense_basis(space).transpose())[0])) == {
+    assert dict(zip(ambient_key(space), row_list(dense_basis(space).transpose())[0])) == {
         ((0,), (1, 0)): 0,
         ((0,), (0, 1)): 1,
         ((1,), (1, 0)): -1,
