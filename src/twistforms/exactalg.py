@@ -7,8 +7,23 @@ Fractions whose denominator is not 1; object dtype).  Pivot columns are always
 taken left to right and every elimination result is deterministic across
 platforms and thread schedules.
 
-Products over GF(q) of an m x k by a k x n matrix take one of three tiers,
-each exact:
+A matrix finds its nonzero pattern (the rows and columns of its nonzero
+entries, row-major) at most once, and only when it is sparse, with at most
+``_SPARSE_DENSITY`` nonzeros: one count decides, a sparse matrix is then
+scanned once and a dense one is marked dense, and either is kept.  A map
+built from its nonzeros, as the display maps of ``forms`` are, is handed
+its pattern and never scanned.
+
+A word-size GF(q) product of two sparse matrices, m x k by k x n, is a
+join on their patterns when (q - 1) * k <= 2^53 - 1, a row-by-row product
+as in Gustavson ("Two fast algorithms for sparse matrices", ACM TOMS
+1978): each nonzero a[i, j] meets the nonzeros of row j of b, each term
+product is reduced mod q (below 2^63, since q <= ``WORD_MODULUS_MAX``), and
+one float64 ``np.bincount`` sums the terms of each entry.  An entry sums at
+most k terms below q, so the sums are exact, and one integer remainder
+reduces them.  The work is the number of terms, not m * k * n.
+
+Every other product over GF(q) takes one of three tiers, each exact:
 
 * float64 BLAS, when (q - 1)^2 * k <= 2^53 - 1: every partial sum is then
   an integer that float64 holds exactly (Dumas, Giorgi and Pernet, "Dense
@@ -58,11 +73,11 @@ depend on the order in which the sparse engine picks its pivot rows, and
 both engines find the same pivot columns.
 
 A rank of a sparse matrix (at most ``_SPARSE_DENSITY`` nonzeros, over
-either field) is peeled before any elimination, by the first step of
-structured Gaussian elimination (LaMacchia and Odlyzko 1990): every column
-with one nonzero adds 1 to the rank and deletes that nonzero's row, every
-row with one nonzero does the same for its column, and the two steps
-repeat until neither deletes anything.  Only the core that is left is
+either field) is peeled on its kept pattern before any elimination, by
+the first step of structured Gaussian elimination (LaMacchia and Odlyzko
+1990): every column with one nonzero adds 1 to the rank and deletes that
+nonzero's row, every row with one nonzero does the same for its column,
+and the two steps repeat until neither deletes anything.  Only the core that is left is
 eliminated, by the dense engine; no sparse rank of the display up to
 n = 5 leaves one.
 
@@ -162,6 +177,14 @@ def _check_modulus(q) -> None:
         raise ValueError("modulus %r is not prime" % (q,))
 
 
+def _check_integers(entries, q: int) -> None:
+    """Raise ValueError at the first of ``entries`` that is not a Python or
+    numpy integer: only integers have a residue mod q."""
+    for x in entries:
+        if not isinstance(x, (int, np.integer)):
+            raise ValueError("entries over GF(%d) must be integers, got %r" % (q, x))
+
+
 def residue_dtype(q: int | None):
     """numpy dtype that holds residues mod q and their pairwise products
     exactly; object (Python ints and Fractions) for the rationals, q None."""
@@ -208,7 +231,8 @@ def _mulmod(a, b, q: int | None):
     """(a @ b) mod q of two reduced residue arrays, as a reduced array of
     dtype ``residue_dtype(q)``; with q None, the exact product of two object
     arrays of Python ints, as one.  The tier is chosen as in the module
-    docstring."""
+    docstring.  ``ExactMatrix.__matmul__`` joins two sparse word-size
+    operands by ``_sparse_mulmod`` instead, and calls this for the rest."""
     (m, k), n = a.shape, b.shape[1]
     if k == 0:
         return np.zeros((m, n), dtype=residue_dtype(q))
@@ -236,8 +260,38 @@ def _mulmod(a, b, q: int | None):
     return prod.astype(residue_dtype(q))
 
 
+def _sparse_mulmod(a, a_nz, b, b_nz, q: int):
+    """(a @ b) mod q, as int64, of two reduced residue arrays for a
+    word-size q, from their nonzero patterns (``ExactMatrix._pattern``),
+    when (q - 1) * k <= 2^53 - 1 for the inner dimension k.
+
+    A row-by-row product (Gustavson, ACM TOMS 1978) as one join: each
+    nonzero a[i, j] meets the nonzeros of row j of b, each term product is
+    reduced mod q (below 2^63, as q <= ``WORD_MODULUS_MAX``), and the terms
+    are summed per output entry by one float64 ``np.bincount``.  An entry
+    sums at most k reduced terms, so every partial sum is an integer below
+    2^53 and exact, and one integer remainder reduces the sums.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    (ai, aj), (bi, bj) = a_nz, b_nz
+    # Row j of b is its nonzeros start[j] .. start[j] + length[j] - 1.
+    length = np.bincount(bi, minlength=k)
+    start = np.cumsum(length) - length
+    # Term t pairs a's nonzero s = src[t] with b's nonzero at[t], the
+    # (t - first[s])-th of row aj[s].
+    count = length[aj]
+    first = np.cumsum(count) - count
+    src = np.repeat(np.arange(ai.size), count)
+    at = np.arange(src.size) + (start[aj] - first)[src]
+    terms = a[ai, aj][src] * b[bi, bj][at]
+    _reduce(terms, q)
+    sums = np.bincount(ai[src] * n + bj[at], terms, m * n)
+    return _float_mod(sums.reshape(m, n), q)
+
+
 #: Ranks of matrices, over either field, with at most this share of nonzero
-#: entries are peeled before any elimination.
+#: entries are peeled before any elimination, and word-size GF(q) products
+#: of two such matrices are joined on their nonzeros.
 _SPARSE_DENSITY = 0.1
 
 #: Panel width of the dense elimination, and the smaller side from which a
@@ -424,10 +478,10 @@ def _echelon_sparse(a, q: int):
     return out, pivots
 
 
-def _peel(a):
+def _peel(a, i, j):
     """(r, core): the first step of structured Gaussian elimination
     (LaMacchia and Odlyzko, CRYPTO 1990) on the nonzero pattern of ``a``,
-    with rank a = r + rank core.
+    its rows ``i`` and columns ``j``, with rank a = r + rank core.
 
     A column with one nonzero, c * e_i, puts e_i in the column space, so
     rank a = 1 + the rank of ``a`` without row i and that column; row i is
@@ -437,8 +491,6 @@ def _peel(a):
     what is left of ``a`` on the rows and columns that still hold nonzeros.
     """
     m, n = a.shape
-    # numpy finds the nonzeros of a boolean array several times faster.
-    i, j = np.divmod(np.flatnonzero(a.astype(bool)), n)
     # Each step peels lines along x (columns, then rows) and deletes the
     # crossing lines along y that they hit; x and y swap after every step.
     x, y, t = j, i, 0
@@ -461,18 +513,20 @@ class ExactMatrix:
     """Dense matrix over GF(q) (``q`` a prime) or the rationals (``q=None``),
     stored as one read-only 2-D numpy array of dtype ``residue_dtype(q)``:
     reduced residues over GF(q), canonical entries (ints, and Fractions
-    whose denominator is not 1) over Q."""
+    whose denominator is not 1) over Q.  Over GF(q) the constructor takes
+    Python and numpy integers, of any size, and reduces them mod q; any
+    other entry (a float, a string, nan) is a ValueError."""
 
-    __slots__ = ("rows", "cols", "q", "_a", "_rank")
+    __slots__ = ("rows", "cols", "q", "_a", "_rank", "_nz")
 
     def __init__(self, rows, cols, data, q=None):
         self.rows = int(rows)
         self.cols = int(cols)
         self.q = q
-        self._rank = None  # cached rank
+        self._rank = self._nz = None  # cached rank and nonzero pattern
         _check_modulus(q)
         try:
-            a = np.asarray(data, dtype=residue_dtype(q))
+            a = np.asarray(data, dtype=object if q is None else None)
         except ValueError:  # ragged rows
             a = None
         if a is not None and a.shape == (0,) and self.rows == 0:
@@ -481,24 +535,31 @@ class ExactMatrix:
             raise ValueError("data do not form a %dx%d matrix" % self.shape)
         if q is None:
             a = np.frompyfunc(_canon_rational, 1, 1)(a)
-        elif a.dtype == object:
-            a = np.frompyfunc(lambda x: int(x) % q, 1, 1)(a)
+        elif a.dtype.kind in "biu" and a.dtype != np.uint64:
+            a = a.astype(residue_dtype(q), copy=False) % q
         else:
-            a = a % q
+            # Python ints past int64, uint64 past int64, or entries to refuse.
+            entries = a.ravel().tolist()
+            _check_integers(entries, q)
+            a = np.array([int(x) % q for x in entries], dtype=residue_dtype(q))
+            a = a.reshape(self.shape)
         a.setflags(write=False)
         self._a = a
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def _wrap(cls, a, q):
+    def _wrap(cls, a, q, nz=None):
         """Wrap a 2-D array already in storage form (reduced residues of
         dtype ``residue_dtype(q)``, or canonical rationals in an object
-        array): no checks, no copy."""
+        array): no checks, no copy.  ``nz``, when given, is the nonzero
+        pattern of ``a`` as ``_pattern`` would find it, and is kept in
+        place of that scan, under the same density test."""
         m = cls.__new__(cls)
         m.rows, m.cols = a.shape
         m.q = q
         m._rank = None
+        m._nz = nz if nz is None or nz[0].size <= _SPARSE_DENSITY * a.size else ()
         a.setflags(write=False)
         m._a = a
         return m
@@ -526,6 +587,21 @@ class ExactMatrix:
     def is_zero(self):
         return not self._a.any()
 
+    def _pattern(self):
+        """(rows, cols) of the nonzero entries, in row-major order, when
+        they are at most ``_SPARSE_DENSITY`` of the entries; None for a
+        denser matrix.  Found once, by one count and, for a sparse matrix,
+        one scan, and kept: ``_nz`` is None until then and () once the
+        matrix is found dense."""
+        if self._nz is None:
+            a = self._a
+            if np.count_nonzero(a) > _SPARSE_DENSITY * a.size:
+                self._nz = ()
+            else:
+                # numpy finds the nonzeros of a boolean array several times faster.
+                self._nz = np.divmod(np.flatnonzero(a.astype(bool)), self.cols)
+        return self._nz or None
+
     def __repr__(self):
         tag = "Q" if self.q is None else "GF(%d)" % self.q
         return "ExactMatrix(%dx%d over %s)" % (self.rows, self.cols, tag)
@@ -546,6 +622,12 @@ class ExactMatrix:
             types = set(map(type, self._a.flat)) | set(map(type, other._a.flat))
             if not types <= {int}:
                 return ExactMatrix(self.rows, other.cols, self._a @ other._a)
+        elif self.q <= WORD_MODULUS_MAX and (self.q - 1) * self.cols <= _FLOAT_EXACT:
+            nz = self._pattern()
+            other_nz = other._pattern() if nz else None
+            if other_nz:
+                out = _sparse_mulmod(self._a, nz, other._a, other_nz, self.q)
+                return ExactMatrix._wrap(out, self.q)
         return ExactMatrix._wrap(_mulmod(self._a, other._a, self.q), self.q)
 
     def augment(self, other):
@@ -611,9 +693,10 @@ class ExactMatrix:
         """Rank over the matrix's field.
 
         A matrix with at most ``_SPARSE_DENSITY`` nonzeros is first peeled
-        (``_peel``): its singleton columns and rows are counted and deleted,
-        exactly over every field, and only the core that is left is
-        eliminated.  GF(q) takes the dense engine's forward elimination
+        (``_peel``) on the pattern ``_pattern`` keeps, so a display map is
+        not scanned again: its singleton columns and rows are counted and
+        deleted, exactly over every field, and only the core that is left is
+        eliminated.  A denser matrix pays one count, once.  GF(q) takes the dense engine's forward elimination
         (below the pivots only), never an RREF.  Over Q the rank modulo
         ``_CERT_PRIME`` of the row-wise integer matrix is taken first, the
         same way; when it is min(rows, cols) it is the rational rank, and
@@ -622,8 +705,9 @@ class ExactMatrix:
         """
         if self._rank is None:
             a, r = self._a, 0
-            if np.count_nonzero(a) <= _SPARSE_DENSITY * a.size:
-                r, a = _peel(a)
+            nz = self._pattern()
+            if nz is not None:
+                r, a = _peel(a, *nz)
             if a.size:
                 r += ExactMatrix._wrap(a, self.q)._eliminated_rank()
             self._rank = r

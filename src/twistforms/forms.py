@@ -501,6 +501,10 @@ def _section_map(src: SectionSpace, tgt: SectionSpace, rule, what: str) -> Exact
     is +/-1, so Y needs no reduction for this; an image outside the span
     differs from B times its selected coordinates, so the check is exact
     and complete.
+
+    The coordinates are written from their nonzeros, so the matrix is
+    handed that pattern (those of Y's entries that are not 0 mod q, in
+    row-major order) and never scans itself for its rank or products.
     """
     q = tgt.q
     codes, values = _ambient_map(src, rule)
@@ -517,9 +521,15 @@ def _section_map(src: SectionSpace, tgt: SectionSpace, rule, what: str) -> Exact
     residual = image[1:]
     if residual.any() and (q is None or (residual % q).any()):
         raise ConsistencyError("%s: image does not lie in %r" % (what, tgt.descriptor))
+    # Past int64 the residues mod q are Python ints, and so is their reduction.
+    y = y.astype(np.int64).astype(residue_dtype(q), copy=False)
+    if q is not None:
+        y %= q
+        keep = y != 0
+        k, c, y = k[keep], c[keep], y[keep]
     out = np.zeros((tgt.dim, cols), dtype=residue_dtype(q))
-    out[k, c] = y.astype(np.int64) if q is None else np.remainder(y.astype(np.int64), q)
-    return ExactMatrix._wrap(out, q)
+    out[k, c] = y
+    return ExactMatrix._wrap(out, q, (k, c))
 
 
 def restriction_of_forms(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatrix:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .exactalg import (
     ExactMatrix,
+    _check_integers,
     _check_modulus,
     _mod_cert_prime,
     _reduce,
@@ -74,7 +75,13 @@ class ProjPoint:
 
     @classmethod
     def make(cls, coords, q=None):
+        """The point with these coordinates: over GF(q) integers, each
+        reduced mod q (ValueError for any other entry)."""
         _check_modulus(q)
+        coords = list(coords)
+        if q is not None:
+            _check_integers(coords, q)
+            coords = [int(c) for c in coords]
         return _point(coords, q)
 
     @property

@@ -124,6 +124,17 @@ def test_left_maps_equal_the_solves_of_their_squares(q):
                     ], case
 
 
+def test_display_past_int64_moduli():
+    # A map's coordinates are reduced as Python ints when q is past int64;
+    # at 2^80 - 65 that reduction overflowed before.
+    q = 2**80 - 65
+    for n in (2, 3):
+        for ledger in verify_display(n, 0, -1, 1, q) + verify_display(n, n - 1, -1, 1, q):
+            assert ledger.passed, ledger
+    m = build_display(3, 0, 1, q).maps["free_incl"]
+    assert m._a.dtype == object and all(type(x) is int for x in m._a.ravel())
+
+
 def _changed(inst, name):
     # One entry of a left map, moved by one.
     a = inst.maps[name]._a.copy()

@@ -1,5 +1,6 @@
 """Rank/kernel arithmetic and the snake-lemma checker."""
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -119,6 +120,35 @@ def test_constructor_rejects_data_of_another_shape(q):
             ExactMatrix(rows, cols, data, q=q)
     # An empty row list has no row length to check: it fits any 0-row shape.
     assert ExactMatrix(0, 3, [], q=q).shape == (0, 3)
+
+
+@pytest.mark.parametrize("q", [101, 2**61 - 1])
+@pytest.mark.parametrize("entry", [1.5, 2.0, float("nan"), "3", None, Fraction(3, 1)])
+def test_constructor_refuses_entries_that_are_not_integers(q, entry):
+    # Over GF(q) a float was truncated and a string parsed before.
+    message = "entries over GF(%d) must be integers, got %r" % (q, entry)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExactMatrix(1, 2, [[entry, 2]], q=q)
+
+
+@pytest.mark.parametrize("q", [101, 2**61 - 1])
+def test_constructor_reduces_integers_past_int64(q):
+    # 2^70 escaped as an OverflowError before; its residue is defined.
+    m = ExactMatrix(2, 2, [[2**70, 1], [-(2**70), np.int64(-1)]], q=q)
+    assert row_list(m) == [[2**70 % q, 1], [-(2**70) % q, q - 1]]
+    assert m._a.dtype == residue_dtype(q)
+    assert all(type(x) is int for x in m._a.ravel().tolist())
+
+
+@pytest.mark.parametrize("q", [101, 2**61 - 1])
+def test_constructor_reduces_numpy_integer_arrays(q):
+    big = np.array([[2**64 - 1, 5]], dtype=np.uint64)
+    assert row_list(ExactMatrix(1, 2, big, q=q)) == [[(2**64 - 1) % q, 5]]
+    small = np.array([[-3, 1]], dtype=np.int8)
+    assert row_list(ExactMatrix(1, 2, small, q=q)) == [[q - 3, 1]]
+    assert row_list(ExactMatrix(1, 2, np.array([[True, False]]), q=q)) == [[1, 0]]
+    # An empty float array has no entry to refuse.
+    assert ExactMatrix(2, 0, np.zeros((2, 0)), q=q).shape == (2, 0)
 
 
 # The least strong pseudoprime to the bases 2..37 (OEIS A014233).
@@ -484,6 +514,81 @@ def test_product_with_empty_inner_dimension():
     assert row_list(prod) == [[0, 0]] * 3
 
 
+# -- sparse products: the join on both operands' nonzeros ----------------------
+
+# Word-size primes from GF(2) to CERT_PRIME, where a term product of two
+# residues comes closest to 2^63 and k reduced terms closest to 2^53.
+JOIN_PRIMES = (2, 3, 101, 16777213, 2**31 - 1, CERT_PRIME)
+
+
+@st.composite
+def sparse_products(draw):
+    """(q, a, b): reduced residue arrays of m x k and k x n, each 0..24, for
+    a word-size q.  Each operand is nonzero at a drawn share of its entries
+    (0 to 0.1, or 0.5 for a dense one), on values that are q - 1 half the
+    time, and has one row and one column emptied."""
+    q = draw(st.sampled_from(JOIN_PRIMES))
+    m, k, n = (draw(st.integers(0, 24)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(shape):
+        share = draw(st.sampled_from((0.0, 0.03, 0.1, 0.5)))
+        values = np.where(rng.random(shape) < 0.5, q - 1, rng.integers(1, q, shape))
+        x = np.where(rng.random(shape) < share, values, 0)
+        if x.size:
+            x[draw(st.integers(0, shape[0] - 1))] = 0
+            x[:, draw(st.integers(0, shape[1] - 1))] = 0
+        return x
+
+    return q, operand((m, k)), operand((k, n))
+
+
+def _is_sparse(a):
+    return np.count_nonzero(a) <= exactalg._SPARSE_DENSITY * a.size
+
+
+def _record_joins(monkeypatch):
+    """Patch the sparse product to log each call."""
+    joins, join = [], exactalg._sparse_mulmod
+    monkeypatch.setattr(exactalg, "_sparse_mulmod", lambda *args: joins.append(1) or join(*args))
+    return joins
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_products())
+# Two terms of (q - 1)^2 each: near 2^63 unreduced, and past 2^53 in float64.
+@example((CERT_PRIME, np.full((1, 2), CERT_PRIME - 1), np.full((2, 1), CERT_PRIME - 1)))
+@example((101, np.zeros((3, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)))
+@example((2, np.zeros((0, 4), dtype=np.int64), np.eye(4, dtype=np.int64)))
+def test_sparse_product_equals_dense_tiers(case):
+    q, a, b = case
+    want = exactalg._mulmod(a, b, q)
+    got = exactalg._sparse_mulmod(a, a.nonzero(), b, b.nonzero(), q)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    # The product joins exactly when both operands are sparse.
+    with pytest.MonkeyPatch.context() as mp:
+        joins = _record_joins(mp)
+        prod = ExactMatrix._wrap(a, q) @ ExactMatrix._wrap(b, q)
+    assert bool(joins) == (_is_sparse(a) and _is_sparse(b))
+    assert prod._a.dtype == np.int64
+    assert np.array_equal(prod._a, want)
+
+
+def test_sparse_product_bound_on_the_inner_dimension(monkeypatch):
+    # A join sums up to k reduced terms in float64: past (q - 1) * k = 2^53 - 1
+    # the product takes the dense tiers.
+    q, k = CERT_PRIME, 40
+    a = ExactMatrix._wrap(np.eye(1, k, dtype=np.int64) * (q - 1), q)
+    b = ExactMatrix._wrap(np.eye(k, 1, dtype=np.int64) * (q - 1), q)
+    joins = _record_joins(monkeypatch)
+    for bound, joined in (((q - 1) * k, True), ((q - 1) * k - 1, False)):
+        joins.clear()
+        monkeypatch.setattr(exactalg, "_FLOAT_EXACT", bound)
+        assert row_list(a @ b) == [[(q - 1) ** 2 % q]]
+        assert bool(joins) is joined
+
+
 # -- exact integer products (rational matrices with integer entries) -----------
 
 
@@ -833,14 +938,53 @@ def test_display_maps_take_the_sparse_path_and_evaluations_the_dense(monkeypatch
     # by panels.
     from twistforms.display import build_display
 
-    maps = build_display(4, 1, 0, 101).maps.values()
-    sparse = [f for f in maps if np.count_nonzero(f._a) <= exactalg._SPARSE_DENSITY * f._a.size]
+    maps = build_display(4, 1, 0, 101).maps
+    sparse = [f for f in maps.values() if _is_sparse(f._a)]
     assert len(sparse) >= 4
     taken.clear()
     for f in sparse:
         f.rank()
     assert contraction_matrix(4, 2, 5, q=101).rank() == 224
     assert taken == [32]
+    # Products of display maps join their nonzeros; a product with a dense
+    # evaluation matrix takes the dense tiers.
+    maps = build_display(4, 1, 1, 101).maps
+    joins = _record_joins(monkeypatch)
+    squares = (
+        (maps["free_incl"], maps["left_top"]),
+        (maps["wedge"], maps["left_bottom"]),
+        (maps["to_hyperplane"], maps["free_incl"]),
+        (maps["drop"], maps["to_hyperplane"]),
+    )
+    for f, g in squares:
+        joins.clear()
+        assert f @ g == ExactMatrix._wrap(exactalg._mulmod(f._a, g._a, 101), 101)
+        assert joins == [1]
+    joins.clear()
+    square = ExactMatrix._wrap(ev._a[: ev.cols], 101)
+    assert not _is_sparse(square._a)
+    assert square @ square == ExactMatrix._wrap(exactalg._mulmod(square._a, square._a, 101), 101)
+    assert joins == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 2**31 - 1, 2**61 - 1, None])
+def test_display_maps_hand_over_their_patterns(q):
+    from twistforms.display import build_display
+
+    for n in range(1, 6):
+        for p in range(n):
+            for t in range(-2, 3):
+                for name, f in build_display(n, p, t, q).maps.items():
+                    # Read before any product or rank, as the map was built.
+                    handed = f._nz
+                    where = "%s of (%d, %d, %d)" % (name, n, p, t)
+                    if _is_sparse(f._a):
+                        assert all(map(np.array_equal, handed, f._a.nonzero())), where
+                        assert all(x.dtype == np.int64 for x in handed), where
+                    else:
+                        assert handed == (), where
+                    want = ExactMatrix._wrap(f._a, q)._eliminated_rank()
+                    assert f.rank() == want, where
 
 
 # -- blocked rank elimination ---------------------------------------------------

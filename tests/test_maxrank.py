@@ -66,6 +66,20 @@ def test_projpoint_rejects_a_composite_modulus():
         ProjPoint.make([3, 6], q=100)
 
 
+@pytest.mark.parametrize("coord", [0.5, 2.0, float("nan"), "3", None])
+def test_projpoint_refuses_coordinates_that_are_not_integers(coord):
+    # A float coordinate came back unreduced before.
+    with pytest.raises(ValueError, match=r"entries over GF\(101\) must be integers"):
+        ProjPoint.make([coord, 1], q=101)
+
+
+def test_projpoint_reduces_python_and_numpy_integers():
+    assert ProjPoint.make([2**70, 1], q=101).coords == (2**70 % 101, 1)
+    pt = ProjPoint.make([np.int64(3), np.int64(2)], q=101)
+    assert pt.coords == (3 * pow(2, -1, 101) % 101, 1)
+    assert all(type(c) is int for c in pt.coords)
+
+
 def test_projpoint_rejects_zero_vector():
     with pytest.raises(ValueError):
         ProjPoint.make([0, 0, 0], q=101)
