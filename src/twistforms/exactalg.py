@@ -36,30 +36,32 @@ Every other product over GF(q) takes one of three tiers, each exact:
   partial sum below 2^53; the three are reduced and recombined in int64.
 * Python integers (object dtype) otherwise.
 
-Eliminations over GF(q) all go through ``ExactMatrix._rref_mod``, and each
-of its two engines does one job:
+Eliminations have two engines, one job each:
 
-* The RREF (for kernels and solves) is Gauss-Jordan on Python dict rows,
-  with a column -> rows index and the sparsest candidate row as pivot
-  (sparse elimination over finite fields as in LaMacchia and Odlyzko,
-  CRYPTO 1990).  Its inputs are sparse display maps and small matrices, on
-  which it is as fast as the dense engine or faster; a large dense RREF
-  would be slow, and none is taken.
-* A rank needs only the pivot columns, so it eliminates below each pivot
-  and never above it, as numpy arrays, by right-looking blocked
-  elimination (as in FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008;
-  Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 2013): each panel
-  of columns is copied out, reduced, and eliminated one pivot at a time on
-  that copy; the pivot rows' trailing part becomes U12 = L11^-1 A12, and
-  the rows below are updated by one product per panel, the Schur
-  complement A22 - L21 U12.  That product is taken in float64, cast to
-  int64 and never reduced: both factors are reduced residues, so it is
-  exact when (q - 1)^2 * b <= 2^53 - 1 for a panel width b, and each
-  pivot moves an entry by at most (q - 1)^2, so the trailing entries stay
-  in int64 while min(rows, cols) * (q - 1)^2 < 2^62 (delayed reduction as
-  in FFLAS-FFPACK, carried across panels; each panel is reduced when it is
-  copied out).  ``_echelon_dense`` takes panels only under both bounds.
-  Panels are ``_PANEL`` (32) columns wide when the smaller side is at least
+* The RREF (for kernels and solves, over either field: ``_rref_mod`` and
+  ``_rref_rational``) is Gauss-Jordan on Python dict rows, with a column
+  -> rows index and the sparsest candidate row as pivot (sparse
+  elimination over finite fields as in LaMacchia and Odlyzko, CRYPTO
+  1990); each new entry is reduced mod q or, over Q, made canonical.  Its
+  inputs are sparse display maps and small matrices, on which it is as
+  fast as the dense engine or faster; a large dense RREF would be slow,
+  and none is taken.
+* A rank over GF(q) (``_rref_mod(full=False)``) needs only the pivot
+  columns, and gets nothing else: it eliminates below each pivot and
+  never above it, as numpy arrays, by right-looking blocked elimination
+  (as in FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008; Jeannerod, Pernet
+  and Storjohann, J. Symbolic Comput. 2013), and writes no echelon form.
+  Each panel of columns is copied out, reduced, and eliminated one pivot
+  at a time on that copy, and the rows below are updated by one product
+  per panel, the Schur complement A22 - L21 U12 with U12 = L11^-1 A12.
+  That product is taken in float64, cast to int64 and never reduced:
+  both factors are reduced residues, so it is exact when (q - 1)^2 * b <=
+  2^53 - 1 for a panel width b, and each pivot moves an entry by at most
+  (q - 1)^2, so the trailing entries stay in int64 while min(rows, cols) *
+  (q - 1)^2 < 2^62 (delayed reduction as in FFLAS-FFPACK, carried across
+  panels; each panel is reduced when it is copied out).
+  ``_echelon_dense`` takes panels only under both bounds.  Panels are
+  ``_PANEL`` (32) columns wide when the smaller side is at least
   ``_BLOCKED_MIN`` (128) and q is on the float64 product tier for an inner
   dimension of 32 (q <= 16777213); otherwise one panel spans the matrix,
   which is the per-pivot loop.  On a 2-core x86_64 VM (Python 3.11, numpy
@@ -177,12 +179,18 @@ def _check_modulus(q) -> None:
         raise ValueError("modulus %r is not prime" % (q,))
 
 
-def _check_integers(entries, q: int) -> None:
-    """Raise ValueError at the first of ``entries`` that is not a Python or
-    numpy integer: only integers have a residue mod q."""
+def _exact_entries(entries, q: int | None) -> list:
+    """``entries`` as Python ints and, over Q, Fractions; ValueError at the
+    first that is not a Python or numpy integer or, over Q, a Fraction:
+    only those are exact (a float, a string or a complex number is not)."""
+    exact = (int, np.integer) if q else (int, np.integer, Fraction)
+    out = []
     for x in entries:
-        if not isinstance(x, (int, np.integer)):
-            raise ValueError("entries over GF(%d) must be integers, got %r" % (q, x))
+        if not isinstance(x, exact):
+            kinds = "GF(%d) must be integers" % q if q else "Q must be integers or Fractions"
+            raise ValueError("entries over %s, got %r" % (kinds, x))
+        out.append(x if isinstance(x, Fraction) else int(x))
+    return out
 
 
 def residue_dtype(q: int | None):
@@ -304,23 +312,22 @@ _BLOCKED_MIN = 128
 
 
 def _echelon_dense(a, q: int, b: int):
-    """Forward elimination of a copy of the reduced residue array ``a`` by
-    panels of ``b`` columns, for ranks: the first nonzero entry of each
-    column, top to bottom, is the pivot.  Returns (rows, pivot columns), a
-    row echelon form eliminated below its pivots only.  With ``b`` at least
-    the column count this is the per-pivot loop.
+    """Pivot columns of the reduced residue array ``a``, by forward
+    elimination of a copy in panels of ``b`` columns, for ranks: the first
+    nonzero entry of each column, top to bottom, is the pivot.  With ``b``
+    at least the column count this is the per-pivot loop.
 
     Each panel is copied out of the rows left, reduced, and eliminated one
     pivot at a time, swapping only the copy's rows and a permutation; every
     eliminated entry keeps its multiplier, so the copy holds P A = L U
     restricted to the panel.  One gather then permutes the trailing
-    columns, whose k pivot rows become U12 = L11^-1 A12 (one product) and
-    whose other rows become the Schur complement A22 - L21 U12: one float64
+    columns: their k pivot rows give U12 = L11^-1 A12 (one product), and
+    the other rows become the Schur complement A22 - L21 U12, one float64
     product, cast to int64 and never reduced.  Its factors are reduced
     residues, so it is exact when (q - 1)^2 * b <= 2^53 - 1, and each pivot
     moves an entry by at most (q - 1)^2, so no entry leaves int64 while
     min(rows, cols) * (q - 1)^2 < 2^62; otherwise one panel spans the
-    matrix, and its copy is the result.
+    matrix.  No echelon form is written: a rank reads only the pivots.
     """
     m, n = a.shape
     if (q - 1) ** 2 * b > _FLOAT_EXACT or min(m, n) * (q - 1) ** 2 >= 2**62:
@@ -329,12 +336,10 @@ def _echelon_dense(a, q: int, b: int):
     # Reduction is delayed: an entry takes up to ``lag`` updates, each
     # subtracting less than q^2, before it must be reduced to stay in int64.
     lag = max(1, 2**62 // q**2)
-    out = None  # the echelon form, once a panel leaves trailing columns
     rest = a  # the rows left, from the panel's first column on
     pivots = []
-    r = 0
     for c0 in range(0, n, b):
-        if r == m:
+        if len(pivots) == m:
             break
         w = min(b, n - c0)
         panel = rest[:, :w].copy()
@@ -373,32 +378,17 @@ def _echelon_dense(a, q: int, b: int):
             if k % lag == 0:
                 _reduce(below, q)
         pivots += [c0 + c for c in piv]
-        if w == n:
-            out = panel
-        elif out is None:
-            out = np.zeros(a.shape, dtype=a.dtype)
         if k and c0 + w < n:
             low = panel[:, piv]  # [L11; L21], with the pivots on L11's diagonal
             trail = rest[perm, w:]
             a12 = trail[:k]
             _reduce(a12, q)
             u12 = _mulmod(_lower_inverse(low[:k], q), a12, q)
-            out[r : r + k, c0 + w :] = u12
             rest = trail[k:]
             rest -= (low[k:].astype(np.float64) @ u12.astype(np.float64)).astype(np.int64)
         else:
             rest = rest[:, w:]
-        if k:
-            # Clear L: each pivot row is zero left of its pivot, which is 1.
-            top = panel[:k]
-            top[np.arange(w) < np.asarray(piv)[:, None]] = 0
-            top[np.arange(k), piv] = 1
-            if out is panel:
-                panel[k:] = 0
-            else:
-                out[r : r + k, c0 : c0 + w] = top
-        r += k
-    return (a.copy() if out is None else out), pivots
+    return pivots
 
 
 def _lower_inverse(low, q: int):
@@ -416,17 +406,22 @@ def _lower_inverse(low, q: int):
     return x
 
 
-def _echelon_sparse(a, q: int):
-    """(RREF, pivot columns) of the reduced residue array ``a``, by
-    Gauss-Jordan elimination on dict rows, for kernels and solves.
+def _echelon_sparse(a, q: int | None):
+    """(RREF, pivot columns) of ``a``, reduced residues over GF(q) or
+    canonical rationals over Q (q None), by Gauss-Jordan elimination on
+    dict rows, for kernels and solves.
 
     Pivot columns go left to right, and each pivot is the candidate row
     (one not yet a pivot, nonzero in the column) with the fewest nonzeros,
     the lowest index breaking ties; a column -> rows index finds every
     other row to eliminate, above the pivot or below.  The RREF and its
-    pivot columns do not depend on which rows are pivots.
+    pivot columns do not depend on which rows are pivots.  The pivot row
+    is scaled by pow(pivot, -1, q), or over Q by the canonical 1 / pivot
+    (an int for a pivot of -1, so integer rows stay ints), and every new
+    entry is reduced mod q, or made canonical over Q.
     """
     m, n = a.shape
+    canon = _canon_rational if q is None else q.__rmod__  # x -> x % q
     rows = [{} for _ in range(m)]
     where = [set() for _ in range(n)]  # column -> rows nonzero in it
     flat = np.flatnonzero(a != 0)
@@ -445,10 +440,10 @@ def _echelon_sparse(a, q: int):
         p = min(cands, key=lambda i: (len(rows[i]), i))
         used[p] = True
         prow = rows[p]
-        inv = pow(prow[c], -1, q)
+        inv = canon(Fraction(1, prow[c])) if q is None else pow(prow[c], -1, q)
         if inv != 1:
             for j in prow:
-                prow[j] = prow[j] * inv % q
+                prow[j] = canon(prow[j] * inv)
         for i in list(where[c]):
             if i == p:
                 continue
@@ -457,10 +452,10 @@ def _echelon_sparse(a, q: int):
             for j, v in prow.items():
                 old = row.get(j)
                 if old is None:
-                    row[j] = -f * v % q
+                    row[j] = canon(-f * v)
                     where[j].add(i)
                 else:
-                    x = (old - f * v) % q
+                    x = canon(old - f * v)
                     if x:
                         row[j] = x
                     else:
@@ -513,9 +508,10 @@ class ExactMatrix:
     """Dense matrix over GF(q) (``q`` a prime) or the rationals (``q=None``),
     stored as one read-only 2-D numpy array of dtype ``residue_dtype(q)``:
     reduced residues over GF(q), canonical entries (ints, and Fractions
-    whose denominator is not 1) over Q.  Over GF(q) the constructor takes
-    Python and numpy integers, of any size, and reduces them mod q; any
-    other entry (a float, a string, nan) is a ValueError."""
+    whose denominator is not 1) over Q.  The constructor takes Python and
+    numpy integers, of any size, reduced mod q over GF(q), and over Q also
+    Fractions; any other entry (a float, a string, nan, a complex number)
+    is a ValueError."""
 
     __slots__ = ("rows", "cols", "q", "_a", "_rank", "_nz")
 
@@ -533,16 +529,13 @@ class ExactMatrix:
             a = a.reshape(self.shape)  # no rows, so no row length to check
         if a is None or a.shape != self.shape:
             raise ValueError("data do not form a %dx%d matrix" % self.shape)
-        if q is None:
-            a = np.frompyfunc(_canon_rational, 1, 1)(a)
-        elif a.dtype.kind in "biu" and a.dtype != np.uint64:
+        if q is not None and a.dtype.kind in "biu" and a.dtype != np.uint64:
             a = a.astype(residue_dtype(q), copy=False) % q
         else:
-            # Python ints past int64, uint64 past int64, or entries to refuse.
-            entries = a.ravel().tolist()
-            _check_integers(entries, q)
-            a = np.array([int(x) % q for x in entries], dtype=residue_dtype(q))
-            a = a.reshape(self.shape)
+            # Rationals, Python ints or uint64 past int64, or entries to refuse.
+            canon = _canon_rational if q is None else q.__rmod__  # x -> x % q
+            entries = map(canon, _exact_entries(a.ravel().tolist(), q))
+            a = np.array(list(entries), dtype=residue_dtype(q)).reshape(self.shape)
         a.setflags(write=False)
         self._a = a
 
@@ -644,11 +637,11 @@ class ExactMatrix:
 
     def _rref_mod(self, full=True):
         """Every GF(q) elimination: (RREF, pivot columns) on sparse rows
-        (``_echelon_sparse``), or with ``full=False`` (for ranks) a row
-        echelon form with the same pivots, by panels (``_echelon_dense``):
-        ``_PANEL`` columns wide for large matrices, else one panel as wide as
-        the matrix.  ``_echelon_dense`` itself falls back to one panel when q
-        is too large for an exact float64 Schur complement.
+        (``_echelon_sparse``), or with ``full=False`` (for ranks) the pivot
+        columns alone, by panels (``_echelon_dense``): ``_PANEL`` columns
+        wide for large matrices, else one panel as wide as the matrix.
+        ``_echelon_dense`` itself falls back to one panel when q is too
+        large for an exact float64 Schur complement.
         """
         a, q = self._a, self.q
         if full:
@@ -657,37 +650,9 @@ class ExactMatrix:
         return _echelon_dense(a, q, _PANEL if wide else max(1, a.shape[1]))
 
     def _rref_rational(self):
-        a = self._a.tolist()
-        m, n = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            for i in range(r, m):
-                if a[i][c] != 0:
-                    break
-            else:
-                continue
-            if i != r:
-                a[r], a[i] = a[i], a[r]
-            prow = a[r]
-            # Row r is zero left of column c, so only its nonzero entries
-            # from column c on take part in the normalisation and updates.
-            nz = [j for j in range(c, n) if prow[j] != 0]
-            piv = prow[c]
-            if piv != 1:
-                for j in nz:
-                    prow[j] = _canon_rational(Fraction(prow[j]) / piv)
-            for i in range(m):
-                row = a[i]
-                f = row[c]
-                if f != 0 and i != r:
-                    for j in nz:
-                        row[j] = _canon_rational(row[j] - f * prow[j])
-            pivots.append(c)
-            r += 1
-        return np.array(a, dtype=object).reshape(self.shape), pivots
+        """(RREF, pivot columns) over Q, by ``_echelon_sparse``: a method of
+        its own because ``perfbench/tracer.py`` counts eliminations by name."""
+        return _echelon_sparse(self._a, None)
 
     def rank(self) -> int:
         """Rank over the matrix's field.
@@ -716,9 +681,9 @@ class ExactMatrix:
     def _eliminated_rank(self) -> int:
         """Rank by elimination alone, not cached (``rank``'s last step)."""
         if self.q is not None:
-            return len(self._rref_mod(full=False)[1])
+            return len(self._rref_mod(full=False))
         a = self._integer_matrix()
-        r = len(_mod_cert_prime(a)._rref_mod(full=False)[1])
+        r = len(_mod_cert_prime(a)._rref_mod(full=False))
         return r if r == min(self.shape) else self._rank_bareiss(a.tolist())
 
     def _integer_matrix(self):

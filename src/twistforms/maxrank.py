@@ -32,8 +32,8 @@ import numpy as np
 
 from .exactalg import (
     ExactMatrix,
-    _check_integers,
     _check_modulus,
+    _exact_entries,
     _mod_cert_prime,
     _reduce,
     residue_dtype,
@@ -75,14 +75,11 @@ class ProjPoint:
 
     @classmethod
     def make(cls, coords, q=None):
-        """The point with these coordinates: over GF(q) integers, each
-        reduced mod q (ValueError for any other entry)."""
+        """The point with these coordinates: Python or numpy integers, each
+        reduced mod q over GF(q), and over Q also Fractions (ValueError for
+        any other entry)."""
         _check_modulus(q)
-        coords = list(coords)
-        if q is not None:
-            _check_integers(coords, q)
-            coords = [int(c) for c in coords]
-        return _point(coords, q)
+        return _point(_exact_entries(coords, q), q)
 
     @property
     def pivot(self) -> int:
@@ -321,9 +318,10 @@ def _entry(doc, key: str, kind: type):
 
 
 def _parse_point(pt, n: int, q) -> tuple:
-    """One replay point: n+1 coordinate strings.  Over GF(q) each must be
-    a residue in 0..q-1 written as ``to_json`` writes it
-    (``str(int(c)) == c``); over Q any string ``Fraction`` reads."""
+    """One replay point: n+1 coordinate strings, each written as
+    ``to_json`` writes it: over GF(q) a residue in 0..q-1
+    (``str(int(c)) == c``), over Q a canonical rational
+    (``str(Fraction(c)) == c``, so '1.0', '2/4' or '+1/2' is refused)."""
     if not isinstance(pt, list) or len(pt) != n + 1 or not all(isinstance(c, str) for c in pt):
         raise CertificateError("each point must be a list of %d coordinate strings" % (n + 1))
     if q is not None:
@@ -340,6 +338,8 @@ def _parse_point(pt, n: int, q) -> tuple:
         coords = [Fraction(c) for c in pt]
     except (ValueError, ZeroDivisionError) as exc:
         raise CertificateError("bad point coordinate: %s" % exc) from exc
+    if [str(c) for c in coords] != pt:
+        raise CertificateError("point coordinates over Q must be written as reduced fractions")
     return tuple(int(c) if c.denominator == 1 else c for c in coords)
 
 
@@ -360,7 +360,7 @@ def _prefix_ranks(n: int, p: int, d: int, pts: PointSet, counts: list) -> dict:
     m = eval_matrix(n, p, d, pts)
     fiber = comb(n, p + 1)
     mod = m if m.q is not None else _mod_cert_prime(m._a)
-    pivots = mod.transpose()._rref_mod(full=False)[1]
+    pivots = mod.transpose()._rref_mod(full=False)
     ranks = {}
     for s in counts:
         k = s * fiber

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line driver via main(argv)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -184,6 +185,29 @@ def test_maxrank_verify_rejects_malformed_certificate(capsys, tmp_path, edit):
     doc = json.loads(cert_file.read_text())
     edit(doc)
     with pytest.raises(CertificateError):
+        RankCertificate.from_json(json.dumps(doc))
+    cert_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "maxrank", "--verify", str(cert_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("c", ["1.0", "1e0", "486/368", " 243/184", "+243/184"])
+def test_rational_replay_rejects_rewritten_coordinates(capsys, tmp_path, c):
+    cert_file = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys,
+        "maxrank", "--n", "2", "--p", "0", "--d", "2", "--s", "4", "--q", "rational",
+        "--out", str(cert_file),
+    )
+    assert code == 0
+    doc = json.loads(cert_file.read_text())
+    # The first point is (243/184, -53/138, 1): c reads as one of its
+    # coordinates, but is not how to_json writes it.
+    point = doc["points"][0]
+    j = next(j for j, x in enumerate(point) if Fraction(x) == Fraction(c))
+    point[j] = c
+    with pytest.raises(CertificateError, match="reduced fractions"):
         RankCertificate.from_json(json.dumps(doc))
     cert_file.write_text(json.dumps(doc))
     code, out, err = run(capsys, "maxrank", "--verify", str(cert_file))

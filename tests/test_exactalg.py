@@ -122,13 +122,33 @@ def test_constructor_rejects_data_of_another_shape(q):
     assert ExactMatrix(0, 3, [], q=q).shape == (0, 3)
 
 
-@pytest.mark.parametrize("q", [101, 2**61 - 1])
-@pytest.mark.parametrize("entry", [1.5, 2.0, float("nan"), "3", None, Fraction(3, 1)])
+@pytest.mark.parametrize("q", [101, 2**61 - 1, None])
+@pytest.mark.parametrize(
+    "entry",
+    [1.5, 2.0, float("nan"), "3", None, Fraction(3, 1), "1/3", 1j],
+)
 def test_constructor_refuses_entries_that_are_not_integers(q, entry):
-    # Over GF(q) a float was truncated and a string parsed before.
-    message = "entries over GF(%d) must be integers, got %r" % (q, entry)
+    # A float was truncated and a string parsed before, over GF(q) and Q
+    # alike; over Q a complex number escaped as a bare TypeError.
+    if q is None and isinstance(entry, Fraction):
+        # Over Q a Fraction is exact, and stored canonically.
+        assert _typed(row_list(ExactMatrix(1, 2, [[entry, 2]], q=q))) == [[(int, 3), (int, 2)]]
+        return
+    field = "Q" if q is None else "GF(%d)" % q
+    kinds = "integers or Fractions" if q is None else "integers"
+    message = "entries over %s must be %s, got %r" % (field, kinds, entry)
     with pytest.raises(ValueError, match=re.escape(message)):
         ExactMatrix(1, 2, [[entry, 2]], q=q)
+
+
+def test_rational_constructor_takes_python_and_numpy_integers_and_fractions():
+    # A numpy float was stored as an int, and a numpy integer as it came.
+    with pytest.raises(ValueError, match=re.escape("got %r" % np.float64(2.0))):
+        ExactMatrix(1, 2, [[np.float64(2.0), 1]], q=None)
+    m = ExactMatrix(1, 4, [[np.int64(2), np.uint64(2**64 - 1), Fraction(6, 4), True]], q=None)
+    assert _typed(row_list(m)) == [[(int, 2), (int, 2**64 - 1), (Fraction, Fraction(3, 2)), (int, 1)]]
+    ints = ExactMatrix(2, 2, np.array([[1, -2], [3, 4]], dtype=np.int8), q=None)
+    assert _typed(row_list(ints)) == [[(int, 1), (int, -2)], [(int, 3), (int, 4)]]
 
 
 @pytest.mark.parametrize("q", [101, 2**61 - 1])
@@ -324,12 +344,21 @@ def test_certified_rank_equals_bareiss_rank(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_matrices())
+# Small integer matrices too: scaled by their pivots, their rows are updated
+# to whole Fractions, which must be stored as ints.  So are the examples: an
+# integer matrix of rank 2, and one where every pivot updates every row.
+@given(st.one_of(rational_matrices(), matrices(q=None)))
+@example(qq([[2, 1, 3, 0], [0, 1, 1, 2], [2, 3, 5, 4]]))
+@example(qq([[1, Fraction(1, 2), Fraction(3, 2), 0], [0, 1, 1, 2], [1, 1, Fraction(5, 2), 3]]))
 def test_rational_rref_and_kernel_match_dense_reference(m):
-    rr, pivots = ExactMatrix(m.rows, m.cols, row_list(m))._rref()
     ref_rr, ref_pivots = _dense_rref(m)
-    assert pivots == ref_pivots
-    assert _typed(rr) == _typed(ref_rr)
+    # The routed RREF, and the sparse engine on its own.
+    for rr, pivots in (
+        ExactMatrix(m.rows, m.cols, row_list(m))._rref(),
+        exactalg._echelon_sparse(m._a, None),
+    ):
+        assert pivots == ref_pivots
+        assert _typed(rr) == _typed(ref_rr)
     assert _typed(row_list(m.kernel_basis())) == _typed(_fraction_kernel(m))
 
 
@@ -765,17 +794,12 @@ def test_elimination_paths_match_per_pivot_reference(case):
     for rr, pivots in (m._rref_mod(), exactalg._echelon_sparse(a, q)):
         assert pivots == ref_pivots
         assert _same_array(rr, ref_rr)
-    # Forward-only elimination keeps the pivots, and its rows span the same
-    # space: their RREF is the full one.  The routed rank elimination, and
-    # panels of 1, 2, 3 and 32 columns and one panel as wide as the matrix.
+    # Forward-only elimination finds the same pivots: the routed rank
+    # elimination, and panels of 1, 2, 3 and 32 columns and one panel as
+    # wide as the matrix.
     widths = (1, 2, 3, 32, max(1, a.shape[1]))
-    for ech, pivots in (
-        m._rref_mod(full=False),
-        *(exactalg._echelon_dense(a, q, b) for b in widths),
-    ):
+    for pivots in (m._rref_mod(full=False), *(exactalg._echelon_dense(a, q, b) for b in widths)):
         assert pivots == ref_pivots
-        assert ech.dtype == ref_rr.dtype
-        assert _same_array(_whole_row_rref(ExactMatrix._wrap(ech, q))[0], ref_rr)
     assert ExactMatrix._wrap(a, q).rank() == len(ref_pivots)
 
 
@@ -888,7 +912,7 @@ def test_peeled_rank_equals_whole_matrix_elimination(q, case):
     if q is None:
         want = _bareiss_rank(m)
     else:
-        want = len(exactalg._echelon_dense(m._a, q, max(1, m.cols))[1])
+        want = len(exactalg._echelon_dense(m._a, q, max(1, m.cols)))
     assert m.rank() == want
 
 
@@ -1021,15 +1045,6 @@ def planted_arrays(draw):
     return q, a
 
 
-def _is_echelon(ech, pivots):
-    """Row t starts at column pivots[t]; the rows after the last pivot are zero."""
-    for t, row in enumerate(ech.tolist()):
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead != (pivots[t] if t < len(pivots) else None):
-            return False
-    return True
-
-
 def _dense_example(q):
     """A 40 x 40 array, about half of it q - 1 and the rest random: at 40
     pivots it fills a 32-column panel, with large multipliers throughout."""
@@ -1049,12 +1064,10 @@ def _dense_example(q):
 def test_blocked_elimination_matches_per_pivot_reference(case, b):
     q, a = case
     b = b or max(1, a.shape[1])  # None: one panel, the per-pivot loop
-    ref_rr, ref_pivots = _whole_row_rref(ExactMatrix._wrap(a, q))
-    ech, pivots = exactalg._echelon_dense(a, q, b)
-    assert pivots == ref_pivots
-    assert ech.dtype == a.dtype and _is_echelon(ech, pivots)
-    # Its rows span the same space: their RREF is the full one.
-    assert _same_array(_whole_row_rref(ExactMatrix._wrap(ech, q))[0], ref_rr)
+    before = a.copy()
+    assert exactalg._echelon_dense(a, q, b) == _whole_row_rref(ExactMatrix._wrap(a, q))[1]
+    # The elimination works on copies of its panels.
+    assert _same_array(a, before)
 
 
 def test_large_dense_ranks_take_the_blocked_path(monkeypatch):

@@ -58,6 +58,8 @@ def test_projpoint_normalizes_last_nonzero_to_one():
     pt2 = ProjPoint.make([4, 0], q=None)
     assert pt2.coords == (1, 0)
     assert pt2.pivot == 0
+    pt3 = ProjPoint.make([np.int64(3), Fraction(1, 2), np.int64(2)], q=None)
+    assert pt3.coords == (Fraction(3, 2), Fraction(1, 4), 1) and type(pt3.coords[2]) is int
 
 
 def test_projpoint_rejects_a_composite_modulus():
@@ -66,11 +68,21 @@ def test_projpoint_rejects_a_composite_modulus():
         ProjPoint.make([3, 6], q=100)
 
 
-@pytest.mark.parametrize("coord", [0.5, 2.0, float("nan"), "3", None])
-def test_projpoint_refuses_coordinates_that_are_not_integers(coord):
-    # A float coordinate came back unreduced before.
-    with pytest.raises(ValueError, match=r"entries over GF\(101\) must be integers"):
-        ProjPoint.make([coord, 1], q=101)
+@pytest.mark.parametrize(
+    "q, coord",
+    # The GF(101) cases keep their names; the cases over Q are named Q-...
+    [pytest.param(101, c, id=str(c)) for c in (0.5, 2.0, float("nan"), "3", None)]
+    + [
+        pytest.param(None, c, id="Q-%s" % (c,))
+        for c in (0.5, np.float64(2.0), float("nan"), "1/2", 1j, None)
+    ],
+)
+def test_projpoint_refuses_coordinates_that_are_not_integers(q, coord):
+    # A float coordinate came back unreduced before; over Q a float or a
+    # string escaped as a bare TypeError.
+    field = r"GF\(101\) must be integers," if q else "Q must be integers or Fractions,"
+    with pytest.raises(ValueError, match="entries over " + field):
+        ProjPoint.make([coord, 1], q=q)
 
 
 def test_projpoint_reduces_python_and_numpy_integers():
@@ -437,7 +449,7 @@ def fraction_prefix_ranks(n, p, d, pts, counts):
     the Fraction evaluation, multiplied back to integer rows."""
     m = fraction_eval_matrix(n, p, d, pts)
     fiber = comb(n, p + 1)
-    pivots = _mod_cert_prime(m._integer_matrix()).transpose()._rref_mod(full=False)[1]
+    pivots = _mod_cert_prime(m._integer_matrix()).transpose()._rref_mod(full=False)
     ranks = {}
     for s in counts:
         k = s * fiber
