@@ -23,18 +23,17 @@ one float64 ``np.bincount`` sums the terms of each entry.  An entry sums at
 most k terms below q, so the sums are exact, and one integer remainder
 reduces them.  The work is the number of terms, not m * k * n.
 
-Every other product over GF(q) takes one of three tiers, each exact:
+Every other product over GF(q) takes one of two tiers, each exact:
 
 * float64 BLAS, when (q - 1)^2 * k <= 2^53 - 1: every partial sum is then
   an integer that float64 holds exactly (Dumas, Giorgi and Pernet, "Dense
   linear algebra over word-size prime fields: the FFLAS and FFPACK
   packages", ACM TOMS 2008), so the product is cast to int64 exactly and
   one integer remainder reduces it.  At q = 101 this holds up to k = 9.0e11.
-* float64 BLAS on 16-bit limbs, when q <= ``WORD_MODULUS_MAX`` and
-  k <= 2^20: each residue is split as hi * 2^16 + lo, so hi < 46341 and
-  lo < 2^16, and the hi*hi, hi*lo + lo*hi and lo*lo products keep every
-  partial sum below 2^53; the three are reduced and recombined in int64.
-* Python integers (object dtype) otherwise.
+* Python integers (object dtype) otherwise.  A large dense product is
+  slow there (200 x 200 at q = 2^31 - 1 takes about 0.3 s on a 2-core
+  x86_64 VM), but at a word-size q no verdict makes one: its products
+  there are sparse joins or a few dozen rows and columns at most.
 
 Eliminations have two engines, one job each:
 
@@ -202,10 +201,6 @@ def residue_dtype(q: int | None):
 #: Every integer up to this bound is exact in float64.
 _FLOAT_EXACT = 2**53 - 1
 
-#: Largest inner dimension of the limb tier: k * 2 * 46340 * (2^16 - 1),
-#: the largest partial sum of the hi*lo + lo*hi product, stays below 2^53.
-_LIMB_INNER_MAX = 2**20
-
 
 def _canon_rational(x) -> Fraction | int:
     if type(x) is int:
@@ -238,9 +233,11 @@ def _max_abs(a) -> int:
 def _mulmod(a, b, q: int | None):
     """(a @ b) mod q of two reduced residue arrays, as a reduced array of
     dtype ``residue_dtype(q)``; with q None, the exact product of two object
-    arrays of Python ints, as one.  The tier is chosen as in the module
-    docstring.  ``ExactMatrix.__matmul__`` joins two sparse word-size
-    operands by ``_sparse_mulmod`` instead, and calls this for the rest."""
+    arrays of Python ints, as one.  Over GF(q) it takes float64 BLAS when
+    (q - 1)^2 * k <= 2^53 - 1 and Python integers otherwise, as in the
+    module docstring.  ``ExactMatrix.__matmul__`` joins two sparse
+    word-size operands by ``_sparse_mulmod`` instead, and calls this for
+    the rest."""
     (m, k), n = a.shape, b.shape[1]
     if k == 0:
         return np.zeros((m, n), dtype=residue_dtype(q))
@@ -252,18 +249,6 @@ def _mulmod(a, b, q: int | None):
         return a @ b
     if (q - 1) ** 2 * k <= _FLOAT_EXACT:
         return _float_mod(a.astype(np.float64) @ b.astype(np.float64), q)
-    if q <= WORD_MODULUS_MAX and k <= _LIMB_INNER_MAX:
-        ahi, alo = (a >> 16).astype(np.float64), (a & 0xFFFF).astype(np.float64)
-        bhi, blo = (b >> 16).astype(np.float64), (b & 0xFFFF).astype(np.float64)
-        mid = ahi @ blo
-        mid += alo @ bhi
-        # (q - 1) * (2^32 mod q) <= 2^62 for every word-size q, and the
-        # other two terms are below 2^48 and 2^32, so the sum fits int64.
-        out = _float_mod(ahi @ bhi, q) * ((1 << 32) % q)
-        out += _float_mod(mid, q) << 16
-        out += _float_mod(alo @ blo, q)
-        _reduce(out, q)
-        return out
     prod = (a.astype(object) @ b.astype(object)) % q
     return prod.astype(residue_dtype(q))
 
@@ -728,9 +713,10 @@ class ExactMatrix:
     def kernel_basis(self) -> "ExactMatrix":
         """Basis of the right kernel, one basis vector per column.
 
-        Column count is ``cols - rank``.  Rational kernels are rescaled to
-        coprime integer columns with positive leading entry, so the result
-        is canonical for either field.
+        Column count is ``cols - rank``.  Each column is 1 on its free
+        column and 0 on the others; over Q it is then scaled by the lcm of
+        its denominators, to primitive integers, positive on its free
+        column.
         """
         rr, pivots = self._rref()
         pivot_set = set(pivots)
@@ -748,8 +734,6 @@ class ExactMatrix:
                 den = lcm(*(x.denominator for x in w if type(x) is Fraction))
                 if den != 1:
                     w[:] = [int(x * den) for x in w]
-                if next((x for x in w if x != 0), 1) < 0:
-                    w[:] = -w
         return ExactMatrix._wrap(ker, self.q)
 
     def solve(self, rhs: "ExactMatrix"):

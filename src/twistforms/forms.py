@@ -26,15 +26,15 @@ step from each (an element removed, the last one dropped or added), and
 the monomial ranks of multiplication by x_j, of division by the least
 variable and of truncation at x_n = 0.  A section space stores its basis
 once, as three int64 arrays of its nonzeros (column, ambient row, sign
-+/-1), sorted by column, the column's free row first.  The entry is the
-sign itself over Q and the sign modulo q over GF(q); on the free rows,
-where no other column is nonzero, the basis is the identity over GF(q)
-and a diagonal of +/-1 over Q.  A map between section spaces is given by
-its rule on codes; the image of a basis is composed on the basis's
-arrays, a sparse product as in Gustavson (ACM TOMS 1978), its coordinates
-are read off the target's free rows, with no elimination, and the
-target's arrays rebuild the image from them, which checks that it lies in
-the span.  No matrix between the two ambient spaces, and no dense basis,
++/-1), sorted by column, the column's free row first.  They are the same
+on every field: the entry is the sign itself over Q and the sign modulo q
+over GF(q), and on the free rows, where no other column is nonzero, the
+basis is the identity.  A map between section spaces is given by its rule
+on codes; the image of a basis is composed on the basis's arrays, a
+sparse product as in Gustavson (ACM TOMS 1978), its coordinates are read
+off the target's free rows, with no elimination, and the target's arrays
+rebuild the image from them, which checks over Z that it lies in the
+span.  No matrix between the two ambient spaces, and no dense basis,
 is built: point evaluation also reads the arrays.
 
 Index sets are ordered lexicographically and monomials in graded-lex order
@@ -117,9 +117,9 @@ class SectionSpace:
     + rank(m) (for a free sum, copy j of O(d) in place of I).  The basis is
     stored once, as its nonzeros: read-only int64 arrays ``col``, ``row``
     and ``sign``, sorted by column, each column's free row first, where no
-    other column is nonzero.  Every entry is +/-1 over Q, and the sign
-    modulo q over GF(q), where each free entry is 1.  Equality and hash
-    read the descriptor, q, the shape and the three arrays.
+    other column is nonzero.  The arrays are the same on every field: each
+    entry is its sign, +/-1, over Q and that sign modulo q over GF(q), and
+    each free entry is 1.  Spaces compare by identity.
 
     Two views of the same basis are built with it.  ``_decoded`` is the
     (set rank, monomial rank) of each nonzero's row, as maps out of the
@@ -139,18 +139,6 @@ class SectionSpace:
     sign: np.ndarray
     _decoded: tuple = field(repr=False)
     _target: tuple = field(repr=False)
-
-    def _state(self) -> tuple:
-        arrays = (self.col.tobytes(), self.row.tobytes(), self.sign.tobytes())
-        return (self.descriptor, self.q, self.size, self.width) + arrays
-
-    def __eq__(self, other):
-        if not isinstance(other, SectionSpace):
-            return NotImplemented
-        return self._state() == other._state()
-
-    def __hash__(self):
-        return hash(self._state())
 
 
 def _frozen(a):
@@ -359,9 +347,8 @@ def contraction_matrix(n: int, p: int, d: int, q=None) -> ExactMatrix:
 def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
     """Sections of ``desc``'s twist d among its p-forms in dx_0..dx_n with
     coefficients in x_0..x_{nvar-1}: the kernel of contraction iota with
-    sum_{i < nvar} x_i d/dx_i, as ``kernel_basis`` gives it (the identity
-    on the RREF's free columns over GF(q); over Q each column negated when
-    its first nonzero entry is negative), filled in closed form.
+    sum_{i < nvar} x_i d/dx_i, as ``kernel_basis`` gives it over either
+    field (the identity on the RREF's free columns), filled in closed form.
 
     Contraction keeps the multidegree m + 1_J of x^m dx_J, so the matrix is
     block diagonal.  In the block of (J, m), v0 is the least j < nvar with
@@ -376,11 +363,11 @@ def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
     (J, m) because v0 < min J, and the pivot columns are independent,
     since the terms of iota(dx_{v0} ^ u) = x_{v0} u - dx_{v0} ^ iota(u)
     without dx_{v0} determine u.  So the free columns depend on earlier
-    ones and the pivot columns do not, and over Q only the sign rule is
-    left, as every entry is +/-1.  A column with no v0 (restricted p = 1,
-    J = (n,), m = 0) is zero, and its kernel vector is itself; at p = 0
-    every column is free and the basis is the identity.  All of it is
-    computed on codes, for every (J, m) at once.
+    ones and the pivot columns do not.  Every entry is +/-1, so over Q each
+    column is already primitive, the same integers as over GF(q).  A column
+    with no v0 (restricted p = 1, J = (n,), m = 0) is zero, and its kernel
+    vector is itself; at p = 0 every column is free and the basis is the
+    identity.  All of it is computed on codes, for every (J, m) at once.
     """
     n, p, d = desc.n, desc.p, desc.d
     sub = _subsets(n + 1, p)
@@ -408,20 +395,16 @@ def _kernel_sections(desc, nvar: int, q) -> SectionSpace:
         js = js if nvar > n else np.minimum(js, nvar - 1)
         mons = _times(nvar, d - p - 1)[js, quotient[fm][:, None]]
     rows = np.concatenate([(fs * width + fm)[:, None], sets * width + mons], axis=1)
-    signs = _homotopy_signs(p, q is None)[below.sum(axis=1)]
+    signs = _homotopy_signs(p)[below.sum(axis=1)]
     return _space(desc, q, len(sub.elements) * width, width, rows, signs)
 
 
 @lru_cache(maxsize=None)
-def _homotopy_signs(p: int, rational: bool) -> np.ndarray:
+def _homotopy_signs(p: int) -> np.ndarray:
     """Row v: the entries of a kernel column of p-forms whose index set has v
     positions below nvar: 1 on its free row, then -(-1)^pos for pos < v, and
-    0 after.  Over Q, kernel_basis negates a column whose first nonzero is
-    negative.  Its least row is the term of position v - 1 (deleting a
-    later element gives an earlier set), negative when v is odd."""
+    0 after.  The same integers on every field."""
     rows = [[1] + [(-1) ** (pos + 1) if pos < v else 0 for pos in range(p)] for v in range(p + 1)]
-    if rational:
-        rows = [[(-1) ** v * x for x in row] for v, row in enumerate(rows)]
     return _frozen(np.array(rows, dtype=np.int64))
 
 
@@ -493,14 +476,14 @@ def _section_map(src: SectionSpace, tgt: SectionSpace, rule, what: str) -> Exact
 
     The image of the basis of ``src`` is summed once, per (row, column),
     into a dense array over ``tgt``'s ambient rows, and its coordinates are
-    selected, not solved for.  On its free rows the target basis B is a
-    diagonal D of 1s over GF(q) and of +/-1s over Q, so an image B @ Y has
-    the rows D @ Y there, and Y is those rows times D.  B @ Y, built from
+    selected, not solved for.  On its free rows the target basis B is the
+    identity, so an image B @ Y has the rows Y there.  B @ Y, built from
     Y's nonzeros and their columns of ``tgt._target``, must then equal the
-    image: exactly over Z, or else modulo q over GF(q).  Every entry of B
-    is +/-1, so Y needs no reduction for this; an image outside the span
-    differs from B times its selected coordinates, so the check is exact
-    and complete.
+    image exactly over Z, on every field, and only then is Y reduced mod q.
+    B and the source basis are the same integers on every field and every
+    display rule is a map of forms over Z, so a valid map passes; an image
+    outside the span differs from B times its selected coordinates, so the
+    check is exact and complete, also where -1 = 1 mod q.
 
     The coordinates are written from their nonzeros, so the matrix is
     handed that pattern (those of Y's entries that are not 0 mod q, in
@@ -516,10 +499,9 @@ def _section_map(src: SectionSpace, tgt: SectionSpace, rule, what: str) -> Exact
     image = image.reshape(tgt.size + 1, cols)
     free = image[rows[:, 0]]
     k, c = (free != 0).nonzero()
-    y = free[k, c] if q is not None else free[k, c] * signs[k, 0]
+    y = free[k, c]
     np.subtract.at(image, (rows[k], c[:, None]), signs[k] * y[:, None])
-    residual = image[1:]
-    if residual.any() and (q is None or (residual % q).any()):
+    if image[1:].any():
         raise ConsistencyError("%s: image does not lie in %r" % (what, tgt.descriptor))
     # Past int64 the residues mod q are Python ints, and so is their reduction.
     y = y.astype(np.int64).astype(residue_dtype(q), copy=False)

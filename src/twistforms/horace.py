@@ -25,14 +25,6 @@ from .maxrank import RankCertificate, certify_counts
 
 __all__ = ["HoraceNode", "HoraceReport", "plan", "verify_tree", "render_tree"]
 
-ROLES = (
-    "root",
-    "alpha3-hyperplane",
-    "alpha1-interior",
-    "alpha1prime-degree-lowered",
-    "leaf-base-case",
-)
-
 
 @dataclass
 class HoraceNode:

@@ -86,11 +86,12 @@ def test_rational_kernel_columns_are_canonical_integers():
     k = m.kernel_basis()
     assert k.shape == (3, 2)
     assert (m @ k).is_zero()
+    # Column 0 is the pivot column; column j of the kernel is positive on
+    # the free column 1 + j and 0 on the other one.
     for j in range(2):
         col = [row[j] for row in row_list(k)]
         assert all(isinstance(c, int) for c in col)
-        lead = next(c for c in col if c != 0)
-        assert lead > 0
+        assert col[1 + j] > 0 and col[2 - j] == 0
 
 
 def test_solve_consistent_and_inconsistent():
@@ -325,10 +326,7 @@ def _fraction_kernel(m):
         g = 0
         for x in w:
             g = gcd(g, x)
-        w = [x // g for x in w]
-        if next(x for x in w if x != 0) < 0:
-            w = [-x for x in w]
-        cols.append(w)
+        cols.append([x // g for x in w])
     return [[col[i] for col in cols] for i in range(m.cols)]
 
 
@@ -466,10 +464,10 @@ def test_large_prime_storage_and_singular_matrix():
 # -- the word-size product engine and its eliminations -------------------------
 
 # 94906249 is the largest prime with (q-1)^2 <= 2^53-1, so only inner
-# dimension 1 takes float64 there and larger ones take 16-bit limbs; 94906297
-# is the first prime never on direct float64; 2^31-1 and CERT_PRIME, the
-# largest word-size prime, take limbs; 4294967311 and 2^61-1 take Python
-# integers.
+# dimension 1 takes float64 there and larger ones take Python integers;
+# 94906297 is the first prime never on float64; so are 2^31-1 and CERT_PRIME,
+# the largest word-size prime, whose residues are int64; 4294967311 and
+# 2^61-1 are past word size, with Python integers as residues too.
 PRODUCT_PRIMES = (
     2, 101, 94906249, 94906297, 2**31 - 1, CERT_PRIME, 4294967311, 2**61 - 1
 )
@@ -478,29 +476,21 @@ PRODUCT_PRIMES = (
 def test_product_prime_tiers():
     assert (94906249 - 1) ** 2 <= exactalg._FLOAT_EXACT < 2 * (94906249 - 1) ** 2
     assert (94906297 - 1) ** 2 > exactalg._FLOAT_EXACT
-    # Limbs of a word-size residue are hi <= 46340 and lo <= 2^16-1; at the
-    # largest inner dimension the hi*lo + lo*hi sum stays exact in float64.
-    assert (WORD_MODULUS_MAX - 1) >> 16 == 46340
-    assert exactalg._LIMB_INNER_MAX * 2 * 46340 * 0xFFFF <= exactalg._FLOAT_EXACT
     assert is_prime(CERT_PRIME) and not any(
         is_prime(q) for q in range(CERT_PRIME + 1, WORD_MODULUS_MAX + 1)
     )
     assert residue_dtype(2**31 - 1) is residue_dtype(CERT_PRIME) is np.int64
 
 
-def test_limb_tier_at_its_inner_dimension_bound(monkeypatch):
-    # Only the float64 tiers reduce with _float_mod: k = 2^20 is the last
-    # limb product, and one more takes the object tier.
-    fmods = []
-    fmod = exactalg._float_mod
-    monkeypatch.setattr(exactalg, "_float_mod", lambda *args: fmods.append(1) or fmod(*args))
-    q = CERT_PRIME
-    for k, limbs in ((exactalg._LIMB_INNER_MAX, True), (exactalg._LIMB_INNER_MAX + 1, False)):
-        fmods.clear()
-        a = ExactMatrix._wrap(np.full((1, k), q - 1, dtype=np.int64), q)
-        b = ExactMatrix._wrap(np.full((k, 1), q - 1, dtype=np.int64), q)
-        assert row_list(a @ b) == [[k * (q - 1) ** 2 % q]]
-        assert bool(fmods) is limbs
+def test_word_size_product_past_float64_on_python_integers():
+    # A dense product of entries q-1 at the largest word-size prime: every
+    # term is (q-1)^2, near 2^63, and the exact sum is k (q-1)^2.
+    q, k = CERT_PRIME, 4096
+    a = ExactMatrix._wrap(np.full((1, k), q - 1, dtype=np.int64), q)
+    b = ExactMatrix._wrap(np.full((k, 1), q - 1, dtype=np.int64), q)
+    out = a @ b
+    assert row_list(out) == [[k * (q - 1) ** 2 % q]]
+    assert out._a.dtype == np.int64
 
 
 @st.composite

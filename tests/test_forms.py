@@ -1,7 +1,6 @@
 """Section spaces as Koszul-contraction kernels, and the maps between them."""
 
 import itertools
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -471,11 +470,11 @@ FIELDS = [2, 3, 101, 2**31 - 1, 2**61 - 1, None]
 
 @pytest.mark.parametrize("q", FIELDS)
 def test_free_rows_carry_the_identity(q):
-    # On its free rows each basis is the identity over GF(q) and a +/-1
-    # diagonal over Q, empty spaces included.  Each space's stored nonzeros
-    # reassemble to its basis, entry for entry, and each column's term on
-    # its free row, its first, is that diagonal entry.  Each space's codes
-    # number its ambient pairs: size of them, width monomials per set.
+    # On its free rows each basis is the identity on every field, empty
+    # spaces included.  Each space's stored nonzeros reassemble to its
+    # basis, entry for entry, and each column's term on its free row, its
+    # first, is that diagonal entry.  Each space's codes number its ambient
+    # pairs: size of them, width monomials per set.
     spaces = []
     for n in range(5):
         spaces += [free_sections(n, d, r, q) for d in range(-1, 4) for r in range(3)]
@@ -492,10 +491,7 @@ def test_free_rows_carry_the_identity(q):
         block = basis._a[list(free)]
         diag = block.diagonal()
         assert not (block - np.diag(diag)).any(), case
-        if q is None:
-            assert all(x in (1, -1) for x in diag), case
-        else:
-            assert (diag == 1).all(), case
+        assert (diag == 1).all(), case
         assert len(terms) == space.dim, case
         cells = {(i, c): v for c, column in enumerate(terms) for i, v in column}
         assert len(cells) == sum(map(len, terms)) == space.sign.size, case
@@ -553,8 +549,12 @@ def test_eval_matrix_assembles_no_dense_basis(monkeypatch, q):
 
 @pytest.mark.parametrize("q", [2, 101, None])
 def test_rebuilt_section_spaces_compare_and_hash_equal(q):
-    # Equality and hash read descriptor, q, shape and the three arrays: the
-    # views built with them take no part.
+    # Spaces compare by identity.  A rebuilt space has the same descriptor,
+    # q, shape and three arrays, whatever was read off the first one.
+    def state(space):
+        arrays = (space.col.tobytes(), space.row.tobytes(), space.sign.tobytes())
+        return (space.descriptor, space.q, space.size, space.width) + arrays
+
     def spaces():
         return [
             h0_basis(3, 1, 3, q),
@@ -572,9 +572,9 @@ def test_rebuilt_section_spaces_compare_and_hash_equal(q):
     after = spaces()
     for old, new in zip(before, after):
         assert old is not new and "basis" not in vars(new)
-        assert old == new and hash(old) == hash(new), new.descriptor
-        assert replace(new, _decoded=(), _target=()) == old, new.descriptor
-    assert len(set(before + after)) == len(before)
+        assert old != new and state(old) == state(new), new.descriptor
+    assert len({state(space) for space in before + after}) == len(before)
+    assert len(set(before + after)) == 2 * len(before)
 
 
 @pytest.mark.parametrize("q", FIELDS)
@@ -645,6 +645,42 @@ def test_section_map_rejects_an_image_outside_the_target(q):
         _section_map(top, middle, coded(entries, top, middle), "twist with a dropped term")
     with pytest.raises(ConsistencyError, match="twist with an added term"):
         _section_map(top, middle, coded(added, top, middle), "twist with an added term")
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_section_map_rejects_a_sign_error_at_every_characteristic(q):
+    # The x_n twist of Omega^1(2) into Omega^1(3) on P^2, with the sign of
+    # one term flipped: over Z the image leaves the span by twice that term,
+    # which is 0 mod 2, so only a check over Z sees it at q = 2.
+    top, middle = h0_basis(2, 1, 2, q), h0_basis(2, 1, 3, q)
+    flipped = next(
+        pair for pair, row in zip(ambient_key(top), row_list(dense_basis(top))) if any(row)
+    )
+
+    def twist(pair):
+        I, m = pair
+        return ((I, m[:2] + (m[2] + 1,)), -1 if pair == flipped else 1),
+
+    with pytest.raises(ConsistencyError, match="twist with a flipped sign"):
+        _section_map(top, middle, coded(twist, top, middle), "twist with a flipped sign")
+
+
+@pytest.mark.parametrize("q", [2, 2**61 - 1, None])
+def test_section_bases_are_the_same_integers_on_every_field(q):
+    # The closed-form bases have the same nonzeros, as the same +/-1 signs,
+    # over every field as over GF(101).
+    for n in range(5):
+        cases = [(free_sections, (n, d, r)) for d in range(-1, 4) for r in range(3)]
+        for p in range(n + 2):
+            for d in range(p - 1, p + 4):
+                cases.append((h0_basis, (n, p, d)))
+                if n >= 1:
+                    cases.append((restricted_sections, (n, p, d)))
+        for build, args in cases:
+            space, ref = build(*args, q), build(*args, 101)
+            assert (space.size, space.width, space.dim) == (ref.size, ref.width, ref.dim), args
+            for name in ("col", "row", "sign"):
+                assert np.array_equal(getattr(space, name), getattr(ref, name)), (build, args)
 
 
 # -- code rules against the tuple rules they replaced ---------------------------

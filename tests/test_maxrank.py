@@ -198,17 +198,18 @@ def test_eval_matrix_rejects_vanishing_pivot():
 
 
 def test_eval_matrix_invariant_one_form():
-    # H^0(Omega^1(2)) on P^1 is spanned by x1 dx0 - x0 dx1; at (1:1) the
-    # chart drops the pivot component dx1, leaving x1 = 1.
+    # H^0(Omega^1(2)) on P^1 is spanned by x0 dx1 - x1 dx0, 1 on its free
+    # row x0 dx1 as over every field; at (1:1) the chart drops the pivot
+    # component dx1, leaving -x1 = -1.
     space = h0_basis(1, 1, 2, None)
     assert dict(zip(ambient_key(space), row_list(dense_basis(space).transpose())[0])) == {
         ((0,), (1, 0)): 0,
-        ((0,), (0, 1)): 1,
-        ((1,), (1, 0)): -1,
+        ((0,), (0, 1)): -1,
+        ((1,), (1, 0)): 1,
         ((1,), (0, 1)): 0,
     }
     pts = PointSet(1, (ProjPoint.make([1, 1], q=None),), None, 0)
-    assert eval_matrix(1, 0, 1, pts) == ExactMatrix(1, 1, [[1]], q=None)
+    assert eval_matrix(1, 0, 1, pts) == ExactMatrix(1, 1, [[-1]], q=None)
 
 
 def test_fiber_eval_chart_choice_preserves_rank():
