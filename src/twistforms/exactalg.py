@@ -14,26 +14,24 @@ scanned once and a dense one is marked dense, and either is kept.  A map
 built from its nonzeros, as the display maps of ``forms`` are, is handed
 its pattern and never scanned.
 
-A word-size GF(q) product of two sparse matrices, m x k by k x n, is a
-join on their patterns when (q - 1) * k <= 2^53 - 1, a row-by-row product
-as in Gustavson ("Two fast algorithms for sparse matrices", ACM TOMS
-1978): each nonzero a[i, j] meets the nonzeros of row j of b, each term
-product is reduced mod q (below 2^63, since q <= ``WORD_MODULUS_MAX``), and
-one float64 ``np.bincount`` sums the terms of each entry.  An entry sums at
-most k terms below q, so the sums are exact, and one integer remainder
-reduces them.  The work is the number of terms, not m * k * n.
+A product of two sparse matrices, m x k by k x n, over either field, is a
+join on their patterns, a row-by-row product as in Gustavson ("Two fast
+algorithms for sparse matrices", ACM TOMS 1978): each nonzero a[i, j]
+meets the nonzeros of row j of b, and one ``np.add.at`` sums the term
+products of each entry in the operands' own dtype, over GF(q) reduced mod
+q before and after (``_sparse_mulmod``).  The work is the number of terms,
+not m * k * n.  Every other product takes one of two exact tiers:
 
-Every other product over GF(q) takes one of two tiers, each exact:
-
-* float64 BLAS, when (q - 1)^2 * k <= 2^53 - 1: every partial sum is then
-  an integer that float64 holds exactly (Dumas, Giorgi and Pernet, "Dense
-  linear algebra over word-size prime fields: the FFLAS and FFPACK
-  packages", ACM TOMS 2008), so the product is cast to int64 exactly and
-  one integer remainder reduces it.  At q = 101 this holds up to k = 9.0e11.
-* Python integers (object dtype) otherwise.  A large dense product is
-  slow there (200 x 200 at q = 2^31 - 1 takes about 0.3 s on a 2-core
-  x86_64 VM), but at a word-size q no verdict makes one: its products
-  there are sparse joins or a few dozen rows and columns at most.
+* float64 BLAS over GF(q), when (q - 1)^2 * k <= 2^53 - 1: every partial
+  sum is then an integer that float64 holds exactly (Dumas, Giorgi and
+  Pernet, "Dense linear algebra over word-size prime fields: the FFLAS
+  and FFPACK packages", ACM TOMS 2008), so the product is cast to int64
+  exactly and one integer remainder reduces it.  At q = 101 this holds up
+  to k = 9.0e11.
+* Python objects otherwise, and always over Q.  A large dense product is
+  slow there (200 x 200 takes about 0.4 s over Q, of integers below 1000,
+  and 0.65 s at q = 2^31 - 1, on a 2-core x86_64 VM), but no verdict makes
+  one: its products are sparse joins or a few dozen rows and columns.
 
 Eliminations have two engines, one job each:
 
@@ -82,13 +80,9 @@ and the two steps repeat until neither deletes anything.  Only the core that is 
 eliminated, by the dense engine; no sparse rank of the display up to
 n = 5 leaves one.
 
-A rational product of two matrices with only integer entries, such as
-section bases, display maps and point evaluations, is an exact integer
-product: through float64 BLAS, cast back to integers with no reduction,
-when max|A| * max|B| * k <= 2^53 - 1 (the argument of the first tier above,
-with no modulus), and as one object-dtype numpy product otherwise.  A
-product with a Fraction entry is one object-dtype product whose entries are
-then canonicalised.
+A rational product with a Fraction among the entries it reads (the
+gathered nonzeros of a join, every entry of a dense product) has its
+entries canonicalised by the constructor; a product of integers needs none.
 
 The rank of a rational matrix is certified modulo the word prime
 ``_CERT_PRIME``: clearing the denominators of each row gives an integer
@@ -210,60 +204,42 @@ def _canon_rational(x) -> Fraction | int:
 
 
 def _reduce(x, q: int):
-    """x %= q, in place, for an integer array: numpy's floor division by a
-    scalar divides by a precomputed reciprocal, and is several times faster
-    than its remainder."""
+    """x %= q, in place, for an integer array: on int64 numpy's floor
+    division by a scalar divides by a precomputed reciprocal, and is several
+    times faster than its remainder."""
+    if x.dtype == object:
+        x %= q
+        return
     t = x // q
     t *= q
     x -= t
 
 
-def _float_mod(x, q: int):
-    """x mod q, as int64, of a float64 array of nonnegative integers below
-    2^53: the cast is exact, and ``_reduce`` is much cheaper than fmod."""
-    out = x.astype(np.int64)
-    _reduce(out, q)
-    return out
-
-
-def _max_abs(a) -> int:
-    return max(map(abs, a.flat), default=0)
-
-
 def _mulmod(a, b, q: int | None):
     """(a @ b) mod q of two reduced residue arrays, as a reduced array of
     dtype ``residue_dtype(q)``; with q None, the exact product of two object
-    arrays of Python ints, as one.  Over GF(q) it takes float64 BLAS when
-    (q - 1)^2 * k <= 2^53 - 1 and Python integers otherwise, as in the
-    module docstring.  ``ExactMatrix.__matmul__`` joins two sparse
-    word-size operands by ``_sparse_mulmod`` instead, and calls this for
-    the rest."""
-    (m, k), n = a.shape, b.shape[1]
-    if k == 0:
-        return np.zeros((m, n), dtype=residue_dtype(q))
-    if q is None:
-        # A zero operand counts as 1, so the other one also converts exactly.
-        if max(_max_abs(a), 1) * max(_max_abs(b), 1) * k <= _FLOAT_EXACT:
-            prod = a.astype(np.float64) @ b.astype(np.float64)
-            return prod.astype(np.int64).astype(object)
-        return a @ b
-    if (q - 1) ** 2 * k <= _FLOAT_EXACT:
-        return _float_mod(a.astype(np.float64) @ b.astype(np.float64), q)
-    prod = (a.astype(object) @ b.astype(object)) % q
-    return prod.astype(residue_dtype(q))
+    arrays.  Over GF(q) float64 BLAS when (q - 1)^2 * k <= 2^53 - 1, else
+    Python objects, as in the module docstring; ``ExactMatrix.__matmul__``
+    joins two sparse operands by ``_sparse_mulmod`` instead."""
+    if q is not None and (q - 1) ** 2 * a.shape[1] <= _FLOAT_EXACT:
+        prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    else:
+        prod = a.astype(object, copy=False) @ b.astype(object, copy=False)
+        if q is None:
+            return prod
+    _reduce(prod, q)
+    return prod.astype(residue_dtype(q), copy=False)
 
 
-def _sparse_mulmod(a, a_nz, b, b_nz, q: int):
-    """(a @ b) mod q, as int64, of two reduced residue arrays for a
-    word-size q, from their nonzero patterns (``ExactMatrix._pattern``),
-    when (q - 1) * k <= 2^53 - 1 for the inner dimension k.
-
-    A row-by-row product (Gustavson, ACM TOMS 1978) as one join: each
-    nonzero a[i, j] meets the nonzeros of row j of b, each term product is
-    reduced mod q (below 2^63, as q <= ``WORD_MODULUS_MAX``), and the terms
-    are summed per output entry by one float64 ``np.bincount``.  An entry
-    sums at most k reduced terms, so every partial sum is an integer below
-    2^53 and exact, and one integer remainder reduces the sums.
+def _sparse_mulmod(a, a_nz, b, b_nz, q: int | None):
+    """``_mulmod(a, b, q)`` from the nonzero patterns of a and b
+    (``ExactMatrix._pattern``), as one join (Gustavson, ACM TOMS 1978):
+    each nonzero a[i, j] meets the nonzeros of row j of b, the term
+    products are reduced mod q over GF(q), and one ``np.add.at`` sums them
+    per output entry into zeros of the operands' dtype, reduced again over
+    GF(q).  An int64 entry sums at most k terms below q, for the inner
+    dimension k, so it is exact while (q - 1) * k < 2^63; past that bound
+    the terms are summed as Python ints.
     """
     (m, k), n = a.shape, b.shape[1]
     (ai, aj), (bi, bj) = a_nz, b_nz
@@ -277,14 +253,22 @@ def _sparse_mulmod(a, a_nz, b, b_nz, q: int):
     src = np.repeat(np.arange(ai.size), count)
     at = np.arange(src.size) + (start[aj] - first)[src]
     terms = a[ai, aj][src] * b[bi, bj][at]
-    _reduce(terms, q)
-    sums = np.bincount(ai[src] * n + bj[at], terms, m * n)
-    return _float_mod(sums.reshape(m, n), q)
+    if q is not None:
+        _reduce(terms, q)
+    # int64 terms added into object sums become Python ints.
+    wide = terms.dtype == object or (q - 1) * k >= 2**63
+    sums = np.zeros(m * n, dtype=object if wide else np.int64)
+    np.add.at(sums, ai[src] * n + bj[at], terms)
+    sums = sums.reshape(m, n)
+    if q is None:
+        return sums
+    _reduce(sums, q)
+    return sums.astype(residue_dtype(q), copy=False)
 
 
 #: Ranks of matrices, over either field, with at most this share of nonzero
-#: entries are peeled before any elimination, and word-size GF(q) products
-#: of two such matrices are joined on their nonzeros.
+#: entries are peeled before any elimination, and products of two such
+#: matrices are joined on their nonzeros.
 _SPARSE_DENSITY = 0.1
 
 #: Panel width of the dense elimination, and the smaller side from which a
@@ -594,19 +578,20 @@ class ExactMatrix:
             raise ValueError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
+        nz = self._pattern()
+        other_nz = other._pattern() if nz else None
+        if other_nz:
+            out = _sparse_mulmod(self._a, nz, other._a, other_nz, self.q)
+        else:
+            out = _mulmod(self._a, other._a, self.q)
+            nz = other_nz = ...  # a dense product reads every entry
         if self.q is None:
-            # Products of canonical rationals with a Fraction in them take
-            # the constructor's canonicalisation; integer ones need none.
-            types = set(map(type, self._a.flat)) | set(map(type, other._a.flat))
+            # A product with a Fraction among the entries it read takes the
+            # constructor's canonicalisation; a product of integers needs none.
+            types = set(map(type, self._a[nz].flat)) | set(map(type, other._a[other_nz].flat))
             if not types <= {int}:
-                return ExactMatrix(self.rows, other.cols, self._a @ other._a)
-        elif self.q <= WORD_MODULUS_MAX and (self.q - 1) * self.cols <= _FLOAT_EXACT:
-            nz = self._pattern()
-            other_nz = other._pattern() if nz else None
-            if other_nz:
-                out = _sparse_mulmod(self._a, nz, other._a, other_nz, self.q)
-                return ExactMatrix._wrap(out, self.q)
-        return ExactMatrix._wrap(_mulmod(self._a, other._a, self.q), self.q)
+                return ExactMatrix(self.rows, other.cols, out)
+        return ExactMatrix._wrap(out, self.q)
 
     def augment(self, other):
         """Horizontal concatenation [self | other]."""

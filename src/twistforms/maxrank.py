@@ -91,7 +91,6 @@ class PointSet:
     n: int
     points: tuple
     q: int | None
-    seed: int | None = None
 
 
 def _point(coords, q) -> ProjPoint:
@@ -138,7 +137,7 @@ def random_points(n: int, s: int, q=DEFAULT_PRIME, seed: int = 0) -> PointSet:
             continue
         if s <= n + 2 and not _no_small_hyperplane(pts, n, q):
             continue
-        return PointSet(n, tuple(pts), q, seed)
+        return PointSet(n, tuple(pts), q)
     raise FieldTooSmallError(
         "could not sample %d points in general position on P^%d over %s"
         % (s, n, "GF(%d)" % q if q else "Q")
@@ -437,7 +436,7 @@ def maxrank_test(
 def verify_certificate(cert: RankCertificate) -> bool:
     """Recompute rank and verdict from the certificate's replay list."""
     _check_modulus(cert.q)
-    pts = PointSet(cert.n, tuple(_point(c, cert.q) for c in cert.points), cert.q, cert.seed)
+    pts = PointSet(cert.n, tuple(_point(c, cert.q) for c in cert.points), cert.q)
     m = eval_matrix(cert.n, cert.p, cert.d, pts)
     r = m.rank()
     return m.shape == cert.shape and r == cert.rank and cert.maximal == (r == min(cert.shape))

@@ -536,24 +536,36 @@ def test_product_with_empty_inner_dimension():
 # -- sparse products: the join on both operands' nonzeros ----------------------
 
 # Word-size primes from GF(2) to CERT_PRIME, where a term product of two
-# residues comes closest to 2^63 and k reduced terms closest to 2^53.
-JOIN_PRIMES = (2, 3, 101, 16777213, 2**31 - 1, CERT_PRIME)
+# residues comes closest to 2^63; 2^61-1, past word size, with Python
+# integers as residues; and the rationals (None).
+JOIN_FIELDS = (2, 3, 101, 16777213, 2**31 - 1, CERT_PRIME, 2**61 - 1, None)
 
 
 @st.composite
 def sparse_products(draw):
-    """(q, a, b): reduced residue arrays of m x k and k x n, each 0..24, for
-    a word-size q.  Each operand is nonzero at a drawn share of its entries
-    (0 to 0.1, or 0.5 for a dense one), on values that are q - 1 half the
+    """(q, a, b): arrays of m x k and k x n, each 0..24, of dtype
+    ``residue_dtype(q)``: reduced residues over GF(q), canonical rationals
+    over Q (integers, some past 2^63, or for half the draws also Fractions).
+    Each operand is nonzero at a drawn share of its entries (0 to 0.1, or
+    0.5 for a dense one), on values that are q - 1 (over Q, +-2^70) half the
     time, and has one row and one column emptied."""
-    q = draw(st.sampled_from(JOIN_PRIMES))
+    q = draw(st.sampled_from(JOIN_FIELDS))
+    fractions = q is None and draw(st.booleans())
     m, k, n = (draw(st.integers(0, 24)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
+    def value():
+        if q is not None:
+            return q - 1 if rng.random() < 0.5 else int(rng.integers(1, q))
+        x = 2**70 if rng.random() < 0.5 else int(rng.integers(1, 10**6))
+        x *= int(rng.choice((-1, 1)))
+        return exactalg._canon_rational(Fraction(x, int(rng.integers(1, 7)))) if fractions else x
+
     def operand(shape):
         share = draw(st.sampled_from((0.0, 0.03, 0.1, 0.5)))
-        values = np.where(rng.random(shape) < 0.5, q - 1, rng.integers(1, q, shape))
-        x = np.where(rng.random(shape) < share, values, 0)
+        x = np.zeros(shape, dtype=residue_dtype(q))
+        for i, j in zip(*np.nonzero(rng.random(shape) < share)):
+            x[i, j] = value()
         if x.size:
             x[draw(st.integers(0, shape[0] - 1))] = 0
             x[:, draw(st.integers(0, shape[1] - 1))] = 0
@@ -573,39 +585,34 @@ def _record_joins(monkeypatch):
     return joins
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(sparse_products())
-# Two terms of (q - 1)^2 each: near 2^63 unreduced, and past 2^53 in float64.
+# Two terms of (q - 1)^2 each: near 2^63 unreduced.
 @example((CERT_PRIME, np.full((1, 2), CERT_PRIME - 1), np.full((2, 1), CERT_PRIME - 1)))
+# Eight terms of q - 1 at 2^61 - 1: their sum is past 2^63, and past q.
+@example((2**61 - 1, np.array([[2**61 - 2] * 8], dtype=object), np.ones((8, 1), dtype=object)))
+# Fraction terms whose products and sums are integers, and canonical as ints.
+@example((None, np.array([[Fraction(1, 2), Fraction(-1, 2)]]), np.array([[2, 0], [2, 4]], dtype=object)))
 @example((101, np.zeros((3, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)))
+@example((None, np.zeros((3, 0), dtype=object), np.zeros((0, 2), dtype=object)))
 @example((2, np.zeros((0, 4), dtype=np.int64), np.eye(4, dtype=np.int64)))
 def test_sparse_product_equals_dense_tiers(case):
     q, a, b = case
     want = exactalg._mulmod(a, b, q)
     got = exactalg._sparse_mulmod(a, a.nonzero(), b, b.nonzero(), q)
-    assert got.dtype == want.dtype == np.int64
+    assert got.dtype == want.dtype == residue_dtype(q)
     assert np.array_equal(got, want)
-    # The product joins exactly when both operands are sparse.
+    if q is not None:
+        assert _typed(got.tolist()) == _typed(want.tolist())
+    # The product joins exactly when both operands are sparse, and over Q
+    # its entries are canonical, as the constructor makes them.
     with pytest.MonkeyPatch.context() as mp:
         joins = _record_joins(mp)
         prod = ExactMatrix._wrap(a, q) @ ExactMatrix._wrap(b, q)
     assert bool(joins) == (_is_sparse(a) and _is_sparse(b))
-    assert prod._a.dtype == np.int64
-    assert np.array_equal(prod._a, want)
-
-
-def test_sparse_product_bound_on_the_inner_dimension(monkeypatch):
-    # A join sums up to k reduced terms in float64: past (q - 1) * k = 2^53 - 1
-    # the product takes the dense tiers.
-    q, k = CERT_PRIME, 40
-    a = ExactMatrix._wrap(np.eye(1, k, dtype=np.int64) * (q - 1), q)
-    b = ExactMatrix._wrap(np.eye(k, 1, dtype=np.int64) * (q - 1), q)
-    joins = _record_joins(monkeypatch)
-    for bound, joined in (((q - 1) * k, True), ((q - 1) * k - 1, False)):
-        joins.clear()
-        monkeypatch.setattr(exactalg, "_FLOAT_EXACT", bound)
-        assert row_list(a @ b) == [[(q - 1) ** 2 % q]]
-        assert bool(joins) is joined
+    canonical = ExactMatrix(len(a), b.shape[1], want, q=q)
+    assert prod._a.dtype == residue_dtype(q)
+    assert _typed(row_list(prod)) == _typed(row_list(canonical))
 
 
 # -- exact integer products (rational matrices with integer entries) -----------
@@ -618,7 +625,8 @@ def _object_array(rows, shape):
 @st.composite
 def integer_pairs(draw):
     m, k, n = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
-    # Magnitudes on both sides of max|A| * max|B| * k <= 2^53 - 1.
+    # Magnitudes on both sides of max|A| * max|B| * k <= 2^53 - 1, where a
+    # float64 product would stop being exact; products over Q take none.
     bound = draw(st.sampled_from((1, 1000, 2**26, 2**26 + 1, 2**40, 2**70)))
     entry = st.one_of(st.integers(-bound, bound), st.sampled_from((-bound, bound)))
     a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
@@ -626,7 +634,7 @@ def integer_pairs(draw):
     return _object_array(a, (m, k)), _object_array(b, (k, n))
 
 
-# max|A| = max|B| = 2^26: k = 1 is on the float64 tier, k = 2 past it.
+# max|A| = max|B| = 2^26: a sum exact in float64 at k = 1, not at k = 2.
 @example((_object_array([[2**26]], (1, 1)), _object_array([[-(2**26)]], (1, 1))))
 @example((_object_array([[2**26, 2**26]], (1, 2)), _object_array([[2**26], [2**26]], (2, 1))))
 # The bound met with equality: 2^53 - 1 = 6361 * 69431 * 20394401.
@@ -635,7 +643,7 @@ def integer_pairs(draw):
 @example(
     (_object_array([[2**26, 2**26 + 1]], (1, 2)), _object_array([[2**26], [2**26 + 1]], (2, 1)))
 )
-# A zero operand: the other one may be too large for float64 at all.
+# A zero operand: the other one is too large for float64 at all.
 @example((_object_array([[2**1100]], (1, 1)), _object_array([[0]], (1, 1))))
 @settings(max_examples=200, deadline=None)
 @given(integer_pairs())
@@ -960,20 +968,21 @@ def test_display_maps_take_the_sparse_path_and_evaluations_the_dense(monkeypatch
         f.rank()
     assert contraction_matrix(4, 2, 5, q=101).rank() == 224
     assert taken == [32]
-    # Products of display maps join their nonzeros; a product with a dense
-    # evaluation matrix takes the dense tiers.
-    maps = build_display(4, 1, 1, 101).maps
+    # Products of display maps join their nonzeros on every field; a
+    # product with a dense evaluation matrix takes the dense tiers.
     joins = _record_joins(monkeypatch)
-    squares = (
-        (maps["free_incl"], maps["left_top"]),
-        (maps["wedge"], maps["left_bottom"]),
-        (maps["to_hyperplane"], maps["free_incl"]),
-        (maps["drop"], maps["to_hyperplane"]),
-    )
-    for f, g in squares:
-        joins.clear()
-        assert f @ g == ExactMatrix._wrap(exactalg._mulmod(f._a, g._a, 101), 101)
-        assert joins == [1]
+    for q in (2, 101, 2**61 - 1, None):
+        maps = build_display(4, 1, 1, q).maps
+        squares = (
+            (maps["free_incl"], maps["left_top"]),
+            (maps["wedge"], maps["left_bottom"]),
+            (maps["to_hyperplane"], maps["free_incl"]),
+            (maps["drop"], maps["to_hyperplane"]),
+        )
+        for f, g in squares:
+            joins.clear()
+            assert f @ g == ExactMatrix._wrap(exactalg._mulmod(f._a, g._a, q), q)
+            assert joins == [1], q
     joins.clear()
     square = ExactMatrix._wrap(ev._a[: ev.cols], 101)
     assert not _is_sparse(square._a)

@@ -192,7 +192,7 @@ def test_eval_matrix_matches_naive_evaluation_at_top_degree():
 
 
 def test_eval_matrix_rejects_vanishing_pivot():
-    pts = PointSet(2, (ProjPoint.make([1, 0, 1], q=101),), 101, 0)
+    pts = PointSet(2, (ProjPoint.make([1, 0, 1], q=101),), 101)
     with pytest.raises(ValueError):
         eval_matrix(2, 0, 2, pts, pivots=[1])
 
@@ -208,7 +208,7 @@ def test_eval_matrix_invariant_one_form():
         ((1,), (1, 0)): 1,
         ((1,), (0, 1)): 0,
     }
-    pts = PointSet(1, (ProjPoint.make([1, 1], q=None),), None, 0)
+    pts = PointSet(1, (ProjPoint.make([1, 1], q=None),), None)
     assert eval_matrix(1, 0, 1, pts) == ExactMatrix(1, 1, [[-1]], q=None)
 
 
@@ -237,7 +237,7 @@ def test_eval_matrix_shapes():
     assert m.shape == (8, 8)
     assert m.cols == h_omega(2, 1, 3, 0)
 
-    empty = PointSet(2, (), 101, 0)
+    empty = PointSet(2, (), 101)
     m = eval_matrix(2, 0, 2, empty)
     assert m.shape == (0, 8)
 
@@ -311,7 +311,7 @@ def test_repeated_point_certificate_rejected_over_large_prime():
     # rank 8 and this certificate replayed as verified.
     q = 2**61 - 1
     pt = ProjPoint.make([3, 5, 1], q=q)
-    pts = PointSet(2, (pt,) * 4, q, 0)
+    pts = PointSet(2, (pt,) * 4, q)
     assert eval_matrix(2, 0, 2, pts).rank() == 2
     forged = RankCertificate(2, 0, 2, 4, q, 0, 1, (8, 8), 8, True, (pt.coords,) * 4)
     assert not verify_certificate(RankCertificate.from_json(forged.to_json()))
