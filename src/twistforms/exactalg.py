@@ -84,18 +84,21 @@ A rational product with a Fraction among the entries it reads (the
 gathered nonzeros of a join, every entry of a dense product) has its
 entries canonicalised by the constructor; a product of integers needs none.
 
-The rank of a rational matrix is certified modulo the word prime
-``_CERT_PRIME``: clearing the denominators of each row gives an integer
-matrix of the same rank (a matrix of ints, as section bases, display maps
-and point evaluations are, is one already, and is reduced by one numpy
-remainder, with no lcm per row), and a minor that is nonzero modulo a
-prime is nonzero over Z, so a rank modulo that prime equal to
-min(rows, cols) is the rank over Q.  Only when it falls short does
-fraction-free (Bareiss 1968) elimination decide the rank.
+Every rank is a prefix rank, of the first k rows for any k (a rank
+profile, as in Jeannerod, Pernet and Storjohann 2013): the forward
+elimination of the transpose takes its pivot columns left to right, so the
+first k rows have rank the number of pivots below k.  Over Q the ranks are
+certified modulo the word prime ``_CERT_PRIME``: clearing the denominators
+of each row (``_integer_rows``; a matrix of ints, as section bases, display
+maps and point evaluations are, is reduced as it is) keeps the rank of every
+prefix, and a minor that is nonzero modulo a prime is nonzero over Z, so k
+rows of rank min(k, cols) modulo that prime have it over Q.  Only a prefix
+that falls short takes fraction-free (Bareiss 1968) elimination.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -473,6 +476,19 @@ def _peel(a, i, j):
     return r, a[np.ix_(np.unique(rows), np.unique(cols))]
 
 
+def _integer_rows(a):
+    """The rational array ``a`` with each row times the lcm of its
+    denominators, an object array of Python ints with the rank of ``a`` in
+    every prefix of rows: ``a`` itself when every entry is an int."""
+    if set(map(type, a.flat)) <= {int}:
+        return a
+    rows = []
+    for row in a.tolist():
+        den = lcm(*(x.denominator for x in row if type(x) is Fraction))
+        rows.append(row if den == 1 else [int(x * den) for x in row])
+    return np.array(rows, dtype=object).reshape(a.shape)
+
+
 class ExactMatrix:
     """Dense matrix over GF(q) (``q`` a prime) or the rationals (``q=None``),
     stored as one read-only 2-D numpy array of dtype ``residue_dtype(q)``:
@@ -480,7 +496,9 @@ class ExactMatrix:
     whose denominator is not 1) over Q.  The constructor takes Python and
     numpy integers, of any size, reduced mod q over GF(q), and over Q also
     Fractions; any other entry (a float, a string, nan, a complex number)
-    is a ValueError."""
+    is a ValueError.  An integer ndarray (any but uint64) is cast to its
+    storage dtype in one step; input that is no ndarray is read as Python
+    objects, since numpy would infer a float from 2^63 beside -1."""
 
     __slots__ = ("rows", "cols", "q", "_a", "_rank", "_nz")
 
@@ -491,17 +509,19 @@ class ExactMatrix:
         self._rank = self._nz = None  # cached rank and nonzero pattern
         _check_modulus(q)
         try:
-            a = np.asarray(data, dtype=object if q is None else None)
+            a = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=object)
         except ValueError:  # ragged rows
             a = None
         if a is not None and a.shape == (0,) and self.rows == 0:
             a = a.reshape(self.shape)  # no rows, so no row length to check
         if a is None or a.shape != self.shape:
             raise ValueError("data do not form a %dx%d matrix" % self.shape)
-        if q is not None and a.dtype.kind in "biu" and a.dtype != np.uint64:
-            a = a.astype(residue_dtype(q), copy=False) % q
+        if a.dtype.kind in "iu" and a.dtype != np.uint64:
+            a = a.astype(residue_dtype(q), copy=False)
+            if q is not None:
+                a = a % q
         else:
-            # Rationals, Python ints or uint64 past int64, or entries to refuse.
+            # Python objects, uint64 past int64, or entries to refuse.
             canon = _canon_rational if q is None else q.__rmod__  # x -> x % q
             entries = map(canon, _exact_entries(a.ravel().tolist(), q))
             a = np.array(list(entries), dtype=residue_dtype(q)).reshape(self.shape)
@@ -528,7 +548,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n, q=None):
-        return cls(n, n, np.eye(n, dtype=residue_dtype(q)), q=q)
+        return cls(n, n, np.eye(n, dtype=np.int64), q=q)
 
     # -- basic access --------------------------------------------------------
 
@@ -625,18 +645,13 @@ class ExactMatrix:
         return _echelon_sparse(self._a, None)
 
     def rank(self) -> int:
-        """Rank over the matrix's field.
+        """Rank over the matrix's field: ``_prefix_ranks`` at all rows.
 
         A matrix with at most ``_SPARSE_DENSITY`` nonzeros is first peeled
         (``_peel``) on the pattern ``_pattern`` keeps, so a display map is
         not scanned again: its singleton columns and rows are counted and
         deleted, exactly over every field, and only the core that is left is
-        eliminated.  A denser matrix pays one count, once.  GF(q) takes the dense engine's forward elimination
-        (below the pivots only), never an RREF.  Over Q the rank modulo
-        ``_CERT_PRIME`` of the row-wise integer matrix is taken first, the
-        same way; when it is min(rows, cols) it is the rational rank, and
-        otherwise fraction-free (Bareiss) elimination of its rows computes
-        the rank exactly.
+        eliminated.  A denser matrix pays one count, once.
         """
         if self._rank is None:
             a, r = self._a, 0
@@ -644,33 +659,34 @@ class ExactMatrix:
             if nz is not None:
                 r, a = _peel(a, *nz)
             if a.size:
-                r += ExactMatrix._wrap(a, self.q)._eliminated_rank()
+                r += ExactMatrix._wrap(a, self.q)._prefix_ranks([len(a)])[0]
             self._rank = r
         return self._rank
 
-    def _eliminated_rank(self) -> int:
-        """Rank by elimination alone, not cached (``rank``'s last step)."""
-        if self.q is not None:
-            return len(self._rref_mod(full=False))
-        a = self._integer_matrix()
-        r = len(_mod_cert_prime(a)._rref_mod(full=False))
-        return r if r == min(self.shape) else self._rank_bareiss(a.tolist())
-
-    def _integer_matrix(self):
-        """An object array of Python ints with the rank of this rational
-        matrix: its own array when every entry is an int, otherwise each
-        row times the lcm of its denominators."""
-        if set(map(type, self._a.flat)) <= {int}:
-            return self._a
-        rows = []
-        for row in self._a.tolist():
-            den = lcm(*(x.denominator for x in row if type(x) is Fraction))
-            rows.append(row if den == 1 else [int(x * den) for x in row])
-        return np.array(rows, dtype=object).reshape(self.shape)
+    def _prefix_ranks(self, counts) -> list:
+        """Rank of the first k rows for each k in ``counts``, not cached and
+        with no peel: one forward elimination of the transpose by the dense
+        engine, over Q of ``_integer_rows`` modulo ``_CERT_PRIME``, where a
+        prefix whose rank falls short of min(k, cols) takes Bareiss.
+        """
+        a = self._a
+        if self.q is None:
+            a = _integer_rows(a)
+            mod = ExactMatrix._wrap((a % _CERT_PRIME).astype(np.int64), _CERT_PRIME)
+        else:
+            mod = self
+        pivots = mod.transpose()._rref_mod(full=False)
+        ranks = []
+        for k in counts:
+            r = bisect_left(pivots, k)
+            if self.q is None and r < min(k, self.cols):
+                r = self._rank_bareiss(a[:k].tolist())
+            ranks.append(r)
+        return ranks
 
     def _rank_bareiss(self, rows) -> int:
-        """Rank of the integer rows (of ``_integer_matrix``), which it overwrites."""
-        m, n = self.rows, self.cols
+        """Rank of integer rows of ``cols`` entries, which it overwrites."""
+        m, n = len(rows), self.cols
         prev = 1
         r = 0
         for c in range(n):
@@ -700,8 +716,8 @@ class ExactMatrix:
 
         Column count is ``cols - rank``.  Each column is 1 on its free
         column and 0 on the others; over Q it is then scaled by the lcm of
-        its denominators, to primitive integers, positive on its free
-        column.
+        its denominators (``_integer_rows`` of the transpose), to primitive
+        integers, positive on its free column.
         """
         rr, pivots = self._rref()
         pivot_set = set(pivots)
@@ -712,13 +728,10 @@ class ExactMatrix:
         if self.q is not None:
             ker %= self.q
         else:
-            for w in ker.T:
-                # Scaled by the lcm of its denominators the column is already
-                # primitive: every prime power of the lcm divides one
-                # denominator fully, and that entry's numerator is prime to it.
-                den = lcm(*(x.denominator for x in w if type(x) is Fraction))
-                if den != 1:
-                    w[:] = [int(x * den) for x in w]
+            # Scaled by the lcm of its denominators a column is already
+            # primitive: every prime power of the lcm divides one
+            # denominator fully, and that entry's numerator is prime to it.
+            ker = _integer_rows(ker.T).T
         return ExactMatrix._wrap(ker, self.q)
 
     def solve(self, rhs: "ExactMatrix"):
@@ -735,13 +748,6 @@ class ExactMatrix:
         x = np.zeros((self.cols, rhs.cols), dtype=rr.dtype)
         x[pivots] = rr[: len(pivots), self.cols :]
         return ExactMatrix._wrap(x, self.q)
-
-
-def _mod_cert_prime(a) -> ExactMatrix:
-    """An object array of Python ints (from ``ExactMatrix._integer_matrix``,
-    or of an integer matrix) reduced modulo ``_CERT_PRIME`` by one numpy
-    remainder, as a matrix over that field."""
-    return ExactMatrix._wrap((a % _CERT_PRIME).astype(np.int64), _CERT_PRIME)
 
 
 # -- snake lemma ------------------------------------------------------------

@@ -12,29 +12,35 @@ achieving full rank certifies maximal rank for general points over the
 field's closure (the maximal-rank locus is open); failure of every trial
 is reported as "not witnessed", never as a disproof.
 
+A GF(q) certificate is also a witness in characteristic 0.  Its points'
+residues, lifted to the integers 0..q-1, keep their charts, and the
+section basis has the same signs +-1 on every field, so the GF(q) matrix is
+the integer one at the lifted points mod q.  A minor nonzero mod q is
+nonzero over Z, so a maximal GF(q) certificate proves maximal rank over Q
+at the lifted points and, by openness, at general points.
+
 Certificates for several point counts of one (n, p, d) come from one point
-sequence per trial (``certify_counts``): a forward elimination of the
-transposed evaluation matrix takes its pivot columns left to right, so the
-rank at the first s points is the number of pivots among the first
-s * binom(n, p+1) columns, and one elimination answers every count.
+sequence per trial (``certify_counts``): the rank at the first s points is
+the rank of the first s * binom(n, p+1) rows of the evaluation matrix, and
+``ExactMatrix._prefix_ranks`` gives every count from one elimination.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
 from .exactalg import (
     ExactMatrix,
+    _canon_rational,
     _check_modulus,
     _exact_entries,
-    _mod_cert_prime,
+    _integer_rows,
     _reduce,
     residue_dtype,
 )
@@ -106,8 +112,7 @@ def _point(coords, q) -> ProjPoint:
         inv = pow(lead, -1, q)
         coords = [c * inv % q for c in coords]
     else:
-        coords = [Fraction(c, lead) for c in coords]
-        coords = [int(c) if c.denominator == 1 else c for c in coords]
+        coords = [_canon_rational(Fraction(c, lead)) for c in coords]
     return ProjPoint(tuple(coords), q)
 
 
@@ -200,12 +205,12 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
     the pivot: each one's column of the table of degree-d monomials at the
     points, times its sign, reduced modulo q, is its (fiber slot, section)
     entry, since no cell takes two nonzeros.  No dense basis is assembled
-    and no dense product is taken.  Over Q each point is
-    evaluated at its primitive integer representative, the stored
-    coordinates times the lcm of their denominators, so the entries are
-    Python ints; each point's block is the one at the stored coordinates
-    times the nonzero scalar scale^d, so every rank is the one at the stored
-    coordinates.
+    and no dense product is taken.  Over Q each point is evaluated at its
+    primitive integer representative, its stored coordinates with their
+    denominators cleared (``_integer_rows``), so the entries are Python
+    ints; each point's block is the one at the stored coordinates times a
+    nonzero scalar, the d-th power of the point's scale, so every rank, of
+    all rows or of a prefix of points, is the one at the stored coordinates.
     """
     q = pts.q
     space = h0_basis(n, p + 1, d + p + 1, q)
@@ -217,12 +222,9 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
     out = np.zeros((s * fiber, h), dtype=residue_dtype(q))
     if not s or not h:
         return ExactMatrix._wrap(out, q)
+    coords = np.array([pt.coords for pt in pts.points], dtype=residue_dtype(q))
     if q is None:
-        scales = [lcm(*(Fraction(c).denominator for c in pt.coords)) for pt in pts.points]
-        rows = [[int(c * k) for c in pt.coords] for pt, k in zip(pts.points, scales)]
-        coords = np.array(rows, dtype=object)
-    else:
-        coords = np.array([pt.coords for pt in pts.points], dtype=residue_dtype(q))
+        coords = _integer_rows(coords)
     exps = _exponents(n + 1, d)
     elements = _subsets(n + 1, p + 1).elements
     # The basis's nonzeros: index set, monomial, section and value of each.
@@ -339,35 +341,11 @@ def _parse_point(pt, n: int, q) -> tuple:
         raise CertificateError("bad point coordinate: %s" % exc) from exc
     if [str(c) for c in coords] != pt:
         raise CertificateError("point coordinates over Q must be written as reduced fractions")
-    return tuple(int(c) if c.denominator == 1 else c for c in coords)
+    return tuple(map(_canon_rational, coords))
 
 
 def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
-
-
-def _prefix_ranks(n: int, p: int, d: int, pts: PointSet, counts: list) -> dict:
-    """Rank of the evaluation at the first s points of ``pts``, for each s
-    in ``counts``, from one forward elimination of the transposed matrix.
-
-    Its pivot columns are taken left to right, so those among the first
-    s * binom(n, p+1) columns span the first s points' rows.  Over Q the
-    integer matrix is eliminated modulo ``_CERT_PRIME``: a rank there is at
-    most the rank over Q, so a prefix that reaches min(rows, cols) has it
-    over Q, and any other prefix takes its exact ``rank()``.
-    """
-    m = eval_matrix(n, p, d, pts)
-    fiber = comb(n, p + 1)
-    mod = m if m.q is not None else _mod_cert_prime(m._a)
-    pivots = mod.transpose()._rref_mod(full=False)
-    ranks = {}
-    for s in counts:
-        k = s * fiber
-        r = bisect_left(pivots, k)
-        if m.q is None and r < min(k, m.cols):
-            r = ExactMatrix._wrap(m._a[:k], None).rank()
-        ranks[s] = r
-    return ranks
 
 
 def certify_counts(
@@ -397,7 +375,8 @@ def certify_counts(
         if not pending:
             break
         pts = random_points(n, max(pending), q, _trial_seed(seed, trial))
-        for s, r in _prefix_ranks(n, p, d, pts, pending).items():
+        ranks = eval_matrix(n, p, d, pts)._prefix_ranks([s * fiber for s in pending])
+        for s, r in zip(pending, ranks):
             if r > best[s][0]:
                 best[s] = r, pts.points[:s]
             if r == min(s * fiber, h):

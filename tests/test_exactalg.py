@@ -161,6 +161,17 @@ def test_constructor_reduces_integers_past_int64(q):
     assert all(type(x) is int for x in m._a.ravel().tolist())
 
 
+@pytest.mark.parametrize("q", [101, 2**61 - 1, None])
+def test_constructor_reads_lists_as_python_integers(q):
+    # numpy read an int in [2^63, 2^64) beside a negative one as a float,
+    # which GF(q) then refused.
+    for big in (2**63, 2**64 - 1):
+        m = ExactMatrix(1, 2, [[big, -1]], q=q)
+        want = [big, -1] if q is None else [big % q, q - 1]
+        assert _typed(row_list(m)) == _typed([want])
+        assert m._a.dtype == residue_dtype(q)
+
+
 @pytest.mark.parametrize("q", [101, 2**61 - 1])
 def test_constructor_reduces_numpy_integer_arrays(q):
     big = np.array([[2**64 - 1, 5]], dtype=np.uint64)
@@ -418,8 +429,53 @@ P63 = CERT_PRIME * 2**64  # beyond 2^63, and 0 modulo the certifying prime
 def test_integer_rational_ranks_match_bareiss(m):
     # An int-only matrix is reduced as it is, with no row scan; its rank,
     # certified or by the Bareiss fallback, is the reference's.
-    assert m._integer_matrix() is m._a
+    assert exactalg._integer_rows(m._a) is m._a
     assert m.rank() == _bareiss_rank(m) == m.transpose().rank()
+
+
+@st.composite
+def prefix_rank_cases(draw):
+    """(matrix, counts): a 0..12 x 0..12 matrix over GF(2), GF(101),
+    GF(2^61 - 1) or Q, each row new, a copy of an earlier one or zero, and
+    sorted row counts.  Over Q the entries are small ints, Fractions, or
+    multiples of ``P63`` beside small ints, whose prefixes can fall short
+    of full rank modulo the certifying prime."""
+    q = draw(st.sampled_from((2, 101, 2**61 - 1, None)))
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    if q is not None:
+        entry = st.integers(0, q - 1)
+    else:
+        entry = draw(st.sampled_from((
+            small_int, rational_entry, st.sampled_from((0, 1, -2, P63, -P63, 2 * P63, P63 + 1))
+        )))
+    rows = []
+    for i in range(m):
+        kind = draw(st.sampled_from(("new", "new", "copy", "zero")))
+        if kind == "copy" and rows:
+            rows.append(rows[draw(st.integers(0, i - 1))])
+        elif kind == "zero":
+            rows.append([0] * n)
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    counts = sorted(draw(st.lists(st.integers(0, m), max_size=5)))
+    return ExactMatrix(m, n, rows, q=q), counts
+
+
+def _rank_of_first(m, k):
+    """The rank of the first k rows of m, by a reference elimination."""
+    first = ExactMatrix._wrap(m._a[:k], m.q)
+    return _bareiss_rank(first) if m.q is None else len(_whole_row_rref(first)[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_rank_cases())
+# Full rank over Q, but the first row vanishes modulo the certifying prime.
+@example((qq([[P63, 0], [0, 1]]), [1, 2]))
+@example((qq([[1, 2, 3], [2, 4, 6], [0, 0, 1]]), [0, 1, 2, 3]))
+def test_prefix_ranks_equal_ranks_of_the_first_rows(case):
+    m, counts = case
+    assert m._prefix_ranks(counts) == [_rank_of_first(m, k) for k in counts]
+    assert m._prefix_ranks([m.rows]) == [m.rank()]
 
 
 def test_full_rank_mod_cert_prime_skips_bareiss(monkeypatch):
@@ -752,7 +808,7 @@ def test_bareiss_updates_rows_with_zero_pivot_entry():
     # desynchronizes the exact division and once underreported this rank.
     m = qq([[3, 3, -2], [0, -2, -1], [-2, 0, 2]])
     assert m.rank() == 3
-    assert m._rank_bareiss(m._integer_matrix().tolist()) == 3
+    assert m._rank_bareiss(exactalg._integer_rows(m._a).tolist()) == 3
     assert m.kernel_basis().shape == (3, 0)
 
 
@@ -954,7 +1010,7 @@ def test_display_maps_take_the_sparse_path_and_evaluations_the_dense(monkeypatch
     taken.clear()
     assert ev.rank() == ev.cols
     # Too small for panels: one panel as wide as the matrix, pivot by pivot.
-    assert taken == [ev.cols]
+    assert taken == [ev.rows]
     # A sparse rank eliminates only what the peel leaves: nothing for the
     # sparse maps of a display, and for this contraction a 265 x 310 core,
     # by panels.
@@ -1006,7 +1062,7 @@ def test_display_maps_hand_over_their_patterns(q):
                         assert all(x.dtype == np.int64 for x in handed), where
                     else:
                         assert handed == (), where
-                    want = ExactMatrix._wrap(f._a, q)._eliminated_rank()
+                    want = ExactMatrix._wrap(f._a, q)._prefix_ranks([f.rows])[0]
                     assert f.rank() == want, where
 
 
@@ -1091,8 +1147,8 @@ def test_large_dense_ranks_take_the_blocked_path(monkeypatch):
     assert path(rank_one(128, 200, 101)) == [32]
     # Too small, or a prime past the float64 tier for a panel: one panel as
     # wide as the matrix.  A sparse matrix's peeled core takes panels too.
-    assert path(rank_one(127, 200, 101)) == [200]
-    assert path(ExactMatrix._wrap(rng.integers(0, 101, (90, 84)), 101)) == [84]
+    assert path(rank_one(127, 200, 101)) == [127]
+    assert path(ExactMatrix._wrap(rng.integers(0, 101, (90, 84)), 101)) == [90]
     assert path(contraction_matrix(4, 2, 5, q=101)) == [32]
     # Past the float64 tier the panel width is passed, and _echelon_dense
     # spans the matrix with one panel: no panel is factorised, so L11 is

@@ -1,17 +1,16 @@
 """Point sampling, fiber evaluation, and maximal-rank certificates."""
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twistforms.bott import binom, h_omega
 from twistforms import maxrank
-from twistforms.exactalg import _CERT_PRIME, ExactMatrix, _mod_cert_prime
+from twistforms.exactalg import _CERT_PRIME, ExactMatrix
 from twistforms.forms import _assemble, h0_basis, index_sets, monomials
 from twistforms.maxrank import (
     BettiLedger,
@@ -21,7 +20,6 @@ from twistforms.maxrank import (
     RankCertificate,
     _num_rational_points,
     _monomial_table,
-    _prefix_ranks,
     _trial_seed,
     certify_counts,
     eval_matrix,
@@ -399,8 +397,34 @@ def test_rational_prefix_short_modulo_the_prime_takes_its_exact_rank():
     # they impose one condition on the two sections of Omega^1(3); over Q
     # they are distinct and impose two.
     pts = PointSet(1, (ProjPoint.make([0, 1]), ProjPoint.make([_CERT_PRIME, 1])), None)
-    assert _prefix_ranks(1, 0, 2, pts, [0, 1, 2]) == {0: 0, 1: 1, 2: 2}
+    assert eval_matrix(1, 0, 2, pts)._prefix_ranks([0, 1, 2]) == [0, 1, 2]
     assert eval_matrix(1, 0, 2, pts).rank() == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+    st.integers(0, 4),
+    st.integers(0, 12),
+    st.sampled_from((2, 3, 5, 101)),
+    st.integers(0, 1000),
+)
+def test_gf_certificate_is_a_witness_over_q(n_p, d, s, q, seed):
+    # Lifted to the integers 0..q-1, the witness points' evaluation over Q
+    # reduces mod q to the certified matrix, so its rank is at least the
+    # certified one, and a maximal certificate is maximal over Q.
+    n, p = n_p
+    s = min(s, _num_rational_points(n, q))
+    try:
+        cert = maxrank_test(n, p, d, s, q=q, trials=2, seed=seed)
+    except FieldTooSmallError:  # no sample in general position
+        assume(False)
+    lifted = tuple(ProjPoint.make([int(c) for c in pt], None) for pt in cert.points)
+    m = eval_matrix(n, p, d, PointSet(n, lifted, None))
+    assert m.shape == cert.shape
+    assert m.rank() >= cert.rank
+    if cert.maximal:
+        assert m.rank() == cert.rank
 
 
 def test_certify_counts_zero_points_are_vacuous():
@@ -445,22 +469,6 @@ def fraction_eval_matrix(n, p, d, pts, pivots=None):
     return ExactMatrix(s * fiber, h, rows, q=None)
 
 
-def fraction_prefix_ranks(n, p, d, pts, counts):
-    """Copy of ``_prefix_ranks`` as it was before integer representatives:
-    the Fraction evaluation, multiplied back to integer rows."""
-    m = fraction_eval_matrix(n, p, d, pts)
-    fiber = comb(n, p + 1)
-    pivots = _mod_cert_prime(m._integer_matrix()).transpose()._rref_mod(full=False)
-    ranks = {}
-    for s in counts:
-        k = s * fiber
-        r = bisect_left(pivots, k)
-        if r < min(k, m.cols):
-            r = ExactMatrix._wrap(m._a[:k], None).rank()
-        ranks[s] = r
-    return ranks
-
-
 def _rational_point_sets(n, h, fiber):
     """Seeded point sets on P^n: a short one, one with at least as many rows
     as columns, and (for n >= 2) up to eight on the hyperplane x0 = 0, whose
@@ -496,7 +504,7 @@ def test_rational_certificates_equal_the_fraction_path(seed, monkeypatch):
     problems = [(2, 0, 2, [3, 4, 6]), (2, 1, 3, [2, 5]), (3, 0, 2, [4, 7]), (3, 1, 2, [3, 6])]
     now = [certify_counts(n, p, d, counts, None, 3, seed) for n, p, d, counts in problems]
     single = maxrank_test(3, 0, 4, 30, q=None, trials=2, seed=seed)
-    monkeypatch.setattr(maxrank, "_prefix_ranks", fraction_prefix_ranks)
+    monkeypatch.setattr(maxrank, "eval_matrix", fraction_eval_matrix)
     before = [certify_counts(n, p, d, counts, None, 3, seed) for n, p, d, counts in problems]
     assert single.to_json() == maxrank_test(3, 0, 4, 30, q=None, trials=2, seed=seed).to_json()
     for got, ref in zip(now, before):
