@@ -433,6 +433,21 @@ def test_integer_rational_ranks_match_bareiss(m):
     assert m.rank() == _bareiss_rank(m) == m.transpose().rank()
 
 
+def test_integer_rows_scale_only_the_rows_that_hold_a_fraction(monkeypatch):
+    lcms = []
+    monkeypatch.setattr(exactalg, "lcm", lambda *xs: lcms.append(xs) or lcm(*xs))
+    big = 2**70 + 1
+    m = qq([[1, big, 3], [Fraction(1, 2), 1, Fraction(1, 3)], [0, 0, 0], [Fraction(-2, 3), 4, 5]])
+    before = m._a.copy()
+    out = exactalg._integer_rows(m._a)
+    assert out.tolist() == [[1, big, 3], [3, 6, 2], [0, 0, 0], [-2, 12, 15]]
+    assert all(type(x) is int for x in out.flat)
+    assert out[0, 1] is m._a[0, 1] and _same_array(m._a, before)
+    # Only the two rows that hold a Fraction take an lcm, of their own
+    # denominators.
+    assert sorted(lcms) == [(2, 3), (3,)]
+
+
 @st.composite
 def prefix_rank_cases(draw):
     """(matrix, counts): a 0..12 x 0..12 matrix over GF(2), GF(101),
@@ -1009,8 +1024,9 @@ def test_display_maps_take_the_sparse_path_and_evaluations_the_dense(monkeypatch
     assert taken == ["sparse"]
     taken.clear()
     assert ev.rank() == ev.cols
-    # Too small for panels: one panel as wide as the matrix, pivot by pivot.
-    assert taken == [ev.rows]
+    # Every rank passes the panel width; with 35 <= 2 * _PANEL columns
+    # this one is eliminated forward in one panel.
+    assert taken == [32]
     # A sparse rank eliminates only what the peel leaves: nothing for the
     # sparse maps of a display, and for this contraction a 265 x 310 core,
     # by panels.
@@ -1109,9 +1125,48 @@ def _dense_example(q):
     return q, a
 
 
+def _deficient_example(q):
+    """A 160 x 180 array, about half of it q - 1 and the rest random, of rank
+    at most 120: 40 of its columns copy others, and 40 of its rows."""
+    rng = np.random.default_rng(q % 1000)
+    a = (rng.random((160, 180)) * q).astype(np.int64)
+    a[rng.random((160, 180)) < 0.5] = q - 1
+    a[:, 100:140] = a[:, :40]
+    a[120:] = a[:40]
+    return q, a
+
+
+def _window_miss_example(q):
+    """A 160 x 48 array whose columns vanish on the first 2 * _PANEL rows
+    and on every third row, random below: the rows of its transpose vanish
+    on the first window of a panel, whether that is its first 2 * _PANEL
+    columns or every third (s = ceil(160 / 64) = 3), so they are eliminated
+    on later windows."""
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, (160, 48))
+    a[: 2 * exactalg._PANEL] = 0
+    a[::3] = 0
+    return q, a
+
+
+def _zero_panel_example():
+    """A 70 x 100 array whose columns 0..31 and 64..95 are zero: the first
+    panel of its transpose (rows 0..31) is zero, and so are rows 64..95,
+    which the forward elimination after the second panel meets."""
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, 101, (70, 100))
+    a[:, :32] = a[:, 64:96] = 0
+    return 101, a
+
+
 @settings(max_examples=200, deadline=None)
 @given(planted_arrays(), st.sampled_from((32, 1, 2, 3, None)))
 @example(_dense_example(101), 32)
+@example(_deficient_example(16777213), 32)
+@example(_window_miss_example(2), 32)
+@example(_window_miss_example(3), 32)
+@example(_window_miss_example(3), 3)
+@example(_zero_panel_example(), 32)
 @example(_dense_example(16777213), 32)
 @example(_dense_example(2**31 - 1), 32)
 @example(_dense_example(CERT_PRIME), 32)
@@ -1129,11 +1184,28 @@ def test_large_dense_ranks_take_the_blocked_path(monkeypatch):
     from twistforms.maxrank import eval_matrix, random_points
 
     taken = _record_paths(monkeypatch)
+    # The panels each rank eliminates (their rows of the transpose), and the
+    # window transforms applied to them.
+    panels, transforms = [], []
+    panel_pivots, mulmod = exactalg._panel_pivots, exactalg._mulmod
+
+    def counted_panel(p, q):
+        panels.append(len(p))
+        return panel_pivots(p, q)
+
+    def counted_mulmod(a, b, q):
+        transforms.append(len(a))
+        return mulmod(a, b, q)
+
+    monkeypatch.setattr(exactalg, "_panel_pivots", counted_panel)
+    monkeypatch.setattr(exactalg, "_mulmod", counted_mulmod)
 
     def path(m):
         taken.clear()
+        panels.clear()
+        transforms.clear()
         m.rank()
-        return taken
+        return taken, len(panels)
 
     rng = np.random.default_rng(3)
 
@@ -1143,28 +1215,24 @@ def test_large_dense_ranks_take_the_blocked_path(monkeypatch):
         return from_rows([[x * y for y in v] for x in u], q=q)
 
     ev = eval_matrix(3, 0, 7, random_points(3, 105, q=101, seed=1))
-    assert ev.shape == (315, 315) and path(ev) == [32]
-    assert path(rank_one(128, 200, 101)) == [32]
-    # Too small, or a prime past the float64 tier for a panel: one panel as
-    # wide as the matrix.  A sparse matrix's peeled core takes panels too.
-    assert path(rank_one(127, 200, 101)) == [127]
-    assert path(ExactMatrix._wrap(rng.integers(0, 101, (90, 84)), 101)) == [90]
-    assert path(contraction_matrix(4, 2, 5, q=101)) == [32]
-    # Past the float64 tier the panel width is passed, and _echelon_dense
-    # spans the matrix with one panel: no panel is factorised, so L11 is
-    # never inverted.  At q = 101 a rank-one matrix inverts one L11.
-    inverses = []
-    lower_inverse = exactalg._lower_inverse
-
-    def counted(low, q):
-        inverses.append(len(low))
-        return lower_inverse(low, q)
-
-    monkeypatch.setattr(exactalg, "_lower_inverse", counted)
-    assert path(rank_one(128, 128, 101)) == [32] and inverses == [1]
-    inverses.clear()
-    assert path(rank_one(128, 128, 2**31 - 1)) == [32] and inverses == []
-    assert path(rank_one(128, 128, 2**61 - 1)) == [32] and inverses == []
+    assert ev.shape == (315, 315) and path(ev) == ([32], 8) and set(panels) == {32}
+    assert path(rank_one(128, 200, 101)) == ([32], 3)
+    # Small matrices take panels too on the float64 tier, and so does a
+    # sparse matrix's peeled core.
+    assert path(rank_one(127, 200, 101)) == ([32], 3)
+    assert path(ExactMatrix._wrap(rng.integers(0, 101, (90, 84)), 101)) == ([32], 1)
+    assert path(contraction_matrix(4, 2, 5, q=101)) == ([32], 8)
+    # At q = 101 a rank-one matrix applies one window transform, in its first
+    # panel.  Past the float64 tier the panel width is passed, and
+    # _echelon_dense spans the matrix with one panel, eliminated forward:
+    # no panel is Gauss-Jordan reduced and no transform is applied.
+    assert path(rank_one(128, 128, 101)) == ([32], 3) and transforms == [32]
+    assert path(rank_one(128, 128, 2**31 - 1)) == ([32], 0) and transforms == []
+    assert path(rank_one(128, 128, 2**61 - 1)) == ([32], 0) and transforms == []
+    # A transpose with at most 2 * _PANEL positions (columns) is one panel
+    # too, on any field: a window would span it.
+    assert path(ExactMatrix._wrap(rng.integers(0, 101, (200, 64)), 101)) == ([32], 0)
+    assert path(ExactMatrix._wrap(rng.integers(0, 101, (64, 200)), 101)) == ([32], 1)
     # A full RREF, dense or not, takes the sparse engine, to the same RREF.
     taken.clear()
     m = ExactMatrix._wrap(ev._a[:12, :15].copy(), 101)
