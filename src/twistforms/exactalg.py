@@ -18,9 +18,10 @@ A product of two sparse matrices, m x k by k x n, over either field, is a
 join on their patterns, a row-by-row product as in Gustavson ("Two fast
 algorithms for sparse matrices", ACM TOMS 1978): each nonzero a[i, j]
 meets the nonzeros of row j of b, and one ``np.add.at`` sums the term
-products of each entry in the operands' own dtype, over GF(q) reduced mod
-q before and after (``_sparse_mulmod``).  The work is the number of terms,
-not m * k * n.  Every other product takes one of two exact tiers:
+products of each entry in the operands' own dtype; over GF(q) the terms,
+then only the entries they wrote, are reduced mod q (``_sparse_mulmod``).
+The work is the number of terms, not m * k * n.  Every other product
+takes one of two exact tiers:
 
 * float64 BLAS over GF(q), when (q - 1)^2 * k <= 2^53 - 1: every partial
   sum is then an integer that float64 holds exactly (Dumas, Giorgi and
@@ -36,7 +37,8 @@ not m * k * n.  Every other product takes one of two exact tiers:
 Eliminations have two engines, one job each:
 
 * The RREF (for kernels and solves, over either field: ``_rref_mod`` and
-  ``_rref_rational``) is Gauss-Jordan on Python dict rows, with a column
+  ``_rref_rational``; ``snake_check`` takes one kernel and one solve, both
+  for its connecting map) is Gauss-Jordan on Python dict rows, with a column
   -> rows index and the sparsest candidate row as pivot (sparse
   elimination over finite fields as in LaMacchia and Odlyzko, CRYPTO
   1990); each new entry is reduced mod q or, over Q, made canonical.  Its
@@ -233,10 +235,10 @@ def _sparse_mulmod(a, a_nz, b, b_nz, q: int | None):
     (``ExactMatrix._pattern``), as one join (Gustavson, ACM TOMS 1978):
     each nonzero a[i, j] meets the nonzeros of row j of b, the term
     products are reduced mod q over GF(q), and one ``np.add.at`` sums them
-    per output entry into zeros of the operands' dtype, reduced again over
-    GF(q).  An int64 entry sums at most k terms below q, for the inner
-    dimension k, so it is exact while (q - 1) * k < 2^63; past that bound
-    the terms are summed as Python ints.
+    per output entry into zeros of the operands' dtype; over GF(q) the
+    entries they wrote are reduced again.  An int64 entry sums at most k
+    terms below q, for the inner dimension k, so it is exact while
+    (q - 1) * k < 2^63; past that bound the terms are summed as Python ints.
     """
     (m, k), n = a.shape, b.shape[1]
     (ai, aj), (bi, bj) = a_nz, b_nz
@@ -255,12 +257,11 @@ def _sparse_mulmod(a, a_nz, b, b_nz, q: int | None):
     # int64 terms added into object sums become Python ints.
     wide = terms.dtype == object or (q - 1) * k >= 2**63
     sums = np.zeros(m * n, dtype=object if wide else np.int64)
-    np.add.at(sums, ai[src] * n + bj[at], terms)
-    sums = sums.reshape(m, n)
-    if q is None:
-        return sums
-    _reduce(sums, q)
-    return sums.astype(residue_dtype(q), copy=False)
+    keys = ai[src] * n + bj[at]
+    np.add.at(sums, keys, terms)
+    if q is not None:
+        sums[keys] %= q  # only a written entry can be q or more
+    return sums.reshape(m, n).astype(residue_dtype(q), copy=False)
 
 
 #: Ranks of matrices, over either field, with at most this share of nonzero
@@ -617,6 +618,12 @@ class ExactMatrix:
             raise ValueError("shape/field mismatch in augment")
         return ExactMatrix._wrap(np.hstack([self._a, other._a]), self.q)
 
+    def stack(self, other):
+        """Vertical concatenation [self; other]."""
+        if self.q != other.q or self.cols != other.cols:
+            raise ValueError("shape/field mismatch in stack")
+        return ExactMatrix._wrap(np.vstack([self._a, other._a]), self.q)
+
     # -- elimination ---------------------------------------------------------
 
     def _rref(self):
@@ -777,7 +784,8 @@ def snake_check(i_x, q_x, i_y, q_y, f1, f2, f3) -> SnakeLedger:
     are not short exact or whose squares do not commute, naming the failing
     condition.  Exactness of the six-term kernel/cokernel sequence is
     certified through rank identities on lifted representatives; the
-    connecting map is never materialized.
+    connecting map is never materialized.  Exactness at ker(f2) takes no
+    kernel: dim q_x(ker f2) = k2 - nullity([f2; q_x]) = rank([f2; q_x]) - r2.
     """
     _require(q_x.cols == i_x.rows, "top row: shape mismatch between inclusion and quotient")
     _require(q_y.cols == i_y.rows, "bottom row: shape mismatch between inclusion and quotient")
@@ -809,8 +817,7 @@ def snake_check(i_x, q_x, i_y, q_y, f1, f2, f3) -> SnakeLedger:
     c1, c2, c3 = f1.rows - r1, f2.rows - r2, f3.rows - r3
 
     # Exactness at ker(f2): the image of ker(f1) fills ker(f2) \cap ker(q_x).
-    ker2 = f2.kernel_basis()
-    im_in_ker3 = (q_x @ ker2).rank()
+    im_in_ker3 = f2.stack(q_x).rank() - r2
     ok_k2 = (k2 - im_in_ker3) == k1
 
     # Image of the connecting map: lift ker(f3) through q_x, push by f2,

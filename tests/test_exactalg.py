@@ -667,6 +667,13 @@ def _record_joins(monkeypatch):
 @example((101, np.zeros((3, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)))
 @example((None, np.zeros((3, 0), dtype=object), np.zeros((0, 2), dtype=object)))
 @example((2, np.zeros((0, 4), dtype=np.int64), np.eye(4, dtype=np.int64)))
+# A written entry that cancels to 0 mod q.
+@example((101, np.array([[1, 100]]), np.array([[1], [1]])))
+# One term in a 200 x 200 output: only its entry is written and reduced.
+@example((101, np.eye(200, 1, -7, dtype=np.int64) * 100, np.eye(1, 200, 150, dtype=np.int64) * 100))
+# Object sums written past q beside entries no term writes.
+@example((2**61 - 1, np.array([[2**61 - 2] * 2, [0, 0]], dtype=object),
+          np.array([[1, 0, 0], [1, 0, 0]], dtype=object)))
 def test_sparse_product_equals_dense_tiers(case):
     q, a, b = case
     want = exactalg._mulmod(a, b, q)
@@ -1353,3 +1360,88 @@ def test_snake_rejects_non_exact_row():
     two = ExactMatrix.identity(2)
     with pytest.raises(ValueError, match="quotient not surjective"):
         snake_check(i, not_surjective, i, not_surjective, one, two, one)
+
+
+def _kernel_snake_ledger(i_x, q_x, i_y, q_y, f1, f2, f3):
+    """The ledger of ``snake_check`` with exactness at ker(f2) read off a
+    kernel basis of f2, its image under q_x and that image's rank."""
+    r1, r2, r3 = f1.rank(), f2.rank(), f3.rank()
+    k1, k2, k3 = f1.cols - r1, f2.cols - r2, f3.cols - r3
+    c1, c2, c3 = f1.rows - r1, f2.rows - r2, f3.rows - r3
+    im_in_ker3 = (q_x @ f2.kernel_basis()).rank()
+    pulled = i_y.solve(f2 @ (f3 @ q_x).kernel_basis())
+    im_delta = pulled.augment(f1).rank() - r1
+    im_c1_in_c2 = i_y.augment(f2).rank() - r2
+    im_c2_in_c3 = q_y.augment(f3).rank() - r3
+    exact = (
+        k2 - im_in_ker3 == k1
+        and k3 - im_delta == im_in_ker3
+        and im_delta == c1 - im_c1_in_c2
+        and c2 - im_c2_in_c3 == im_c1_in_c2
+        and im_c2_in_c3 == c3
+    )
+    return exactalg.SnakeLedger(k1, k2, k3, c1, c2, c3, exact)
+
+
+@st.composite
+def split_snakes(draw):
+    """(i_x, q_x, i_y, q_y, f1, f2, f3) over GF(q) or Q: the split rows
+    0 -> X1 -> X1 + X3 -> X3 -> 0 and 0 -> Y1 -> Y1 + Y3 -> Y3 -> 0 (each
+    term 0..4) under random changes of basis S of X2 and T of Y2, and
+    f2 = T [[f1, g], [0, f3]] S^-1, so both squares commute.  f1, g and f3
+    are products through a drawn inner dimension, so f3 is often not
+    injective and q_x(ker f2) is then often nonzero."""
+    q = draw(st.sampled_from((2, 3, 101, 2**31 - 1, None)))
+    x1, x3, y1, y3 = (draw(st.integers(0, 4)) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(rows, cols):
+        top = 3 if q is None or rng.random() < 0.5 else q
+        return rng.integers(-top + 1, top, size=(rows, cols)).astype(object)
+
+    def low_rank(rows, cols):
+        inner = draw(st.integers(0, min(rows, cols)))
+        return entries(rows, inner) @ entries(inner, cols)
+
+    def change_of_basis(n):
+        """(S, S^-1): a product of elementary row additions, of det 1."""
+        s, s_inv = (np.identity(n, dtype=int).astype(object) for _ in range(2))
+        for _ in range(3 * n if n > 1 else 0):
+            i, j = rng.choice(n, size=2, replace=False)
+            c = int(rng.integers(-2, 3))
+            s[:, j] += c * s[:, i]
+            s_inv[i] -= c * s_inv[j]
+        return s, s_inv
+
+    def split(a, c):
+        """The split inclusion of A and quotient onto C of A + C."""
+        eye = np.identity(a + c, dtype=int).astype(object)
+        return eye[:, :a], eye[a:]
+
+    def mat(a):
+        return ExactMatrix(*a.shape, a.tolist(), q=q)
+
+    (s, s_inv), (t, t_inv) = change_of_basis(x1 + x3), change_of_basis(y1 + y3)
+    (ix, qx), (iy, qy) = split(x1, x3), split(y1, y3)
+    f1, g, f3 = low_rank(y1, x1), low_rank(y1, x3), low_rank(y3, x3)
+    f2 = np.block([[f1, g], [np.zeros((y3, x1), dtype=int), f3]]).astype(object)
+    return (mat(s @ ix), mat(qx @ s_inv), mat(t @ iy), mat(qy @ t_inv),
+            mat(f1), mat(t @ f2 @ s_inv), mat(f3))
+
+
+def _kernel_escapes_quotient(q):
+    """Both rows k -> k^2 -> k onto the second coordinate, f1 = 1,
+    f2 = diag(1, 0) and f3 = 0: ker f2 is the second coordinate, which q_x
+    does not kill."""
+    i, p = rows_k_k2_k(q)
+    return i, p, i, p, from_rows([[1]], q), from_rows([[1, 0], [0, 0]], q), zeros(1, 1, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_snakes())
+@example(_kernel_escapes_quotient(2))
+@example(_kernel_escapes_quotient(None))
+def test_snake_ledger_equals_kernel_formula(case):
+    ledger = snake_check(*case)
+    assert ledger == _kernel_snake_ledger(*case)
+    assert ledger.exact  # the snake lemma
