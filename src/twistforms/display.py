@@ -23,6 +23,12 @@ diagnostic.  Nothing at construction checks that the squares commute:
 the ledger does, so a left map that does not commute fails its square
 there.  t = 0 is the theorem instance; larger twists are a faithfulness
 sweep with the same code.
+
+Row 2, 0 -> free -> middle -> right, is the elementary transformation
+(Claim I): its ledger entry checks that the kernel generators are
+independent and span the kernel of the restriction, so at t = d-p-2 the
+restriction of (p+1)-forms of twist d has a kernel of dimension
+binom(n, p+1) * h^0(O(d-p-2)).
 """
 
 from __future__ import annotations

@@ -562,9 +562,6 @@ class ExactMatrix:
             return False
         return bool(np.array_equal(self._a, other._a))
 
-    def __hash__(self):
-        return hash((self.q, self.rows, self.cols))
-
     def is_zero(self):
         return not self._a.any()
 

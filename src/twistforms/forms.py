@@ -51,7 +51,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bott import binom, h_O
 from .exactalg import ExactMatrix, _check_modulus, residue_dtype
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "OmegaForms",
     "RestrictedOmega",
     "SectionSpace",
-    "claim_i_kernel_test",
     "conormal_wedge",
     "contraction_matrix",
     "free_sections",
@@ -564,12 +562,3 @@ def drop_last_differential(n: int, p: int, d: int, q=DEFAULT_PRIME) -> ExactMatr
 
     return _section_map(src, tgt, rule, "drop_last_differential(%d,%d,%d)" % (n, p, d))
 
-
-def claim_i_kernel_test(n: int, p: int, d: int, q=DEFAULT_PRIME) -> bool:
-    """Section-level check that the kernel of restriction of (p+1)-forms is
-    a sum of binom(n, p+1) line bundles of twist -p-2."""
-    if p + 1 > n:
-        raise ValueError("needs p+1 <= n")
-    mat = restriction_of_forms(n, p + 1, d, q)
-    kernel_dim = mat.cols - mat.rank()
-    return kernel_dim == binom(n, p + 1) * h_O(n, d - p - 2, 0)

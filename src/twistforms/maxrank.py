@@ -1,5 +1,9 @@
 """Point sets, fiber evaluation of twisted forms, and maximal-rank certificates.
 
+A point of P^n is the tuple of its n+1 coordinates, normalized so the last
+nonzero one is 1 (``point``), and a ``PointSet`` is a tuple of points with
+their field; certificates list the same tuples.
+
 The evaluation map sends a section of Omega^{p+1}(d+p+1) to its values in
 the fibers over s points; ``eval_matrix`` composes it on the section
 basis's terms, a sparse product (as in Gustavson, ACM TOMS 1978) of a
@@ -51,11 +55,11 @@ __all__ = [
     "CertificateError",
     "FieldTooSmallError",
     "PointSet",
-    "ProjPoint",
     "RankCertificate",
     "certify_counts",
     "eval_matrix",
     "maxrank_test",
+    "point",
     "random_points",
     "verify_certificate",
 ]
@@ -73,34 +77,22 @@ class CertificateError(ValueError):
 
 
 @dataclass(frozen=True)
-class ProjPoint:
-    """A point of P^n, normalized so the last nonzero coordinate is 1."""
-
-    coords: tuple
-    q: int | None
-
-    @classmethod
-    def make(cls, coords, q=None):
-        """The point with these coordinates: Python or numpy integers, each
-        reduced mod q over GF(q), and over Q also Fractions (ValueError for
-        any other entry)."""
-        _check_modulus(q)
-        return _point(_exact_entries(coords, q), q)
-
-    @property
-    def pivot(self) -> int:
-        return max(i for i, c in enumerate(self.coords) if c != 0)
-
-
-@dataclass(frozen=True)
 class PointSet:
-    n: int
-    points: tuple
+    points: tuple  # coordinate tuples, each as ``point`` returns it
     q: int | None
 
 
-def _point(coords, q) -> ProjPoint:
-    """``ProjPoint.make`` for a q already checked."""
+def point(coords, q=None) -> tuple:
+    """The point of P^n with these coordinates, as the tuple normalized so
+    its last nonzero coordinate is 1: Python or numpy integers, each
+    reduced mod q over GF(q), and over Q also Fractions (ValueError for
+    any other entry)."""
+    _check_modulus(q)
+    return _point(_exact_entries(coords, q), q)
+
+
+def _point(coords, q) -> tuple:
+    """``point`` for a q already checked."""
     coords = list(coords)
     if q is not None:
         coords = [c % q for c in coords]
@@ -110,10 +102,8 @@ def _point(coords, q) -> ProjPoint:
     lead = coords[pivot]
     if q is not None:
         inv = pow(lead, -1, q)
-        coords = [c * inv % q for c in coords]
-    else:
-        coords = [_canon_rational(Fraction(c, lead)) for c in coords]
-    return ProjPoint(tuple(coords), q)
+        return tuple(c * inv % q for c in coords)
+    return tuple(_canon_rational(Fraction(c, lead)) for c in coords)
 
 
 def _num_rational_points(n: int, q: int) -> int:
@@ -142,7 +132,7 @@ def random_points(n: int, s: int, q=DEFAULT_PRIME, seed: int = 0) -> PointSet:
             continue
         if s <= n + 2 and not _no_small_hyperplane(pts, n, q):
             continue
-        return PointSet(n, tuple(pts), q)
+        return PointSet(tuple(pts), q)
     raise FieldTooSmallError(
         "could not sample %d points in general position on P^%d over %s"
         % (s, n, "GF(%d)" % q if q else "Q")
@@ -164,9 +154,9 @@ def _sample_distinct(rng, n, s, q):
         if all(c == 0 for c in coords):
             continue
         pt = _point(coords, q)
-        if pt.coords in seen:
+        if pt in seen:
             continue
-        seen.add(pt.coords)
+        seen.add(pt)
         pts.append(pt)
     return pts
 
@@ -175,7 +165,7 @@ def _no_small_hyperplane(pts, n, q):
     from itertools import combinations
 
     for sub in combinations(pts, n + 1):
-        m = ExactMatrix._wrap(np.array([p.coords for p in sub], dtype=residue_dtype(q)), q)
+        m = ExactMatrix._wrap(np.array(sub, dtype=residue_dtype(q)), q)
         if m.rank() < n + 1:
             return False
     return True
@@ -216,13 +206,14 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
     space = h0_basis(n, p + 1, d + p + 1, q)
     s, h = len(pts.points), space.dim
     fiber = comb(n, p + 1)
-    piv = [pt.pivot if pivots is None else pivots[k] for k, pt in enumerate(pts.points)]
-    if any(pt.coords[v] == 0 for pt, v in zip(pts.points, piv)):
+    if pivots is None:
+        pivots = [max(i for i, c in enumerate(pt) if c != 0) for pt in pts.points]
+    if any(pt[v] == 0 for pt, v in zip(pts.points, pivots)):
         raise ValueError("pivot coordinate vanishes at the point")
     out = np.zeros((s * fiber, h), dtype=residue_dtype(q))
     if not s or not h:
         return ExactMatrix._wrap(out, q)
-    coords = np.array([pt.coords for pt in pts.points], dtype=residue_dtype(q))
+    coords = np.array(pts.points, dtype=residue_dtype(q))
     if q is None:
         coords = _integer_rows(coords)
     exps = _exponents(n + 1, d)
@@ -233,8 +224,8 @@ def eval_matrix(n: int, p: int, d: int, pts: PointSet, pivots=None) -> ExactMatr
     of_set, mon = space._decoded
     value = space.sign.astype(out.dtype)
     cells = out.reshape(s, fiber, h)
-    for v in sorted(set(piv)):
-        group = [k for k, w in enumerate(piv) if w == v]
+    for v in sorted(set(pivots)):
+        group = [k for k, w in enumerate(pivots) if w == v]
         slot = np.full(len(elements), -1)
         slot[(elements != v).all(axis=1)] = np.arange(fiber)
         at = slot[of_set]
@@ -393,7 +384,7 @@ def certify_counts(
             (s * fiber, h),
             r,
             s in settled,
-            tuple(pt.coords for pt in witness),
+            witness,
         )
         for s, (r, witness) in best.items()
     }
@@ -415,7 +406,7 @@ def maxrank_test(
 def verify_certificate(cert: RankCertificate) -> bool:
     """Recompute rank and verdict from the certificate's replay list."""
     _check_modulus(cert.q)
-    pts = PointSet(cert.n, tuple(_point(c, cert.q) for c in cert.points), cert.q)
+    pts = PointSet(tuple(_point(c, cert.q) for c in cert.points), cert.q)
     m = eval_matrix(cert.n, cert.p, cert.d, pts)
     r = m.rank()
     return m.shape == cert.shape and r == cert.rank and cert.maximal == (r == min(cert.shape))

@@ -9,10 +9,10 @@ import sys
 
 import pytest
 
-from twistforms.bott import binom, duality_consistency, h_omega
-from twistforms.display import build_display, verify_display
+from twistforms.bott import binom, duality_consistency, h_O, h_omega
+from twistforms.display import build_display, ledger_for, verify_display
 from twistforms.exactalg import ExactMatrix, snake_check
-from twistforms.forms import claim_i_kernel_test, contraction_matrix, h0_basis, restriction_of_forms
+from twistforms.forms import contraction_matrix, h0_basis, restriction_of_forms
 from twistforms.horace import plan, verify_tree
 from twistforms.maxrank import RankCertificate, maxrank_test, verify_certificate
 
@@ -74,7 +74,10 @@ def test_criterion_4_restriction_kernel_sweep():
     for n in range(1, 5):
         for p in range(n):
             for d in range(0, p + 5):
-                if not claim_i_kernel_test(n, p, d):
+                # Claim I is row 2 of the display at t = d-p-2.
+                row2 = ledger_for(build_display(n, p, d - p - 2)).sequences[0]
+                kernel = row2.dims[1] - row2.rank_out
+                if not (row2.ok and kernel == binom(n, p + 1) * h_O(n, d - p - 2, 0)):
                     ok = False
     m = restriction_of_forms(2, 1, 3)
     ok = ok and m.cols - m.rank() == 6

@@ -1,11 +1,13 @@
 """End-to-end checks of the command-line driver via main(argv)."""
 
+import argparse
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from twistforms import display
+from twistforms import cli, display, horace
 from twistforms.cli import main, parse_range, UsageError
 from twistforms.exactalg import ExactMatrix
 from twistforms.maxrank import CertificateError, RankCertificate
@@ -67,6 +69,22 @@ def test_verify_display_pass(capsys):
     assert code == 0
     assert "FAILED" not in out
     assert "n=2 p=0 t=0" in out
+
+
+def test_verify_display_on_p1_is_the_same_at_every_field(capsys):
+    # n = 1 is the only display whose bottom-left node lives on P^0.
+    want = [
+        "n=1 p=0 t=%d  nodes=%s  ok" % (t, nodes)
+        for t, nodes in zip(
+            range(-3, 4),
+            ["0/0/0/0/0/0", "0/0/0/0/0/0", "0/0/0/0/1/1", "0/1/1/0/1/1"]
+            + ["%d/%d/%d/0/1/1" % (t, t + 1, t + 1) for t in (1, 2, 3)],
+        )
+    ]
+    for q in ("2", "101", "rational"):
+        code, out, _ = run(capsys, "verify-display", "--n", "1", "--t", "-3..3", "--q", q)
+        assert code == 0
+        assert out.splitlines() == want, q
 
 
 def test_verify_display_fault_injection(capsys, monkeypatch):
@@ -394,6 +412,34 @@ def test_horace_run(capsys):
     assert "implication failures" not in out
 
 
+def test_horace_reports_an_implication_failure(capsys, monkeypatch):
+    # The root's own count is certified not maximal, while every other
+    # count of its (n, p, d) class, its interior child's included, keeps its
+    # certificate: all the root's children are witnessed and the root is not.
+    certify_counts = horace.certify_counts
+    root = (2, 0, 3, 6)
+
+    def root_not_maximal(n, p, d, counts, *args):
+        certs = certify_counts(n, p, d, counts, *args)
+        if (n, p, d, root[3]) == root:
+            certs[root[3]] = dataclasses.replace(certs[root[3]], maximal=False)
+        return certs
+
+    monkeypatch.setattr(horace, "certify_counts", root_not_maximal)
+    tree = horace.plan(*root, 1)
+    assert tree.children[1].problem == (2, 0, 3, 3)
+    report = horace.verify_tree(tree)
+    assert report.implication_failures == [root]
+    argv = ["horace", "--n", "2", "--p", "0", "--d", "3", "--s", "6"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out.startswith("[x] root n=2 p=0 d=3 s=6")
+    assert out.endswith("\nimplication failures: [(2, 0, 3, 6)]\n")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["implication_failures"] == [{"n": 2, "p": 0, "d": 3, "s": 6}]
+
+
 def test_horace_json_to_file(capsys, tmp_path):
     # The tree goes to the file, and the table to stdout.
     path = tmp_path / "tree.json"
@@ -437,6 +483,37 @@ def test_horace_base_is_checked_once(capsys, base):
     )
     assert code == 1 and out == ""
     assert err == "error: need d >= base >= 0, got d=0, base=%s\n" % base
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # Parsing leaves the parser as it was: --help, usage errors and other
+    # subcommands between two calls do not change the second one's result.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    argv = ["h0", "--n", "2", "--d", "0..2", "--q", "7", "--format", "csv"]
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv) == first
+    assert built.count("twistforms") == 1
+    for other in (
+        ["--help"],
+        ["h0", "--help"],
+        ["h0", "--n", "2"],
+        ["h0", "--n", "2", "--d", "0", "--bogus"],
+        ["bott", "--n", "-1", "--d", "0"],
+        ["verify-display", "--n", "1", "--t", "0", "--format", "json"],
+        ["maxrank", "--n", "2", "--p", "0", "--d", "2", "--s", "3", "--trials", "1"],
+    ):
+        run(capsys, *other)
+    assert run(capsys, *argv) == first
+    assert built.count("twistforms") == 1
 
 
 def test_unknown_subcommand(capsys):

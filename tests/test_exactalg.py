@@ -103,6 +103,36 @@ def test_solve_consistent_and_inconsistent():
     assert a.solve(bad) is None
 
 
+# The identity over GF(101), GF(103) and Q: equal int64 arrays on the two prime fields.
+_I2, _J2, _Q2 = (ExactMatrix.identity(2, q) for q in (101, 103, None))
+_Z31 = zeros(3, 1, 101)
+
+
+@pytest.mark.parametrize(
+    "op, outcome",
+    [
+        pytest.param(lambda: _I2 @ _Q2, "field mismatch in matrix product", id="matmul-field"),
+        pytest.param(lambda: _I2 @ zeros(3, 2, 101), "shape mismatch in matrix", id="matmul-shape"),
+        pytest.param(lambda: _I2.augment(_J2), "mismatch in augment", id="augment-field"),
+        pytest.param(lambda: _I2.augment(_Z31), "mismatch in augment", id="augment-shape"),
+        pytest.param(lambda: _I2.stack(_Q2), "mismatch in stack", id="stack-field"),
+        pytest.param(lambda: _I2.stack(zeros(1, 3, 101)), "mismatch in stack", id="stack-shape"),
+        pytest.param(lambda: _I2.solve(zeros(2, 1, 103)), "mismatch in solve", id="solve-field"),
+        pytest.param(lambda: _I2.solve(_Z31), "mismatch in solve", id="solve-shape"),
+        pytest.param(lambda: _I2 == _J2, False, id="eq-field"),
+        pytest.param(lambda: _I2 == _Q2, False, id="eq-rational"),
+        pytest.param(lambda: zeros(2, 3, 101) == zeros(3, 2, 101), False, id="eq-shape"),
+        pytest.param(lambda: _I2.__eq__([[1, 0], [0, 1]]), NotImplemented, id="eq-list"),
+    ],
+)
+def test_operands_of_another_field_or_shape(op, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=outcome):
+            op()
+    else:
+        assert op() is outcome
+
+
 def test_nonprime_modulus_rejected():
     with pytest.raises(ValueError):
         from_rows([[1]], q=100)

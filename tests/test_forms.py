@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistforms.bott import binom, h_O, h_omega
-from twistforms.display import build_display, verify_display
+from twistforms.display import build_display, ledger_for, verify_display
 from twistforms.exactalg import ExactMatrix
 from twistforms.forms import (
     ConsistencyError,
@@ -21,7 +21,6 @@ from twistforms.forms import (
     _kernel_sections,
     _section_map,
     _times,
-    claim_i_kernel_test,
     conormal_wedge,
     contraction_matrix,
     drop_last_differential,
@@ -35,11 +34,11 @@ from twistforms.forms import (
 from twistforms.horace import plan, verify_tree
 from twistforms.maxrank import (
     PointSet,
-    ProjPoint,
     RankCertificate,
     certify_counts,
     eval_matrix,
     maxrank_test,
+    point,
     random_points,
     verify_certificate,
 )
@@ -217,17 +216,28 @@ def test_restriction_surjective_when_unobstructed():
                 assert m.rank() == m.rows, (n, p, d)
 
 
+def claim_i_kernel(n, p, d):
+    """Row 2 of the display at t = d-p-2, which must be exact, and the
+    kernel dimension of its restriction of (p+1)-forms of twist d, which
+    must be binom(n, p+1) * h^0(O(d-p-2))."""
+    row2 = ledger_for(build_display(n, p, d - p - 2)).sequences[0]
+    assert row2.name == "row 2" and row2.ok, (n, p, d)
+    kernel = row2.dims[1] - row2.rank_out
+    assert kernel == binom(n, p + 1) * h_O(n, d - p - 2, 0), (n, p, d)
+    return kernel
+
+
 def test_claim_i_sweep():
     for n in range(1, 5):
         for p in range(n):
             for d in range(0, p + 5):
-                assert claim_i_kernel_test(n, p, d), (n, p, d)
+                claim_i_kernel(n, p, d)
 
 
 def test_claim_i_examples():
-    assert claim_i_kernel_test(2, 0, 3)  # kernel 6 = 2 * 3
-    assert claim_i_kernel_test(2, 0, 2)  # kernel 2 = 2 * 1
-    assert claim_i_kernel_test(3, 1, 2)  # both sides zero
+    assert claim_i_kernel(2, 0, 3) == 6  # 2 * 3
+    assert claim_i_kernel(2, 0, 2) == 2  # 2 * 1
+    assert claim_i_kernel(3, 1, 2) == 0  # both sides zero
 
 
 def test_conormal_wedge_injective_and_kills_drop():
@@ -422,14 +432,13 @@ _ENTRY_POINTS = {
     "restriction_of_forms": lambda q: restriction_of_forms(2, 1, 3, q),
     "conormal_wedge": lambda q: conormal_wedge(2, 0, 3, q),
     "drop_last_differential": lambda q: drop_last_differential(2, 1, 3, q),
-    "claim_i_kernel_test": lambda q: claim_i_kernel_test(2, 0, 3, q),
     "build_display": lambda q: build_display(2, 0, 0, q),
     "verify_display": lambda q: verify_display(2, 0, 0, 0, q),
     # Five points on P^2 take no small-hyperplane check, so no rank.
     "random_points": lambda q: random_points(2, 5, q, seed=0),
-    "ProjPoint.make": lambda q: ProjPoint.make([3, 6], q),
+    "point": lambda q: point([3, 6], q),
     # Built directly, so only eval_matrix sees the modulus.
-    "eval_matrix": lambda q: eval_matrix(2, 0, 2, PointSet(2, (ProjPoint((1, 2, 1), q),), q)),
+    "eval_matrix": lambda q: eval_matrix(2, 0, 2, PointSet(((1, 2, 1),), q)),
     "maxrank_test": lambda q: maxrank_test(2, 0, 2, 4, q),
     "certify_counts": lambda q: certify_counts(2, 0, 2, [3, 4], q),
     "verify_certificate": lambda q: verify_certificate(

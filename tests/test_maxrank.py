@@ -16,7 +16,6 @@ from twistforms.maxrank import (
     BettiLedger,
     FieldTooSmallError,
     PointSet,
-    ProjPoint,
     RankCertificate,
     _num_rational_points,
     _monomial_table,
@@ -24,6 +23,7 @@ from twistforms.maxrank import (
     certify_counts,
     eval_matrix,
     maxrank_test,
+    point,
     random_points,
     verify_certificate,
 )
@@ -49,21 +49,26 @@ def ambient_key(space):
     return [(I, m) for I in index_sets(n + 1, p) for m in monomials(n + 1, d - p)]
 
 
+def last_nonzero(pt):
+    """The chart ``eval_matrix`` takes by default: the last nonzero coordinate."""
+    return max(i for i, c in enumerate(pt) if c != 0)
+
+
 def test_projpoint_normalizes_last_nonzero_to_one():
-    pt = ProjPoint.make([3, 6], q=101)
-    assert pt.coords[1] == 1
-    assert pt.pivot == 1
-    pt2 = ProjPoint.make([4, 0], q=None)
-    assert pt2.coords == (1, 0)
-    assert pt2.pivot == 0
-    pt3 = ProjPoint.make([np.int64(3), Fraction(1, 2), np.int64(2)], q=None)
-    assert pt3.coords == (Fraction(3, 2), Fraction(1, 4), 1) and type(pt3.coords[2]) is int
+    pt = point([3, 6], q=101)
+    assert pt[1] == 1
+    assert last_nonzero(pt) == 1
+    pt2 = point([4, 0], q=None)
+    assert pt2 == (1, 0)
+    assert last_nonzero(pt2) == 0
+    pt3 = point([np.int64(3), Fraction(1, 2), np.int64(2)], q=None)
+    assert pt3 == (Fraction(3, 2), Fraction(1, 4), 1) and type(pt3[2]) is int
 
 
 def test_projpoint_rejects_a_composite_modulus():
     # Modulo 100, 6 has no inverse: this gave the point (48, 96).
     with pytest.raises(ValueError, match="modulus 100 is not prime"):
-        ProjPoint.make([3, 6], q=100)
+        point([3, 6], q=100)
 
 
 @pytest.mark.parametrize(
@@ -80,26 +85,26 @@ def test_projpoint_refuses_coordinates_that_are_not_integers(q, coord):
     # string escaped as a bare TypeError.
     field = r"GF\(101\) must be integers," if q else "Q must be integers or Fractions,"
     with pytest.raises(ValueError, match="entries over " + field):
-        ProjPoint.make([coord, 1], q=q)
+        point([coord, 1], q=q)
 
 
 def test_projpoint_reduces_python_and_numpy_integers():
-    assert ProjPoint.make([2**70, 1], q=101).coords == (2**70 % 101, 1)
-    pt = ProjPoint.make([np.int64(3), np.int64(2)], q=101)
-    assert pt.coords == (3 * pow(2, -1, 101) % 101, 1)
-    assert all(type(c) is int for c in pt.coords)
+    assert point([2**70, 1], q=101) == (2**70 % 101, 1)
+    pt = point([np.int64(3), np.int64(2)], q=101)
+    assert pt == (3 * pow(2, -1, 101) % 101, 1)
+    assert all(type(c) is int for c in pt)
 
 
 def test_projpoint_rejects_zero_vector():
     with pytest.raises(ValueError):
-        ProjPoint.make([0, 0, 0], q=101)
+        point([0, 0, 0], q=101)
 
 
 def test_random_points_distinct_and_seeded():
     a = random_points(2, 6, q=101, seed=7)
     b = random_points(2, 6, q=101, seed=7)
     assert a.points == b.points
-    assert len(set(p.coords for p in a.points)) == 6
+    assert len(set(a.points)) == 6
     c = random_points(2, 6, q=101, seed=8)
     assert c.points != a.points
 
@@ -117,7 +122,7 @@ def test_small_sets_avoid_degenerate_hyperplanes():
     from itertools import combinations
 
     for sub in combinations(pts.points, 3):
-        m = ExactMatrix(3, 3, [list(p.coords) for p in sub], q=101)
+        m = ExactMatrix(3, 3, [list(p) for p in sub], q=101)
         assert m.rank() == 3
 
 
@@ -137,7 +142,7 @@ def naive_eval_matrix(n, p, d, pts, pivots=None):
     sections = [[cols[i][j] for i in range(len(key))] for j in range(space.dim)]
     rows = []
     for k, pt in enumerate(pts.points):
-        pivot = pt.pivot if pivots is None else pivots[k]
+        pivot = last_nonzero(pt) if pivots is None else pivots[k]
         chart = [I for I in combinations(range(n + 1), p + 1) if pivot not in I]
         blocks = []
         for sec in sections:
@@ -146,7 +151,7 @@ def naive_eval_matrix(n, p, d, pts, pivots=None):
                 if coeff == 0 or pivot in I:
                     continue
                 val = coeff
-                coords = pt.coords if q is not None else integer_representative(pt.coords)
+                coords = pt if q is not None else integer_representative(pt)
                 for e, c in zip(m, coords):
                     val *= c**e if q is None else pow(c, e, q)
                 acc[I] = acc.get(I, 0) + val
@@ -167,7 +172,7 @@ def evaluation_problems(draw):
     pivots = None
     if draw(st.booleans()):
         pivots = [
-            draw(st.sampled_from([i for i, c in enumerate(pt.coords) if c != 0]))
+            draw(st.sampled_from([i for i, c in enumerate(pt) if c != 0]))
             for pt in pts.points
         ]
     return n, p, d, pts, pivots
@@ -184,13 +189,13 @@ def test_eval_matrix_matches_naive_evaluation_at_top_degree():
     # p+1 = n: one fiber coordinate per point, charts over every pivot.
     for q in (101, 2**31 - 1, None):
         pts = random_points(3, 5, q, seed=2)
-        alt = [min(i for i, c in enumerate(pt.coords) if c != 0) for pt in pts.points]
+        alt = [min(i for i, c in enumerate(pt) if c != 0) for pt in pts.points]
         for pivots in (None, alt):
             assert eval_matrix(3, 2, 2, pts, pivots) == naive_eval_matrix(3, 2, 2, pts, pivots)
 
 
 def test_eval_matrix_rejects_vanishing_pivot():
-    pts = PointSet(2, (ProjPoint.make([1, 0, 1], q=101),), 101)
+    pts = PointSet((point([1, 0, 1], q=101),), 101)
     with pytest.raises(ValueError):
         eval_matrix(2, 0, 2, pts, pivots=[1])
 
@@ -206,7 +211,7 @@ def test_eval_matrix_invariant_one_form():
         ((1,), (1, 0)): 1,
         ((1,), (0, 1)): 0,
     }
-    pts = PointSet(1, (ProjPoint.make([1, 1], q=None),), None)
+    pts = PointSet((point([1, 1], q=None),), None)
     assert eval_matrix(1, 0, 1, pts) == ExactMatrix(1, 1, [[-1]], q=None)
 
 
@@ -215,11 +220,11 @@ def test_fiber_eval_chart_choice_preserves_rank():
     # evaluation-matrix rank.
     pts = random_points(2, 3, q=101, seed=1)
     default = eval_matrix(2, 0, 2, pts)
-    forced = eval_matrix(2, 0, 2, pts, pivots=[p.pivot for p in pts.points])
+    forced = eval_matrix(2, 0, 2, pts, pivots=[last_nonzero(p) for p in pts.points])
     assert default.rank() == forced.rank()
     alt = []
     for p in pts.points:
-        others = [i for i, c in enumerate(p.coords) if c != 0]
+        others = [i for i, c in enumerate(p) if c != 0]
         alt.append(others[0])
     assert eval_matrix(2, 0, 2, pts, pivots=alt).rank() == default.rank()
 
@@ -235,7 +240,7 @@ def test_eval_matrix_shapes():
     assert m.shape == (8, 8)
     assert m.cols == h_omega(2, 1, 3, 0)
 
-    empty = PointSet(2, (), 101)
+    empty = PointSet((), 101)
     m = eval_matrix(2, 0, 2, empty)
     assert m.shape == (0, 8)
 
@@ -308,10 +313,10 @@ def test_repeated_point_certificate_rejected_over_large_prime():
     # once overflowed int64 at this prime, so the 8x8 matrix came out of
     # rank 8 and this certificate replayed as verified.
     q = 2**61 - 1
-    pt = ProjPoint.make([3, 5, 1], q=q)
-    pts = PointSet(2, (pt,) * 4, q)
+    pt = point([3, 5, 1], q=q)
+    pts = PointSet((pt,) * 4, q)
     assert eval_matrix(2, 0, 2, pts).rank() == 2
-    forged = RankCertificate(2, 0, 2, 4, q, 0, 1, (8, 8), 8, True, (pt.coords,) * 4)
+    forged = RankCertificate(2, 0, 2, 4, q, 0, 1, (8, 8), 8, True, (pt,) * 4)
     assert not verify_certificate(RankCertificate.from_json(forged.to_json()))
 
 
@@ -345,7 +350,7 @@ def per_count_certificate(n, p, d, s, q, trials, seed):
             best_rank, best_pts = r, pts
         if r == min(shape):
             break
-    coords = tuple(pt.coords for pt in best_pts.points)
+    coords = best_pts.points
     maximal = best_rank == min(shape)
     return RankCertificate(n, p, d, s, q, seed, trial + 1, shape, best_rank, maximal, coords)
 
@@ -371,14 +376,14 @@ def test_certify_counts_ranks_each_prefix_directly(problem):
     first = random_points(n, max(counts), q, _trial_seed(seed, 0)).points
     for s, cert in certs.items():
         assert (cert.n, cert.p, cert.d, cert.s, cert.q, cert.seed) == (n, p, d, s, q, seed)
-        pts = PointSet(n, tuple(ProjPoint.make(c, q) for c in cert.points), q)
+        pts = PointSet(tuple(point(c, q) for c in cert.points), q)
         m = eval_matrix(n, p, d, pts)
         assert cert.shape == m.shape and cert.rank == m.rank()
         assert cert.maximal == (cert.rank == min(m.shape))
         assert 1 <= cert.trials <= trials and (cert.maximal or cert.trials == trials)
         if cert.trials == 1 and cert.maximal:
             # Settled by the first trial: a prefix of its one sequence.
-            assert cert.points == tuple(pt.coords for pt in first[:s])
+            assert cert.points == first[:s]
         # One count is the per-count certification, byte for byte.
         single = certify_counts(n, p, d, [s], q, trials, seed)[s]
         assert single.to_json() == per_count_certificate(n, p, d, s, q, trials, seed).to_json()
@@ -396,7 +401,7 @@ def test_rational_prefix_short_modulo_the_prime_takes_its_exact_rank():
     # The two points of P^1 agree modulo _CERT_PRIME, so modulo that prime
     # they impose one condition on the two sections of Omega^1(3); over Q
     # they are distinct and impose two.
-    pts = PointSet(1, (ProjPoint.make([0, 1]), ProjPoint.make([_CERT_PRIME, 1])), None)
+    pts = PointSet((point([0, 1]), point([_CERT_PRIME, 1])), None)
     assert eval_matrix(1, 0, 2, pts)._prefix_ranks([0, 1, 2]) == [0, 1, 2]
     assert eval_matrix(1, 0, 2, pts).rank() == 2
 
@@ -419,8 +424,8 @@ def test_gf_certificate_is_a_witness_over_q(n_p, d, s, q, seed):
         cert = maxrank_test(n, p, d, s, q=q, trials=2, seed=seed)
     except FieldTooSmallError:  # no sample in general position
         assume(False)
-    lifted = tuple(ProjPoint.make([int(c) for c in pt], None) for pt in cert.points)
-    m = eval_matrix(n, p, d, PointSet(n, lifted, None))
+    lifted = tuple(point([int(c) for c in pt], None) for pt in cert.points)
+    m = eval_matrix(n, p, d, PointSet(lifted, None))
     assert m.shape == cert.shape
     assert m.rank() >= cert.rank
     if cert.maximal:
@@ -451,9 +456,9 @@ def fraction_eval_matrix(n, p, d, pts, pivots=None):
     s, h, fiber = len(pts.points), space.dim, comb(n, p + 1)
     if not s or not h:
         return ExactMatrix(s * fiber, h, np.zeros((s * fiber, h), dtype=object))
-    piv = [pt.pivot if pivots is None else pivots[k] for k, pt in enumerate(pts.points)]
-    scales = [lcm(*(Fraction(c).denominator for c in pt.coords)) for pt in pts.points]
-    rows = [[int(c * k) for c in pt.coords] for pt, k in zip(pts.points, scales)]
+    piv = [last_nonzero(pt) if pivots is None else pivots[k] for k, pt in enumerate(pts.points)]
+    scales = [lcm(*(Fraction(c).denominator for c in pt)) for pt in pts.points]
+    rows = [[int(c * k) for c in pt] for pt, k in zip(pts.points, scales)]
     coords = np.array(rows, dtype=object)
     exps = np.array(monomials(n + 1, d), dtype=np.int64)
     sets = index_sets(n + 1, p + 1)
@@ -477,8 +482,8 @@ def _rational_point_sets(n, h, fiber):
     yield random_points(n, h // fiber + 1, None, seed=10 + n)
     if n >= 2:
         plane = random_points(n - 1, min(h // fiber // 2 + 1, 8), None, seed=20 + n)
-        pts = tuple(ProjPoint.make((0,) + pt.coords) for pt in plane.points)
-        yield PointSet(n, pts, None)
+        pts = tuple(point((0,) + pt) for pt in plane.points)
+        yield PointSet(pts, None)
 
 
 def test_rational_evaluation_ranks_equal_the_fraction_evaluation():
@@ -489,7 +494,7 @@ def test_rational_evaluation_ranks_equal_the_fraction_evaluation():
             for d in range(6):
                 h = h0_basis(n, p + 1, d + p + 1, None).dim
                 for pts in _rational_point_sets(n, h, fiber):
-                    first = [min(i for i, c in enumerate(pt.coords) if c != 0) for pt in pts.points]
+                    first = [min(i for i, c in enumerate(pt) if c != 0) for pt in pts.points]
                     for pivots in (None, first):
                         m = eval_matrix(n, p, d, pts, pivots)
                         ref = fraction_eval_matrix(n, p, d, pts, pivots)
