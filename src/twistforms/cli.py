@@ -272,16 +272,23 @@ _COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing leaves it as it was."""
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process for each command; parsing
+    leaves it as it was.  With no command it is the full parser.  A
+    command's parser adds that subcommand alone but names every one in its
+    usage line, so its help, usage and errors read as the full parser's;
+    the full parser keeps argparse's metavar, which its invalid-choice and
+    required-command errors name."""
     parser = argparse.ArgumentParser(
         prog="twistforms",
         description="Exact verification of cohomology dimensions, the "
         "elementary-transformation display, and maximal-rank evaluation "
         "maps for twisted forms on projective space.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, func, options) in _COMMANDS.items():
+    metavar = "{%s}" % ",".join(_COMMANDS) if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if command else _COMMANDS:
+        summary, func, options = _COMMANDS[name]
         cmd = sub.add_parser(name, help=summary)
         for option, kwargs in options.items():
             cmd.add_argument("--" + option, **kwargs)
@@ -304,8 +311,8 @@ def _merge_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = _merge_negative_values(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[0]) if argv and argv[0] in _COMMANDS else build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -486,9 +486,9 @@ def test_horace_base_is_checked_once(capsys, base):
     assert err == "error: need d >= base >= 0, got d=0, base=%s\n" % base
 
 
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
-    # Parsing leaves the parser as it was: --help, usage errors and other
-    # subcommands between two calls do not change the second one's result.
+def _count_parsers(monkeypatch):
+    """Clear the parser cache and return the list that each new
+    ArgumentParser's prog is appended to."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -498,11 +498,21 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     cli.build_parser.cache_clear()
+    return built
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # Parsing leaves the parser as it was: --help, usage errors and other
+    # subcommands between two calls do not change the second one's result.
+    # Each command's parser is built once: after the first h0 call no h0
+    # call builds one, while the others build their own.
+    built = _count_parsers(monkeypatch)
     argv = ["h0", "--n", "2", "--d", "0..2", "--q", "7", "--format", "csv"]
     first = run(capsys, *argv)
     assert first[0] == 0
+    h0_built = len(built)
     assert run(capsys, *argv) == first
-    assert built.count("twistforms") == 1
+    assert len(built) == h0_built
     for other in (
         ["--help"],
         ["h0", "--help"],
@@ -512,9 +522,53 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         ["verify-display", "--n", "1", "--t", "0", "--format", "json"],
         ["maxrank", "--n", "2", "--p", "0", "--d", "2", "--s", "3", "--trials", "1"],
     ):
+        before = len(built)
         run(capsys, *other)
+        assert other[0] != "h0" or len(built) == before
+    before = len(built)
     assert run(capsys, *argv) == first
-    assert built.count("twistforms") == 1
+    assert len(built) == before
+    # h0, --help (the full parser), bott, verify-display and maxrank
+    assert built.count("twistforms") == 5
+
+
+def test_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = _count_parsers(monkeypatch)
+    code, out, _ = run(capsys, "maxrank", "--n", "2", "--p", "0", "--d", "2", "--s", "3")
+    assert code == 0 and "  maximal  " in out
+    assert built == ["twistforms", "twistforms maxrank"]
+
+
+_PARSER_BYTES_ARGV = [
+    ["--help"],
+    *[[name, "--help"] for name in cli._COMMANDS],
+    [],
+    ["frobnicate"],
+    ["bott", "--n", "2", "--d", "0", "--bogus"],
+    ["horace", "--n", "2", "--p", "0", "--d", "3"],
+    ["maxrank", "--n", "2", "--p", "0", "--d", "2", "--s", "4", "--trials", "x"],
+    ["verify-display", "--n", "1", "--format", "csv"],
+    ["h0", "--n", "2", "--d", "0..2", "extra"],
+    ["bott", "--n", "2", "--d", "-4..4"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_BYTES_ARGV, ids=lambda a: "_".join(a) or "no-args")
+def test_command_parser_bytes_match_full_parser(capsys, monkeypatch, argv):
+    # main builds only the invoked subcommand's parser; its exit code,
+    # stdout and stderr must be those of main on the full parser.
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run(capsys, *argv)
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
+    assert run(capsys, *argv) == got
+
+
+def test_full_parser_names_the_command_argument(capsys):
+    # The full parser keeps argparse's own metavar, so these errors name
+    # the argument "command", not the command parsers' list of choices.
+    assert "error: the following arguments are required: command\n" in run(capsys)[2]
+    assert "error: argument command: invalid choice: 'frobnicate'" in run(capsys, "frobnicate")[2]
 
 
 def test_unknown_subcommand(capsys):
