@@ -177,7 +177,6 @@ def cmd_maxrank(args) -> int:
     cert = maxrank.maxrank_test(args.n, args.p, args.d, args.s, args.q, args.trials, args.seed)
     if args.out:
         _emit(cert.to_json(), args.out)
-    ledger = maxrank.BettiLedger.from_certificate(cert)
     sys.stdout.write(
         "n=%d p=%d d=%d s=%d  shape %dx%d  rank %d  %s  ker %d coker %d\n"
         % (
@@ -188,8 +187,8 @@ def cmd_maxrank(args) -> int:
             *cert.shape,
             cert.rank,
             "maximal" if cert.maximal else "not witnessed",
-            ledger.kernel_dim,
-            ledger.cokernel_dim,
+            cert.shape[1] - cert.rank,
+            cert.shape[0] - cert.rank,
         )
     )
     return EXIT_OK if cert.maximal else EXIT_NOT_WITNESSED

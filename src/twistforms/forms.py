@@ -160,13 +160,17 @@ def _space(descriptor, q, size: int, width: int, rows, signs) -> SectionSpace:
 
 @lru_cache(maxsize=None)
 def monomials(nvars: int, degree: int) -> tuple:
-    """Exponent tuples of the given total degree, lex-descending."""
+    """Exponent tuples of the given total degree, lex-descending.
+
+    One variable gives x_0^degree for every degree, negative ones too: on
+    P^0, a point, O(d) has one section for every d.  Two or more give none
+    of negative degree."""
+    if nvars == 1:
+        return ((degree,),)
     if degree < 0:
         return ()
     if nvars == 0:
         return ((),) if degree == 0 else ()
-    if nvars == 1:
-        return ((degree,),)
     out = []
     for e0 in range(degree, -1, -1):
         out.extend((e0,) + rest for rest in monomials(nvars - 1, degree - e0))

@@ -51,7 +51,6 @@ from .exactalg import (
 from .forms import DEFAULT_PRIME, _exponents, _subsets, h0_basis
 
 __all__ = [
-    "BettiLedger",
     "CertificateError",
     "FieldTooSmallError",
     "PointSet",
@@ -411,20 +410,3 @@ def verify_certificate(cert: RankCertificate) -> bool:
     r = m.rank()
     return m.shape == cert.shape and r == cert.rank and cert.maximal == (r == min(cert.shape))
 
-
-@dataclass(frozen=True)
-class BettiLedger:
-    """What a maximal-rank verdict says about the resolution of the ideal."""
-
-    kernel_dim: int
-    cokernel_dim: int
-    verdict: str
-
-    @classmethod
-    def from_certificate(cls, cert: RankCertificate) -> "BettiLedger":
-        ker = cert.shape[1] - cert.rank
-        coker = cert.shape[0] - cert.rank
-        verdict = (
-            "expected resolution shape" if min(ker, coker) == 0 else "excess syzygies possible"
-        )
-        return cls(ker, coker, verdict)

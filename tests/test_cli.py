@@ -72,10 +72,11 @@ def test_verify_display_pass(capsys):
 
 
 def test_verify_display_on_p1_is_the_same_at_every_field(capsys):
-    # n = 1 is the only display whose bottom-left node lives on P^0.
+    # n = 1 is the only display whose bottom-left node lives on P^0, where
+    # O(d) has one section for every d, negative ones too.
     want = [
-        "n=1 p=0 t=-3  nodes=0/0/0/0/0/0  ok",
-        "n=1 p=0 t=-2  nodes=0/0/0/0/0/0  ok",
+        "n=1 p=0 t=-3  nodes=0/0/0/0/1/1  ok",
+        "n=1 p=0 t=-2  nodes=0/0/0/0/1/1  ok",
         "n=1 p=0 t=-1  nodes=0/0/0/0/1/1  ok",
         "n=1 p=0 t=0  nodes=0/1/1/0/1/1  ok",
         "n=1 p=0 t=1  nodes=1/2/2/0/1/1  ok",
@@ -116,6 +117,31 @@ def test_verify_display_fault_injection(capsys, monkeypatch):
         "bottom-right square": True,
     }
     assert all(seq["verdict"] != "failed" for seq in record["sequences"].values())
+
+
+def test_a_failing_t0_display_is_one_ledger_line_among_the_others(capsys, monkeypatch):
+    # A failure at t = 0, the theorem instance, is reported like one at any
+    # other twist: its FAILED line among every other ledger's, and exit 1.
+    build = display.build_display
+
+    def corrupted(n, p, t, q):
+        inst = build(n, p, t, q)
+        if (n, p) == (3, 1):
+            a = inst.maps["left_bottom"]._a.copy()
+            a[0, 0] = (a[0, 0] + 1) % q
+            inst.maps["left_bottom"] = ExactMatrix._wrap(a, q)
+        return inst
+
+    monkeypatch.setattr(display, "build_display", corrupted)
+    code, out, err = run(capsys, "verify-display", "--n", "2..3", "--t", "0")
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "n=2 p=0 t=0  nodes=0/2/3/1/2/3  ok",
+        "n=2 p=1 t=0  nodes=0/1/1/0/1/1  ok",
+        "n=3 p=0 t=0  nodes=0/3/6/3/3/6  ok",
+        "n=3 p=1 t=0  nodes=0/3/4/1/3/4  FAILED: bottom-left square, left column, snake",
+        "n=3 p=2 t=0  nodes=0/1/1/0/1/1  ok",
+    ]
 
 
 def test_verify_display_json_schema(capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from twistforms.bott import binom, h_O
+from twistforms.bott import binom, h_O, h_omega
 from twistforms.display import (
     ExactnessLedger,
     SequenceCheck,
@@ -12,7 +12,6 @@ from twistforms.display import (
     verify_display,
 )
 from twistforms.exactalg import ExactMatrix, snake_check
-from twistforms.forms import ConsistencyError
 
 
 def test_node_dimensions_200():
@@ -43,6 +42,28 @@ def test_row2_dimension_identity():
                 dims = build_display(n, p, t).node_dims()
                 assert dims["free"] + dims["right"] == dims["middle"], (n, p, t)
                 assert dims["free"] == binom(n, p + 1) * h_O(n, t, 0)
+
+
+def test_node_dimensions_are_the_formula_on_every_small_display():
+    # Each node's dim is h^0 of its sheaf by the Bott formula, 0 for
+    # Omega^p with p > n, and row 3 splits, so bottom_mid = right +
+    # bottom_left.  At n = 1 the hyperplane is P^0, where O(d) has one
+    # section for every d.
+    def h0(n, p, d):
+        return h_omega(n, p, d, 0) if p <= n else 0
+
+    for n in range(1, 5):
+        for p in range(n):
+            for t in range(-4, 4):
+                want = {
+                    "top": h0(n, p + 1, p + 1 + t),
+                    "free": binom(n, p + 1) * h0(n, 0, t),
+                    "middle": h0(n, p + 1, p + 2 + t),
+                    "right": h0(n - 1, p + 1, p + 2 + t),
+                    "bottom_left": h0(n - 1, p, p + 1 + t),
+                }
+                want["bottom_mid"] = want["right"] + want["bottom_left"]
+                assert build_display(n, p, t).node_dims() == want, (n, p, t)
 
 
 def test_verify_display_small_grid():
@@ -79,6 +100,22 @@ def test_cokernel_short_of_h1_fails_when_the_middle_h1_vanishes():
     assert _check_sequence("s", f, g, 2, 0).verdict == "failed"
     assert _check_sequence("s", f, g, 1, 0).verdict == "exact-with-known-h1-obstruction"
     assert _check_sequence("s", f, g, 0, 0).verdict == "failed"
+
+
+def test_row3_must_have_cokernel_zero_where_h1_allows_more():
+    # Row 3 splits, so its cokernel on sections is 0 at every twist, also
+    # where h^1(bottom_left) is positive.  A drop into one more dimension
+    # keeps the row exact at its left and middle terms, with cokernel 1.
+    for (n, p, t), h1 in (((3, 1, -2), 1), ((2, 1, -3), 2)):
+        inst = build_display(n, p, t)
+        row3 = {s.name: s for s in ledger_for(inst).sequences}["row 3"]
+        assert (row3.coker, row3.h1_obstruction, row3.verdict) == (0, h1, "exact-at-sections")
+        drop = inst.maps["drop"]
+        inst.maps["drop"] = drop.stack(ExactMatrix(1, drop.cols, [[0] * drop.cols], q=inst.q))
+        ledger = ledger_for(inst)
+        row3 = {s.name: s for s in ledger.sequences}["row 3"]
+        assert (row3.coker, row3.h1_obstruction, row3.verdict) == (1, h1, "failed")
+        assert "row 3" in ledger.failures
 
 
 def test_left_column_composition_vanishes():
@@ -157,14 +194,16 @@ def test_a_changed_left_map_fails_its_square(name):
 
 def test_verify_display_raises_on_a_changed_left_map(monkeypatch):
     # At t = 0 the top node is empty, as h^0(Omega^{p+1}(p+1)) = 0, so
-    # only left_bottom has an entry to change.
+    # only left_bottom has an entry to change.  The t = 0 ledger fails
+    # like any other twist's; verify_display returns it instead of raising.
     from twistforms import display
 
     monkeypatch.setattr(
         display, "build_display", lambda *args: _changed(build_display(*args), "left_bottom")
     )
-    with pytest.raises(ConsistencyError, match="bottom-left square"):
-        verify_display(3, 1, 0, 0)
+    (ledger,) = verify_display(3, 1, 0, 0)
+    assert ledger.t == 0
+    assert ledger.failures == ("bottom-left square", "left column", "snake")
 
 
 def test_ledger_failures_list_squares_then_sequences_then_snake():
@@ -187,22 +226,24 @@ def test_ledger_failures_list_squares_then_sequences_then_snake():
     assert sound.failures == () and sound.passed
     snake_only = ExactnessLedger(2, 0, 1, {}, squares[:1], sequences[:1], False)
     assert snake_only.failures == ("snake",) and not snake_only.passed
-    # A real ledger, and the t = 0 error, which names the same failures.
+    # A real ledger's failures, in the same order.
     changed = _changed(build_display(3, 1, 1), "left_top")
     assert ledger_for(changed).failures == ("top square", "left column")
     assert all(not ledger_for(build_display(2, p, 1)).failures for p in (0, 1))
 
 
 def test_verify_display_error_names_the_ledger_failures(monkeypatch):
+    # The names the t = 0 error used to carry are the ledger's failures.
     from twistforms import display
 
     monkeypatch.setattr(
         display, "build_display", lambda *args: _changed(build_display(*args), "left_bottom")
     )
-    with pytest.raises(ConsistencyError) as info:
-        verify_display(3, 1, 0, 0)
-    want = "display(3,1,t=0) failed at: bottom-left square, left column, snake"
-    assert str(info.value) == want
+    # A failing t = 0 no longer hides the ledgers of the twists after it.
+    ledgers = verify_display(3, 1, 0, 1)
+    assert [led.t for led in ledgers] == [0, 1]
+    for led in ledgers:
+        assert led.failures == ("bottom-left square", "left column", "snake"), led.t
 
 
 def test_commutativity_is_exact_matrix_equality():

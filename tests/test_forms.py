@@ -59,8 +59,10 @@ def dense_basis(space):
 
 def pairs(ndiff, nvar, p, d):
     """The ambient pairs (I, m) of p-forms of twist d in dx_0..dx_{ndiff-1}
-    with coefficients in x_0..x_{nvar-1}, in code order."""
-    if p < 0 or p > ndiff or d < p:
+    with coefficients in x_0..x_{nvar-1}, in code order.  In one variable
+    every twist has its monomial x_0^(d-p), negative exponents too: O(d)
+    on P^0, a point, has one section for every d."""
+    if p < 0 or p > ndiff or (d < p and nvar != 1):
         return []
     return [(I, m) for I in index_sets(ndiff, p) for m in monomials(nvar, d - p)]
 

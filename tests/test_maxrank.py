@@ -9,11 +9,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twistforms.bott import binom, h_omega
-from twistforms import maxrank
+from twistforms import cli, maxrank
 from twistforms.exactalg import _CERT_PRIME, ExactMatrix
 from twistforms.forms import _assemble, h0_basis, index_sets, monomials
 from twistforms.maxrank import (
-    BettiLedger,
     FieldTooSmallError,
     PointSet,
     RankCertificate,
@@ -320,17 +319,13 @@ def test_repeated_point_certificate_rejected_over_large_prime():
     assert not verify_certificate(RankCertificate.from_json(forged.to_json()))
 
 
-def test_betti_ledger_cases():
-    # 3 points impose 6 conditions on the 8-dimensional space: kernel 2.
-    under = BettiLedger.from_certificate(maxrank_test(2, 0, 2, 3, q=101, trials=5, seed=0))
-    assert (under.kernel_dim, under.cokernel_dim) == (2, 0)
-    assert under.verdict == "expected resolution shape"
-
-    square = BettiLedger.from_certificate(maxrank_test(2, 0, 2, 4, q=101, trials=5, seed=0))
-    assert (square.kernel_dim, square.cokernel_dim) == (0, 0)
-
-    over = BettiLedger.from_certificate(maxrank_test(2, 0, 2, 5, q=101, trials=5, seed=0))
-    assert (over.kernel_dim, over.cokernel_dim) == (0, 2)
+def test_betti_ledger_cases(capsys):
+    # The maxrank line's ker and coker, the rank's shortfall on each side:
+    # 3 points impose 6 conditions on the 8-dimensional space, kernel 2.
+    for s, want in ((3, "ker 2 coker 0"), (4, "ker 0 coker 0"), (5, "ker 0 coker 2")):
+        argv = ["maxrank", "--n", "2", "--p", "0", "--d", "2", "--s", str(s), "--q", "101"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.endswith("  maximal  %s\n" % want), s
 
 
 def test_certificate_shape_matches_bookkeeping():
